@@ -22,7 +22,6 @@ from .surfaces import (
     GroupPresentation,
     Surface,
     bundle_pi1_presentation,
-    euler_char,
     surface_pi1_presentation,
 )
 from .snf import (
@@ -59,7 +58,6 @@ from .diagrams import (
     kink,
     parse,
     qturn,
-    self_intersection_count,
     serialize,
     shadow_word,
     validate,

@@ -7,9 +7,7 @@ Exit-code protocol (shared by all subcommands):
   3  equivalence search: distinguished
   4  equivalence search: budget exhausted (unknown)
 
-All commands are deterministic given identical inputs and flags; --seed is
-accepted globally so batch harnesses can thread one seed through, and is
-reserved for randomized tooling built on top of this CLI.
+All commands are deterministic given identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -18,19 +16,19 @@ import argparse
 import json
 import sys
 
-from .diagrams import Diagram, parse, serialize, shadow_word, validate
+from .diagrams import BUNDLE_FOR_TOKEN, Diagram, parse, serialize, shadow_word, validate
 from .errors import CurveLiftError, DiagramSyntaxError, InapplicableMove, ModeMismatch
 from .hnn import HNNExtension, HNNWord, britton_reduce, is_trivial_hnn
 from .homology import bundle_h1, exponent_vector
 from .lifting import (
     canonicalize,
+    fiber_degree,
     lift_class,
     parse_twisted_shadow,
     raw_turning,
     turning_delta,
 )
 from .moves import (
-    EquivalenceVerdict,
     SearchBudget,
     equivalent_bounded,
     move_from_json,
@@ -39,7 +37,7 @@ from .moves import (
     transvection,
 )
 from .snf import filling_quotient
-from .surfaces import BundleKind, CircleBundle, Surface, bundle_pi1_presentation
+from .surfaces import CircleBundle, Surface, bundle_pi1_presentation
 from .words import (
     CONSISTENT,
     GroupElementExpr,
@@ -74,15 +72,11 @@ def _surface_from_args(args) -> Surface:
 
 def _bundle_from_args(args, surface: Surface) -> CircleBundle:
     token = args.bundle.upper()
-    if token == "UT":
-        return CircleBundle.unit_tangent(surface)
-    if token == "PT":
-        return CircleBundle.projective_tangent(surface)
-    if token == "TRIVIAL":
-        return CircleBundle.trivial(surface)
     if token == "CUSTOM":
         return CircleBundle.custom(surface, args.euler)
-    raise ValueError(f"unknown bundle kind {args.bundle!r}")
+    if token not in BUNDLE_FOR_TOKEN:
+        raise ValueError(f"unknown bundle kind {args.bundle!r}")
+    return BUNDLE_FOR_TOKEN[token](surface)
 
 
 # ----------------------------------------------------------------------
@@ -120,19 +114,19 @@ def cmd_invariants(args) -> int:
         lc = lift_class(diagram, bundle, ci)
         word = shadow_word(diagram, ci)
         turning = raw_turning(diagram, ci)
-        fiber = 2 * turning if diagram.mode == "cusp" else turning
+        fiber = fiber_degree(diagram, ci)
         components.append(
             {
                 "shadow": word,
                 "turning": str(turning),
-                "fiber": int(fiber),
+                "fiber": fiber,
                 "fiber_mod_e": lc.fiber_part,
                 "base": list(lc.base_part),
             }
         )
         lines.append(
             f"component {ci}: shadow={word or '1'} turning={turning} "
-            f"fiber={int(fiber)} fiber_mod_e={lc.fiber_part} base={list(lc.base_part)}"
+            f"fiber={fiber} fiber_mod_e={lc.fiber_part} base={list(lc.base_part)}"
         )
     payload = {"components": components, "H1": str(h1), "H1_invariants": h1.to_json()}
     _emit(args, payload, lines)
@@ -322,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Diagrams of curve lifts in circle bundles over surfaces.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--seed", type=int, default=0, help="reserved; default 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check diagram invariants")

@@ -148,7 +148,7 @@ def validate(diagram: Diagram) -> list[Violation]:
 
 
 # ----------------------------------------------------------------------
-# shadow words and crude complexity
+# shadow words
 
 
 def shadow_word(diagram: Diagram, component: int) -> str:
@@ -156,13 +156,6 @@ def shadow_word(diagram: Diagram, component: int) -> str:
     cyclic order, freely and cyclically reduced (compact word encoding)."""
     tokens = [ev[1] for ev in diagram.components[component] if ev[0] == "edge"]
     return cyclic_reduce(diagram.surface.encode(tokens))
-
-
-def self_intersection_count(diagram: Diagram) -> int:
-    """Crossing ids plus kinks; a search-pruning heuristic, not the minimal
-    self-intersection number."""
-    kinks = sum(1 for comp in diagram.components for ev in comp if ev[0] == "kink")
-    return len(diagram.crossing_ids()) + kinks
 
 
 # ----------------------------------------------------------------------
@@ -207,16 +200,13 @@ def parse_event(tok: str, surface: Surface, line: int) -> Event:
     raise DiagramSyntaxError(f"bad event token {tok!r}", line)
 
 
+BUNDLE_FOR_TOKEN = {
+    "UT": CircleBundle.unit_tangent,
+    "PT": CircleBundle.projective_tangent,
+    "TRIVIAL": CircleBundle.trivial,
+}
 _SURFACE_RE = re.compile(r"^surface\s+genus=(\d+)\s+boundary=(\d+)$")
-_BUNDLE_RE = re.compile(r"^bundle\s+(UT|PT|TRIVIAL)$")
-
-
-def _bundle_for(surface: Surface, token: str) -> CircleBundle:
-    if token == "UT":
-        return CircleBundle.unit_tangent(surface)
-    if token == "PT":
-        return CircleBundle.projective_tangent(surface)
-    return CircleBundle.trivial(surface)
+_BUNDLE_RE = re.compile(rf"^bundle\s+({'|'.join(BUNDLE_FOR_TOKEN)})$")
 
 
 def bundle_token(bundle: CircleBundle) -> str:
@@ -259,8 +249,8 @@ def _parse_with_annotations(text: str):
     lineno, line = lines[1]
     m = _BUNDLE_RE.match(line)
     if not m:
-        raise DiagramSyntaxError("expected 'bundle <UT|PT|TRIVIAL>'", lineno)
-    bundle = _bundle_for(surface, m.group(1))
+        raise DiagramSyntaxError(f"expected 'bundle <{'|'.join(BUNDLE_FOR_TOKEN)}>'", lineno)
+    bundle = BUNDLE_FOR_TOKEN[m.group(1)](surface)
     mode = MODE_FOR_KIND[bundle.kind]
 
     components: list[tuple[Event, ...]] = []

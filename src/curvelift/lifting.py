@@ -10,15 +10,11 @@ bundle is the abelianized shadow plus the fiber degree reduced mod |e|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import (
-    CUSP_D,
-    CUSP_U,
     CUSP_SMOOTH,
-    KINK_L,
-    KINK_R,
     MODE_FOR_KIND,
     Diagram,
     DiagramSyntaxError,
@@ -26,7 +22,6 @@ from .diagrams import (
     cusp,
     edge,
     kink,
-    qturn,
     serialize,
 )
 from .errors import ModeMismatch, NonIntegralTurning
@@ -121,16 +116,22 @@ def _check_mode(diagram: Diagram, bundle: CircleBundle) -> None:
         )
 
 
-def lift_class(diagram: Diagram, bundle: CircleBundle, component: int) -> LiftClass:
-    _check_mode(diagram, bundle)
-    base = shadow_homology_vector(diagram, component)
+def fiber_degree(diagram: Diagram, component: int) -> int:
+    """Unreduced fiber degree of the component's lift: its turning number,
+    doubled in cusp-smooth mode."""
     turning = raw_turning(diagram, component)
     fiber = 2 * turning if diagram.mode == CUSP_SMOOTH else turning
     if fiber.denominator != 1:
         raise NonIntegralTurning(
             f"component {component}: fiber degree {fiber} is not an integer"
         )
-    m = int(fiber)
+    return int(fiber)
+
+
+def lift_class(diagram: Diagram, bundle: CircleBundle, component: int) -> LiftClass:
+    _check_mode(diagram, bundle)
+    base = shadow_homology_vector(diagram, component)
+    m = fiber_degree(diagram, component)
     e = bundle.euler_number
     return LiftClass(base, m % abs(e) if e != 0 else m, e)
 

@@ -11,14 +11,23 @@ intersection sites and leaves the base class alone.
 Sites use (component, position) coordinates; adjacency is cyclic.  A "gap"
 index p in [0, n) names the insertion point before event p (gap 0 doubles as
 the wrap-around gap).
+
+Each move kind is written once, in the table ``_KINDS``: its growth in
+events, candidate sites, local pattern, rewrite (with the inverse move) and
+site transport (the same move on a reordered, rotated copy of the diagram).
+Transvections have no sites, inverse or transport.  An ``r2_insert`` site may
+end with its first strand's slot pair ("12", "21" or "22"; absent means
+"11"); only the inverse of an ``r2_remove`` emits it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .diagrams import SMOOTH, Diagram, cross, cusp, kink, qturn
+from .diagrams import CUSP_SMOOTH, SMOOTH, Diagram, cross, cusp, kink, qturn, shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
 from .lifting import lift_class
 from .surfaces import CircleBundle
@@ -47,6 +56,7 @@ STAB_VARIANTS = {
     "ud": (cusp(1), cusp(-1)),
     "du": (cusp(-1), cusp(1)),
 }
+_VARIANT_OF = {pair[0]: variant for variant, pair in STAB_VARIANTS.items()}
 
 
 def transvection(curves) -> MoveInstance:
@@ -75,248 +85,267 @@ def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# catalogue enumeration
+# the move table.  match(diagram, move) returns None or why the site does not
+# fit; rewrite(diagram, move) runs on a matching site only and returns the new
+# diagram and the inverse move.
 
 
-def _adjacent(comp, p):
+_LOOP_TAGS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
+
+
+def _gaps(diagram: Diagram) -> list:
+    return [(ci, p) for ci, comp in enumerate(diagram.components) for p in range(max(len(comp), 1))]
+
+
+def _positions(diagram: Diagram) -> list:
+    """Every (ci, p) naming event p and its cyclic successor."""
+    comps = diagram.components
+    return [(ci, p) for ci, comp in enumerate(comps) if len(comp) >= 2 for p in range(len(comp))]
+
+
+def _no_gaps(diagram: Diagram, gaps) -> str | None:
+    comps = diagram.components
+    for ci, p in gaps:
+        if not (0 <= ci < len(comps) and 0 <= p <= len(comps[ci])):
+            return "no such gap"
+    return None
+
+
+def _no_pair(diagram: Diagram, site) -> str | None:
+    ci, p = site
+    comps = diagram.components
+    ok = 0 <= ci < len(comps) and len(comps[ci]) >= 2 and 0 <= p < len(comps[ci])
+    return None if ok else "no pair of events at this site"
+
+
+def _pair(diagram: Diagram, site) -> tuple:
+    ci, p = site
+    comp = diagram.components[ci]
     return comp[p], comp[(p + 1) % len(comp)]
+
+
+def _spots(diagram: Diagram, sites) -> set:
+    """The event positions that the pair sites cover."""
+    return {(ci, q) for ci, p in sites for q in (p, (p + 1) % len(diagram.components[ci]))}
+
+
+def _no_crossing_pairs(diagram: Diagram, sites) -> str | None:
+    """Why sites are not disjoint adjacent pairs of two different crossings,
+    or None."""
+    for site in sites:
+        why = _no_pair(diagram, site)
+        if why is not None:
+            return why
+        a, b = _pair(diagram, site)
+        if not (a[0] == b[0] == "cross" and a[1] != b[1]):
+            return "not a crossing pair"
+    if len(_spots(diagram, sites)) != 2 * len(sites):
+        return "overlapping sites"
+    return None
+
+
+def _crossing_pairs(diagram: Diagram) -> list:
+    return [s for s in _positions(diagram) if _no_crossing_pairs(diagram, (s,)) is None]
+
+
+def _remove_pairs(diagram: Diagram, sites):
+    """The diagram without the events of the pair sites, and the gap each
+    pair leaves; a pair across the wrap leaves its gap at the end."""
+    removed = _spots(diagram, sites)
+    comps = [
+        [ev for pos, ev in enumerate(comp) if (ci, pos) not in removed]
+        for ci, comp in enumerate(diagram.components)
+    ]
+    gaps = []
+    for ci, p in sites:
+        n = len(diagram.components[ci])
+        gaps.append(sum(1 for pos in range(p if p + 1 < n else n) if (ci, pos) not in removed))
+    return diagram.with_components(comps), gaps
+
+
+def _swap_pairs(diagram: Diagram, sites) -> Diagram:
+    comps = [list(c) for c in diagram.components]
+    for ci, p in sites:
+        comp = comps[ci]
+        q = (p + 1) % len(comp)
+        comp[p], comp[q] = comp[q], comp[p]
+    return diagram.with_components(comps)
+
+
+def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
+    ci, p, variant = move.site
+    if variant not in (("lr", "rl") if diagram.mode == SMOOTH else ("ud", "du")):
+        return f"no stabilization {variant!r} in {diagram.mode} mode"
+    return _no_gaps(diagram, [(ci, p)])
+
+
+def _stab_rewrite(diagram: Diagram, move: MoveInstance):
+    ci, p, variant = move.site
+    comps = [list(c) for c in diagram.components]
+    comps[ci][p:p] = STAB_VARIANTS[variant]
+    return diagram.with_components(comps), MoveInstance("destab", (ci, p))
+
+
+def _destab_match(diagram: Diagram, move: MoveInstance) -> str | None:
+    why = _no_pair(diagram, move.site)
+    if why is None:
+        a, b = _pair(diagram, move.site)
+        if not (a[0] in _LOOP_TAGS[diagram.mode] and a[0] == b[0] and a[1] == -b[1]):
+            why = "not an opposite pair"
+    return why
+
+
+def _destab_rewrite(diagram: Diagram, move: MoveInstance):
+    variant = _VARIANT_OF[_pair(diagram, move.site)[0]]
+    new, [gap] = _remove_pairs(diagram, [move.site])
+    return new, MoveInstance("stab", (move.site[0], gap, variant))
+
+
+def _kink_slide_match(diagram: Diagram, move: MoveInstance) -> str | None:
+    why = _no_pair(diagram, move.site)
+    if why is None:
+        a, b = _pair(diagram, move.site)
+        loops, tags = _LOOP_TAGS[diagram.mode], {a[0], b[0]}
+        if (a[0] in loops) == (b[0] in loops) or not tags <= {"kink", "cusp", "cross", "edge"}:
+            why = "needs a kink/cusp adjacent to a crossing or edge event"
+    return why
+
+
+# an r2_insert site's optional fifth entry -> the first strand's slots
+_R2_SLOTS = {(): (1, 1), ("12",): (1, 2), ("21",): (2, 1), ("22",): (2, 2)}
+
+
+def _r2_insert_match(diagram: Diagram, move: MoveInstance) -> str | None:
+    c1, p1, c2, p2 = move.site[:4]
+    if move.site[4:] not in _R2_SLOTS:
+        return f"bad slot entry {move.site[4:]!r}"
+    return _no_gaps(diagram, ((c1, p1), (c2, p2)))
+
+
+def _r2_insert_rewrite(diagram: Diagram, move: MoveInstance):
+    c1, p1, c2, p2 = move.site[:4]
+    s, t = _R2_SLOTS[move.site[4:]]
+    used = diagram.crossing_ids()  # k ids leave at least two of 1..k+2 free
+    free = [n for n in range(1, len(used) + 3) if str(n) not in used]
+    x, y = str(free[0]), str(free[1])
+    first = [cross(x, s), cross(y, t)]
+    second = [cross(y, 3 - t), cross(x, 3 - s)]
+    # in one gap the first strand goes in front of the second
+    q1 = p1 + 2 * (c1 == c2 and p2 < p1)
+    q2 = p2 + 2 * (c1 == c2 and p1 <= p2)
+    comps = [list(c) for c in diagram.components]
+    comps[c2][p2:p2] = second
+    comps[c1][q1:q1] = first
+    return diagram.with_components(comps), MoveInstance("r2_remove", ((c1, q1), (c2, q2)))
+
+
+def _r2_remove_match(diagram: Diagram, move: MoveInstance) -> str | None:
+    why = _no_crossing_pairs(diagram, move.site)
+    if why is None:
+        # bigon: [x, y] against [y, x] with complementary slots
+        (a, b), (c, d) = (_pair(diagram, site) for site in move.site)
+        if not (a[1] == d[1] and b[1] == c[1] and a[2] != d[2] and b[2] != c[2]):
+            why = "not a bigon pattern"
+    return why
+
+
+def _r2_remove_rewrite(diagram: Diagram, move: MoveInstance):
+    (c1, p1), (c2, p2) = move.site
+    n = len(diagram.components[c1])
+    if c1 == c2 and n > 4 and (p2 + 2) % n == p1:
+        # the second strand runs into the first: list it first, so that the
+        # inverse keeps their order in one gap when transported to a rotation
+        (c1, p1), (c2, p2) = (c2, p2), (c1, p1)
+    a, b = _pair(diagram, (c1, p1))
+    new, [gap1, gap2] = _remove_pairs(diagram, [(c1, p1), (c2, p2)])
+    slots = f"{a[2]}{b[2]}"
+    inv = (c1, gap1, c2, gap2) + ((slots,) if slots != "11" else ())
+    return new, MoveInstance("r2_insert", inv)
+
+
+def _r3_match(diagram: Diagram, move: MoveInstance) -> str | None:
+    why = _no_crossing_pairs(diagram, move.site)
+    if why is None:
+        ids = Counter(ev[1] for site in move.site for ev in _pair(diagram, site))
+        if len(ids) != 3 or any(v != 2 for v in ids.values()):
+            why = "not a triangle"
+    return why
+
+
+def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
+    if not move.data:
+        return "empty transvection"
+    return _no_gaps(diagram, [(ci, p) for _, _, sites in move.data for ci, p, _ in sites])
+
+
+def _transvection_rewrite(diagram: Diagram, move: MoveInstance):
+    """Insert |weight| loops at each intersection site: kinks in smooth mode,
+    single cusps (one per fiber unit of PT) in cusp-smooth mode."""
+    loop = kink if diagram.mode == SMOOTH else cusp
+    comps = [list(c) for c in diagram.components]
+    loops = [(ci, p, weight * sign) for _, weight, sites in move.data for ci, p, sign in sites]
+    for ci, p, n in sorted(loops, reverse=True):
+        comps[ci][p:p] = [loop(1 if n > 0 else -1)] * abs(n)
+    return diagram.with_components(comps), None
+
+
+@dataclass(frozen=True)
+class _Kind:
+    growth: int  # events added; the search tries shrinking kinds first
+    sites: Callable  # diagram -> candidate sites
+    match: Callable
+    rewrite: Callable  # the inverse is None for a transvection
+    transport: Callable | None  # (site, site_map) -> the site in an equal diagram
+
+
+_KINDS = {
+    "stab": _Kind(
+        2, lambda d: [(*gap, "lr" if d.mode == SMOOTH else "ud") for gap in _gaps(d)],
+        _stab_match, _stab_rewrite, lambda s, f: (*f(s[:2]), s[2]),
+    ),
+    "destab": _Kind(-2, _positions, _destab_match, _destab_rewrite, lambda s, f: f(s)),
+    "kink_slide": _Kind(
+        0, _positions,
+        _kink_slide_match, lambda d, m: (_swap_pairs(d, [m.site]), m), lambda s, f: f(s),
+    ),
+    "r2_insert": _Kind(
+        4, lambda d: [(*gap1, *gap2) for gap1, gap2 in itertools.product(_gaps(d), repeat=2)],
+        _r2_insert_match, _r2_insert_rewrite, lambda s, f: (*f(s[:2]), *f(s[2:4]), *s[4:]),
+    ),
+    "r2_remove": _Kind(
+        -4, lambda d: itertools.combinations(_crossing_pairs(d), 2),
+        _r2_remove_match, _r2_remove_rewrite, lambda s, f: tuple(map(f, s)),
+    ),
+    "r3": _Kind(
+        0, lambda d: itertools.combinations(_crossing_pairs(d), 3),
+        _r3_match, lambda d, m: (_swap_pairs(d, m.site), m), lambda s, f: tuple(sorted(map(f, s))),
+    ),
+    "transvection": _Kind(1, lambda d: (), _transvection_match, _transvection_rewrite, None),
+}
+
+
+# ----------------------------------------------------------------------
+# catalogue enumeration and application
 
 
 def applicable_moves(diagram: Diagram) -> list[MoveInstance]:
     """Complete enumeration of catalogue sites (transvections excluded: they
     are parameterized by external curve data)."""
-    out: list[MoveInstance] = []
-    stab_variant = "lr" if diagram.mode == SMOOTH else "ud"
-    loop_tags = ("kink",) if diagram.mode == SMOOTH else ("kink", "cusp")
-    gaps = [
-        (ci, p)
-        for ci, comp in enumerate(diagram.components)
-        for p in range(max(len(comp), 1))
-    ]
-    for ci, p in gaps:
-        out.append(MoveInstance("stab", (ci, p, stab_variant)))
-    for site1, site2 in itertools.product(gaps, repeat=2):
-        out.append(MoveInstance("r2_insert", (*site1, *site2)))
-
-    pair_sites = []  # adjacent crossing pairs, reused for R2/R3 detection
-    for ci, comp in enumerate(diagram.components):
-        n = len(comp)
-        if n < 2:
-            continue
-        for p in range(n):
-            a, b = _adjacent(comp, p)
-            if a[0] in loop_tags and a[0] == b[0] and a[1] == -b[1]:
-                out.append(MoveInstance("destab", (ci, p)))
-            if (a[0] in loop_tags) != (b[0] in loop_tags) and {a[0], b[0]} <= {
-                "kink",
-                "cusp",
-                "cross",
-                "edge",
-            }:
-                out.append(MoveInstance("kink_slide", (ci, p)))
-            if a[0] == "cross" and b[0] == "cross" and a[1] != b[1]:
-                pair_sites.append((ci, p, a, b))
-
-    for (c1, p1, a1, b1), (c2, p2, a2, b2) in itertools.combinations(pair_sites, 2):
-        if {a1[1], b1[1]} != {a2[1], b2[1]}:
-            continue
-        spots = {(c1, p1), (c1, (p1 + 1) % len(diagram.components[c1]))}
-        spots |= {(c2, p2), (c2, (p2 + 1) % len(diagram.components[c2]))}
-        if len(spots) != 4:
-            continue
-        # bigon: [x, y] against [y, x] with complementary slots
-        if a1[1] == b2[1] and b1[1] == a2[1] and a1[2] != b2[2] and b1[2] != a2[2]:
-            out.append(MoveInstance("r2_remove", ((c1, p1), (c2, p2))))
-
-    for triple in itertools.combinations(pair_sites, 3):
-        ids: dict[str, int] = {}
-        spots = set()
-        for ci, p, a, b in triple:
-            ids[a[1]] = ids.get(a[1], 0) + 1
-            ids[b[1]] = ids.get(b[1], 0) + 1
-            spots.add((ci, p))
-            spots.add((ci, (p + 1) % len(diagram.components[ci])))
-        if len(ids) == 3 and all(v == 2 for v in ids.values()) and len(spots) == 6:
-            out.append(
-                MoveInstance("r3", tuple(sorted((ci, p) for ci, p, _, _ in triple)))
-            )
-    return sorted(set(out))
-
-
-# ----------------------------------------------------------------------
-# application
-
-
-def _insert(comp: tuple, gap: int, events) -> tuple:
-    return comp[:gap] + tuple(events) + comp[gap:]
-
-
-def _loop_events(mode: str, n: int) -> list:
-    """n fiber-twist loops for a transvection: kinks in smooth mode, single
-    cusps in cusp-smooth mode (one cusp per fiber unit of PT)."""
-    maker = kink if mode == SMOOTH else cusp
-    return [maker(1 if n > 0 else -1)] * abs(n)
+    candidates = (
+        MoveInstance(name, site) for name, kind in _KINDS.items() for site in kind.sites(diagram)
+    )
+    return sorted(m for m in candidates if _KINDS[m.kind].match(diagram, m) is None)
 
 
 def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance | None]:
     """Apply and return (new diagram, inverse move or None for transvections)."""
-    comps = [list(c) for c in diagram.components]
-    kind = move.kind
-
-    def check(cond, msg):
-        if not cond:
-            raise InapplicableMove(f"{kind} at {move.site}: {msg}")
-
-    if kind == "stab":
-        ci, p, variant = move.site
-        check(0 <= ci < len(comps), "no such component")
-        check(variant in STAB_VARIANTS, f"unknown variant {variant!r}")
-        pair = STAB_VARIANTS[variant]
-        check(
-            (diagram.mode == SMOOTH) == (variant in ("lr", "rl")),
-            "variant does not match diagram mode",
-        )
-        check(0 <= p <= len(comps[ci]), "gap out of range")
-        comps[ci][p:p] = pair
-        return diagram.with_components(comps), MoveInstance("destab", (ci, p))
-
-    if kind == "destab":
-        ci, p = move.site
-        check(0 <= ci < len(comps), "no such component")
-        comp = comps[ci]
-        n = len(comp)
-        check(n >= 2, "component too short")
-        a, b = comp[p], comp[(p + 1) % n]
-        tags = ("kink",) if diagram.mode == SMOOTH else ("cusp", "kink")
-        check(a[0] in tags and a[0] == b[0] and a[1] == -b[1], "not an opposite pair")
-        variant = {("kink", 1): "lr", ("kink", -1): "rl", ("cusp", 1): "ud", ("cusp", -1): "du"}[
-            (a[0], a[1])
-        ]
-        if p + 1 < n:
-            del comp[p : p + 2]
-            inv_site = (ci, p, variant)
-        else:  # wrap: result is a rotation; reinsert at the end
-            del comp[n - 1]
-            del comp[0]
-            inv_site = (ci, len(comp), variant)
-        return diagram.with_components(comps), MoveInstance("stab", inv_site)
-
-    if kind == "kink_slide":
-        ci, p = move.site
-        check(0 <= ci < len(comps), "no such component")
-        comp = comps[ci]
-        n = len(comp)
-        check(n >= 2, "component too short")
-        q = (p + 1) % n
-        a, b = comp[p], comp[q]
-        loops = {"kink", "cusp"}
-        check(
-            (a[0] in loops) != (b[0] in loops) and {a[0], b[0]} <= loops | {"cross", "edge"},
-            "needs a kink/cusp adjacent to a crossing or edge event",
-        )
-        comp[p], comp[q] = comp[q], comp[p]
-        return diagram.with_components(comps), MoveInstance("kink_slide", (ci, p))
-
-    if kind == "r2_insert":
-        c1, p1, c2, p2 = move.site
-        check(0 <= c1 < len(comps) and 0 <= c2 < len(comps), "no such component")
-        check(0 <= p1 <= len(comps[c1]) and 0 <= p2 <= len(comps[c2]), "gap out of range")
-        x = diagram.fresh_crossing_id()
-        y = str(int(x) + 1) if x.isdigit() else x + "b"
-        first = [cross(x, 1), cross(y, 1)]
-        second = [cross(y, 2), cross(x, 2)]
-        if c1 != c2:
-            comps[c1][p1:p1] = first
-            comps[c2][p2:p2] = second
-            inv = MoveInstance("r2_remove", ((c1, p1), (c2, p2)))
-        elif p1 <= p2:
-            comps[c1][p2:p2] = second
-            comps[c1][p1:p1] = first
-            inv = MoveInstance("r2_remove", ((c1, p1), (c1, p2 + 2)))
-        else:
-            comps[c1][p1:p1] = first
-            comps[c1][p2:p2] = second
-            inv = MoveInstance("r2_remove", ((c1, p1 + 2), (c1, p2)))
-        return diagram.with_components(comps), inv
-
-    if kind == "r2_remove":
-        (c1, p1), (c2, p2) = move.site
-        check(0 <= c1 < len(comps) and 0 <= c2 < len(comps), "no such component")
-        n1, n2 = len(comps[c1]), len(comps[c2])
-        check(n1 >= 2 and n2 >= 2, "component too short")
-        a, b = _adjacent(tuple(comps[c1]), p1)
-        cc, d = _adjacent(tuple(comps[c2]), p2)
-        spots = {(c1, p1), (c1, (p1 + 1) % n1), (c2, p2), (c2, (p2 + 1) % n2)}
-        check(len(spots) == 4, "overlapping sites")
-        check(all(ev[0] == "cross" for ev in (a, b, cc, d)), "not a crossing bigon")
-        check(
-            a[1] == d[1] and b[1] == cc[1] and a[1] != b[1] and a[2] != d[2] and b[2] != cc[2],
-            "not a bigon pattern",
-        )
-        # inverse gap: slot-1 pair becomes the first insertion site
-        removed = spots
-        new_comps = []
-        for ci, comp in enumerate(comps):
-            new_comps.append(
-                [ev for pos, ev in enumerate(comp) if (ci, pos) not in removed]
-            )
-        gap_a = _gap_after_removal(comps[c1], c1, p1, removed)
-        gap_b = _gap_after_removal(comps[c2], c2, p2, removed)
-        if a[2] == 1:
-            inv = MoveInstance("r2_insert", (c1, gap_a, c2, gap_b))
-        else:
-            inv = MoveInstance("r2_insert", (c2, gap_b, c1, gap_a))
-        return diagram.with_components(new_comps), inv
-
-    if kind == "r3":
-        sites = move.site
-        check(len(sites) == 3, "r3 needs three pair sites")
-        events = []
-        spots = set()
-        for ci, p in sites:
-            check(0 <= ci < len(comps), "no such component")
-            n = len(comps[ci])
-            check(n >= 2, "component too short")
-            a, b = _adjacent(tuple(comps[ci]), p)
-            check(a[0] == "cross" and b[0] == "cross" and a[1] != b[1], "not a crossing pair")
-            events.append((a, b))
-            spots |= {(ci, p), (ci, (p + 1) % n)}
-        check(len(spots) == 6, "overlapping sites")
-        ids: dict[str, int] = {}
-        for a, b in events:
-            ids[a[1]] = ids.get(a[1], 0) + 1
-            ids[b[1]] = ids.get(b[1], 0) + 1
-        check(len(ids) == 3 and all(v == 2 for v in ids.values()), "not a triangle")
-        for ci, p in sites:
-            n = len(comps[ci])
-            q = (p + 1) % n
-            comps[ci][p], comps[ci][q] = comps[ci][q], comps[ci][p]
-        return diagram.with_components(comps), MoveInstance("r3", move.site)
-
-    if kind == "transvection":
-        check(move.data, "empty transvection")
-        inserts: dict[int, list[tuple[int, list]]] = {}
-        for _, weight, sites in move.data:
-            for ci, p, sign in sites:
-                check(0 <= ci < len(comps), "no such component")
-                check(0 <= p <= len(comps[ci]), "gap out of range")
-                inserts.setdefault(ci, []).append((p, _loop_events(diagram.mode, weight * sign)))
-        for ci, items in inserts.items():
-            for p, events in sorted(items, reverse=True):
-                comps[ci][p:p] = events
-        return diagram.with_components(comps), None
-
-    raise InapplicableMove(f"unknown move kind {kind!r}")
-
-
-def _gap_after_removal(comp, ci, p, removed) -> int:
-    """Gap index in the post-removal component where the adjacent pair that
-    started at event p used to sit."""
-    n = len(comp)
-    if p + 1 < n or n == 2:
-        return sum(1 for pos in range(p) if (ci, pos) not in removed)
-    # wrap pair (n-1, 0): the block sits at the end of the rotated word
-    return sum(1 for pos in range(n) if (ci, pos) not in removed)
+    kind = _KINDS.get(move.kind)
+    if kind is None:
+        raise InapplicableMove(f"unknown move kind {move.kind!r}")
+    why = kind.match(diagram, move)
+    if why is not None:
+        raise InapplicableMove(f"{move.kind} at {move.site}: {why}")
+    return kind.rewrite(diagram, move)
 
 
 def apply_move(diagram: Diagram, move: MoveInstance) -> Diagram:
@@ -506,25 +535,6 @@ def _site_map(src: Diagram, dst: Diagram):
     return f
 
 
-def _transport_move(move: MoveInstance, site_map) -> MoveInstance:
-    kind = move.kind
-    if kind == "stab":
-        ci, p, variant = move.site
-        ci2, p2 = site_map((ci, p))
-        return MoveInstance(kind, (ci2, p2, variant))
-    if kind in ("destab", "kink_slide"):
-        return MoveInstance(kind, site_map(move.site))
-    if kind == "r2_insert":
-        c1, p1, c2, p2 = move.site
-        return MoveInstance(kind, (*site_map((c1, p1)), *site_map((c2, p2))))
-    if kind == "r2_remove":
-        s1, s2 = move.site
-        return MoveInstance(kind, (site_map(s1), site_map(s2)))
-    if kind == "r3":
-        return MoveInstance(kind, tuple(sorted(site_map(s) for s in move.site)))
-    raise InapplicableMove(f"cannot transport move kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # bounded equivalence search
 
@@ -552,8 +562,6 @@ class EquivalenceVerdict:
 
 
 def _shadow_class_multiset(diagram: Diagram, bundle: CircleBundle):
-    from .diagrams import shadow_word
-
     try:
         return sorted(
             conjugacy_class_key(shadow_word(diagram, ci), diagram.surface)
@@ -590,17 +598,6 @@ def _distinguish(d1, d2, bundle, generators):
     return None
 
 
-_MOVE_GROWTH = {
-    "destab": -2,
-    "r2_remove": -4,
-    "kink_slide": 0,
-    "r3": 0,
-    "stab": 2,
-    "r2_insert": 4,
-    "transvection": 1,
-}
-
-
 def _search_moves(diagram: Diagram, generators, forward: bool):
     moves = applicable_moves(diagram)
     if forward:
@@ -612,7 +609,7 @@ def _search_moves(diagram: Diagram, generators, forward: bool):
                 moves.append(MoveInstance("transvection", (), data))
     # shrinking moves first: meets between the frontiers are found before the
     # state budget is spent on the much wider growing branches
-    moves.sort(key=lambda m: (_MOVE_GROWTH[m.kind], m))
+    moves.sort(key=lambda m: (_KINDS[m.kind].growth, m))
     return moves
 
 
@@ -656,7 +653,8 @@ def equivalent_bounded(
             chain.append(apply_move(chain[-1], mv))
         for i in range(len(b_path), 0, -1):
             inv = invert_move(chain[i - 1], b_path[i - 1])  # applies to chain[i]
-            moved = _transport_move(inv, _site_map(chain[i], current))
+            site = _KINDS[inv.kind].transport(inv.site, _site_map(chain[i], current))
+            moved = MoveInstance(inv.kind, site)
             current = apply_move(current, moved)
             cert.append(moved)
         if canonical_key(current) != k2:

@@ -10,7 +10,7 @@ draw from the remaining alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -134,10 +134,6 @@ class Surface:
         if self.is_closed:
             return f"Sigma_{self.genus}"
         return f"Sigma_{{{self.genus},{self.boundary}}}"
-
-
-def euler_char(surface: Surface) -> int:
-    return surface.euler_char
 
 
 # ----------------------------------------------------------------------

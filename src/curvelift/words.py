@@ -60,7 +60,7 @@ def _dehn_step(w: str, rotations: list[str], cyclic: bool) -> str | None:
     for rot in rotations:
         probe = rot[: half + 1]
         start = haystack.find(probe)
-        while 0 <= start < limit:
+        if 0 <= start < limit:
             # extend the match greedily along the rotation
             m = half + 1
             while (

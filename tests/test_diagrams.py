@@ -8,12 +8,11 @@ from curvelift import (
     DiagramSyntaxError,
     Surface,
     parse,
-    self_intersection_count,
     serialize,
     shadow_word,
     validate,
 )
-from curvelift.diagrams import cross, cusp, edge, kink, qturn
+from curvelift.diagrams import cross, cusp, edge, qturn
 
 S2 = Surface(2)
 UT = CircleBundle.unit_tangent(S2)
@@ -79,11 +78,6 @@ def test_shadow_word_rotation_invariant():
 
         words.add(_minimal_rotation(shadow_word(smooth(*rot), 0)))
     assert len(words) == 1
-
-
-def test_self_intersection_count():
-    d = smooth(cross("1", 1), cross("1", 2), kink(1), kink(-1))
-    assert self_intersection_count(d) == 3
 
 
 def test_round_trip():

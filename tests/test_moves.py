@@ -24,9 +24,11 @@ from curvelift import (
     lift_class,
     move_from_json,
     move_to_json,
+    parse,
     replay,
     transvection,
     transvection_fiber_shift,
+    validate,
     vertex_link_curve,
 )
 from curvelift.diagrams import cross, cusp, edge, kink, qturn
@@ -124,6 +126,44 @@ def test_r2_insert_same_gap():
     d2 = apply_move(d, ins)
     rem = invert_move(d, ins)
     assert apply_move(d2, rem) == d
+
+
+def test_r2_insert_takes_two_fresh_ids():
+    # ids {1, 3}: the second new crossing must not reuse 3
+    d = smooth(
+        cross("1", 1), cross("3", 1), qturn(1), cross("1", 2), cross("3", 2), *[qturn(1)] * 3
+    )
+    d2 = apply_move(d, MoveInstance("r2_insert", (0, 0, 0, 2)))
+    assert validate(d2) == []
+    assert len(d2.crossing_ids()) == 4
+
+
+def test_r2_insert_rebuilds_mixed_slot_bigon():
+    # x.1 y.2 / y.1 x.2, the two strands abutting in one gap
+    d = smooth(qturn(1), cross("1", 1), cross("2", 2), cross("2", 1), cross("1", 2), qturn(1))
+    rem = MoveInstance("r2_remove", ((0, 1), (0, 3)))
+    ins = invert_move(d, rem)
+    assert ins == MoveInstance("r2_insert", (0, 1, 0, 1, "12"))
+    assert diagrams_equal(apply_move(apply_move(d, rem), ins), d)
+
+
+def test_every_move_is_undone_by_its_inverse():
+    # r2_insert is left out only for its quadratic fan-out; its inverse is an
+    # r2_remove, which is checked here from the other side
+    rng = random.Random(0)
+    for _ in range(60):
+        mode = rng.choice(["smooth", "cusp"])
+        d = random_diagram(rng, S2, mode, n_components=rng.randint(1, 2), max_crossings=3)
+        for _ in range(4):
+            moves = applicable_moves(d)
+            for move in moves:
+                if move.kind == "r2_insert":
+                    continue
+                moved = apply_move(d, move)
+                assert validate(moved) == [], (d, move)
+                back = apply_move(moved, invert_move(d, move))
+                assert canonical_key(back) == canonical_key(d), (d, move)
+            d = apply_move(d, rng.choice(moves))
 
 
 def test_r2_remove_detected_in_catalogue():
@@ -328,6 +368,28 @@ def test_equiv_mode_mismatch():
         equivalent_bounded(d1, d2, UT, budget())
 
 
+def test_equiv_certifies_pair_with_abutting_bigon():
+    # the inverse of the backward r2_remove used to rebuild a different
+    # bigon, and certificate assembly raised ValueError from site transport
+    head = "surface genus=2 boundary=0\nbundle UT\n"
+    d1, bundle = parse(head + "comp: Q+ a2 Q+ Q-\n")
+    d2, _ = parse(head + "comp: Q+ X1.1 X4.2 X4.1 X1.2 a2 Q+ Q-\n")
+    v = equivalent_bounded(d1, d2, bundle, budget())
+    assert v.equivalent
+    assert diagrams_equal(replay(d1, v.certificate), d2)
+
+
+def test_equiv_certifies_bigon_across_the_wrap():
+    # the second strand X2.2 X1.2 runs into the first X1.1 X2.1 across the
+    # wrap; its r2_remove inverse must keep that order when transported
+    head = "surface genus=2 boundary=0\nbundle UT\n"
+    d1, bundle = parse(head + "comp: a1 Q+ Q+ b1\n")
+    d2, _ = parse(head + "comp: X1.1 X2.1 a1 Q+ Q+ b1 X2.2 X1.2\n")
+    v = equivalent_bounded(d1, d2, bundle, budget())
+    assert v.equivalent and len(v.certificate) == 1
+    assert diagrams_equal(replay(d1, v.certificate), d2)
+
+
 def test_equiv_random_scrambles_replayable():
     rng = random.Random(11)
     for trial in range(8):
@@ -363,6 +425,7 @@ def test_move_json_round_trip():
     moves = [
         MoveInstance("stab", (0, 2, "lr")),
         MoveInstance("destab", (0, 1)),
+        MoveInstance("r2_insert", (0, 1, 0, 1, "12")),
         MoveInstance("r2_remove", ((0, 1), (1, 0))),
         MoveInstance("r3", ((0, 0), (0, 3), (0, 6))),
         transvection([("ab", 2, [(0, 1, 1)])]),
