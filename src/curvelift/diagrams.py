@@ -210,11 +210,11 @@ _BUNDLE_RE = re.compile(rf"^bundle\s+({'|'.join(BUNDLE_FOR_TOKEN)})$")
 
 
 def bundle_token(bundle: CircleBundle) -> str:
-    if bundle.kind is BundleKind.UNIT_TANGENT:
-        return "UT"
-    if bundle.kind is BundleKind.PROJECTIVE_TANGENT:
-        return "PT"
-    return "TRIVIAL"
+    """The bundle's token in the text format; a custom bundle has none, since
+    its Euler number would not survive the round trip."""
+    if bundle.kind is BundleKind.CUSTOM:
+        raise ValueError(f"{bundle} with Euler number {bundle.euler_number} has no bundle token")
+    return bundle.kind.value
 
 
 def _content_lines(text: str):

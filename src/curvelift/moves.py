@@ -18,22 +18,26 @@ site transport (the same move on a reordered, rotated copy of the diagram).
 Transvections have no sites, inverse or transport.  An ``r2_insert`` site may
 end with its first strand's slot pair ("12", "21" or "22"; absent means
 "11"); only the inverse of an ``r2_remove`` emits it.
+
+A canonical key is a tuple of one str per component, one character per event
+from a per-surface table built on first use.  The codes order one diagram's
+candidates as its event tuples do, so perm and rots are those the tuples give.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .diagrams import CUSP_SMOOTH, SMOOTH, Diagram, cross, cusp, kink, qturn, shadow_word
+from .diagrams import CUSP_SMOOTH, SMOOTH, Diagram, cross, cusp, edge, kink, qturn, shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
 from .lifting import lift_class
-from .surfaces import CircleBundle
-from .words import conjugacy_class_key
-
-import math
+from .surfaces import CircleBundle, Surface
+from .words import conjugacy_class_key, least_rotation
 
 
 # ----------------------------------------------------------------------
@@ -152,24 +156,24 @@ def _remove_pairs(diagram: Diagram, sites):
     """The diagram without the events of the pair sites, and the gap each
     pair leaves; a pair across the wrap leaves its gap at the end."""
     removed = _spots(diagram, sites)
-    comps = [
-        [ev for pos, ev in enumerate(comp) if (ci, pos) not in removed]
-        for ci, comp in enumerate(diagram.components)
-    ]
+    comps = list(diagram.components)
+    for ci in {ci for ci, _ in sites}:
+        comps[ci] = tuple(ev for pos, ev in enumerate(comps[ci]) if (ci, pos) not in removed)
     gaps = []
     for ci, p in sites:
         n = len(diagram.components[ci])
         gaps.append(sum(1 for pos in range(p if p + 1 < n else n) if (ci, pos) not in removed))
-    return diagram.with_components(comps), gaps
+    return Diagram(diagram.surface, diagram.mode, tuple(comps)), gaps
 
 
 def _swap_pairs(diagram: Diagram, sites) -> Diagram:
-    comps = [list(c) for c in diagram.components]
+    comps = list(diagram.components)
     for ci, p in sites:
-        comp = comps[ci]
+        comp = list(comps[ci])
         q = (p + 1) % len(comp)
         comp[p], comp[q] = comp[q], comp[p]
-    return diagram.with_components(comps)
+        comps[ci] = tuple(comp)
+    return Diagram(diagram.surface, diagram.mode, tuple(comps))
 
 
 def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
@@ -181,9 +185,9 @@ def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
 
 def _stab_rewrite(diagram: Diagram, move: MoveInstance):
     ci, p, variant = move.site
-    comps = [list(c) for c in diagram.components]
-    comps[ci][p:p] = STAB_VARIANTS[variant]
-    return diagram.with_components(comps), MoveInstance("destab", (ci, p))
+    comps = list(diagram.components)
+    comps[ci] = comps[ci][:p] + STAB_VARIANTS[variant] + comps[ci][p:]
+    return Diagram(diagram.surface, diagram.mode, tuple(comps)), MoveInstance("destab", (ci, p))
 
 
 def _destab_match(diagram: Diagram, move: MoveInstance) -> str | None:
@@ -228,15 +232,16 @@ def _r2_insert_rewrite(diagram: Diagram, move: MoveInstance):
     used = diagram.crossing_ids()  # k ids leave at least two of 1..k+2 free
     free = [n for n in range(1, len(used) + 3) if str(n) not in used]
     x, y = str(free[0]), str(free[1])
-    first = [cross(x, s), cross(y, t)]
-    second = [cross(y, 3 - t), cross(x, 3 - s)]
+    first = (("cross", x, s), ("cross", y, t))
+    second = (("cross", y, 3 - t), ("cross", x, 3 - s))
     # in one gap the first strand goes in front of the second
     q1 = p1 + 2 * (c1 == c2 and p2 < p1)
     q2 = p2 + 2 * (c1 == c2 and p1 <= p2)
-    comps = [list(c) for c in diagram.components]
-    comps[c2][p2:p2] = second
-    comps[c1][q1:q1] = first
-    return diagram.with_components(comps), MoveInstance("r2_remove", ((c1, q1), (c2, q2)))
+    comps = list(diagram.components)
+    comps[c2] = comps[c2][:p2] + second + comps[c2][p2:]
+    comps[c1] = comps[c1][:q1] + first + comps[c1][q1:]
+    new = Diagram(diagram.surface, diagram.mode, tuple(comps))
+    return new, MoveInstance("r2_remove", ((c1, q1), (c2, q2)))
 
 
 def _r2_remove_match(diagram: Diagram, move: MoveInstance) -> str | None:
@@ -419,73 +424,74 @@ def contract_kink(diagram: Diagram, site: tuple[int, int]) -> Diagram:
 
 
 _CANON_CAP = 200000
+# codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 relabeled crossings
+_CROSS0 = 64
 
 
-def _relabel_stream(streams):
-    """Replace crossing ids by first-occurrence indices in a token stream."""
-    table: dict[str, int] = {}
-    out = []
-    for stream in streams:
-        toks = []
-        for ev in stream:
-            if ev[0] == "cross":
-                cid = table.setdefault(ev[1], len(table))
-                toks.append(("cross", cid, ev[2]))
-            else:
-                toks.append(ev)
-        out.append(tuple(toks))
-    return tuple(out)
+class _Codes(dict):
+    """One character per event of a surface's alphabet, in the event tuples'
+    order; a crossing's id-blind code is its slot's, below all the others."""
+
+    def __init__(self, surface: Surface):
+        events = [edge(name + prime) for name in surface.generator_names for prime in ("", "'")]
+        events += [f(s) for f in (cusp, kink, qturn) for s in (1, -1)]
+        super().__init__((ev, chr(2 + i)) for i, ev in enumerate(sorted(events)))
+        self.surface = surface
+
+    def __missing__(self, ev):
+        if len(ev) == 3 and ev[0] == "cross" and ev[2] in (1, 2):
+            return self.setdefault(ev, chr(ev[2] - 1))
+        raise ValueError(f"event {ev!r} is not in the alphabet of {self.surface}")
 
 
-def _blind(comp):
-    """Token stream with crossing ids hidden; lexicographic order on this is
-    refined (never contradicted) by the relabeled order, so only rotations
-    minimizing the blind stream can minimize the relabeled one."""
-    return tuple(("cross", None, ev[2]) if ev[0] == "cross" else ev for ev in comp)
+_code_table = functools.cache(_Codes)  # one table per surface, built on first use
+
+
+def _relabel(comps, blinds, crossings, perm, rots):
+    """The key of one candidate: the blind strings, with each crossing recoded
+    by its id's first-occurrence index i as chr(_CROSS0 + 2 * i + slot - 1)."""
+    ids: dict[str, int] = {}
+    key = []
+    for ci, r in zip(perm, rots):
+        blind = blinds[ci]
+        if not crossings[ci]:
+            key.append(blind)
+            continue
+        comp, chars = comps[ci][r:] + comps[ci][:r], list(blind)
+        for j in crossings[ci]:
+            _, cid, slot = comp[j]
+            chars[j] = chr(_CROSS0 + 2 * ids.setdefault(cid, len(ids)) + slot - 1)
+        key.append("".join(chars))
+    return tuple(key)
 
 
 def canonical_transform(diagram: Diagram):
-    """(key, perm, rots): key is the minimal id-relabeled token stream over
-    component permutations and rotations; canonical component i is the
-    original component perm[i] rotated left by rots[i]."""
+    """(key, perm, rots): key is the least id-relabeled key over the
+    rotations with the least id-blind string (crossings coded by slot alone)
+    and the orders of components with equal ones; canonical component i is
+    the original component perm[i] rotated left by rots[i].  The key holds
+    one str per component, whose codes order the candidates as the event
+    tuples with crossing ids replaced by first-occurrence indices do, so perm
+    and rots are those of the least tuples.  Raises ValueError on an event
+    outside the surface's alphabet."""
     comps = diagram.components
-    k = len(comps)
-    if k == 0:
+    if not comps:
         return (), (), ()
 
-    # per-component candidate rotations: argmins of the id-blind stream
-    cand_rots: list[list[int]] = []
-    min_blind: list[tuple] = []
-    for comp in comps:
-        n = max(len(comp), 1)
-        blind = _blind(comp)
-        rotated = [blind[r:] + blind[:r] for r in range(n)]
-        best = min(rotated)
-        cand_rots.append([r for r in range(n) if rotated[r] == best])
-        min_blind.append(best)
+    code = _code_table(diagram.surface).__getitem__
+    blinds, cand_rots = zip(*(least_rotation("".join(map(code, comp))) for comp in comps))
+    crossings = [[j for j, ch in enumerate(blind) if ch < "\x02"] for blind in blinds]
 
-    # component order: sort by minimal blind stream; only ties permute
-    order = sorted(range(k), key=lambda ci: min_blind[ci])
-    groups: list[list[int]] = []
-    for ci in order:
-        if groups and min_blind[groups[-1][0]] == min_blind[ci]:
-            groups[-1].append(ci)
-        else:
-            groups.append([ci])
-
-    total = 1
-    for group in groups:
-        total *= math.factorial(min(len(group), 10))
-    for cands in cand_rots:
-        total *= len(cands)
-    if total > _CANON_CAP:
-        # deterministic sound fallback: first candidate everywhere, stable order
+    # component order: sort by least blind string; only ties permute
+    order = sorted(range(len(comps)), key=blinds.__getitem__)
+    groups = [list(g) for _, g in itertools.groupby(order, blinds.__getitem__)]
+    total = math.prod(map(len, cand_rots))
+    total *= math.prod(math.factorial(min(len(g), 10)) for g in groups)
+    if total == 1 or total > _CANON_CAP:
+        # one candidate, or past the cap a sound fallback: the first of each
         perm = tuple(order)
         rots = tuple(cand_rots[ci][0] for ci in perm)
-        key = _relabel_stream(
-            [comps[ci][r:] + comps[ci][:r] for ci, r in zip(perm, rots)]
-        )
-        return key, perm, rots
+        return _relabel(comps, blinds, crossings, perm, rots), perm, rots
 
     best = None
     for perm_groups in itertools.product(
@@ -493,8 +499,7 @@ def canonical_transform(diagram: Diagram):
     ):
         perm = tuple(ci for group in perm_groups for ci in group)
         for rots in itertools.product(*(cand_rots[ci] for ci in perm)):
-            streams = [comps[ci][r:] + comps[ci][:r] for ci, r in zip(perm, rots)]
-            key = _relabel_stream(streams)
+            key = _relabel(comps, blinds, crossings, perm, rots)
             if best is None or key < best[0]:
                 best = (key, perm, rots)
     return best

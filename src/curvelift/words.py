@@ -122,8 +122,27 @@ def cyclic_dehn_reduce(word: str, surface: Surface) -> str:
         w = nxt
 
 
+def least_rotation(w: str) -> tuple[str, list[int]]:
+    """The least rotation of w and every start r with w[r:] + w[:r] equal to
+    it; only rotations starting at the least letter are built, one at a time."""
+    if not w:
+        return "", [0]
+    n, ww, least = len(w), w + w, min(w)
+    best, r = w, w.find(least)
+    while r != -1:
+        rotation = ww[r : r + n]
+        if rotation < best:
+            best = rotation
+        r = w.find(least, r + 1)
+    starts, r = [], ww.find(best)
+    while 0 <= r < n:
+        starts.append(r)
+        r = ww.find(best, r + 1)
+    return best, starts
+
+
 def _minimal_rotation(w: str) -> str:
-    return min(_rotations(w)) if w else ""
+    return least_rotation(w)[0]
 
 
 def conjugate_classes_equal(w1: str, w2: str, surface: Surface) -> bool:

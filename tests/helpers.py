@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from curvelift import Diagram, Surface
@@ -105,3 +106,41 @@ def random_diagram(
 def random_shadow_diagram(rng, surface: Surface, mode: str, **kw) -> Diagram:
     """Kink/cusp-free diagram usable as a TwistedShadow base."""
     return random_diagram(rng, surface, mode, allow_loops=False, **kw)
+
+
+# ----------------------------------------------------------------------
+# canonical keys
+
+
+def reference_canonical_transform(diagram: Diagram):
+    """Brute-force oracle for moves.canonical_transform, on event tuples:
+    (key, perm, rots) least over every component order that sorts the
+    components' least id-blind rotations and every choice of least id-blind
+    rotations, where key lists the rotated components with each crossing id
+    replaced by its first-occurrence index."""
+    comps = diagram.components
+
+    def blind(comp):
+        return tuple(("cross", None, ev[2]) if ev[0] == "cross" else ev for ev in comp)
+
+    rotations = [[c[r:] + c[:r] for r in range(max(len(c), 1))] for c in comps]
+    least = [min(map(blind, rots)) for rots in rotations]
+    cands = [
+        [r for r, rot in enumerate(rots) if blind(rot) == low]
+        for rots, low in zip(rotations, least)
+    ]
+    best = None
+    for perm in itertools.permutations(range(len(comps))):
+        if [least[ci] for ci in perm] != sorted(least):
+            continue
+        for rots in itertools.product(*(cands[ci] for ci in perm)):
+            ids: dict = {}
+            key = tuple(
+                tuple(
+                    ("cross", ids.setdefault(ev[1], len(ids)), ev[2]) if ev[0] == "cross" else ev
+                    for ev in rotations[ci][r]
+                )
+                for ci, r in zip(perm, rots)
+            )
+            best = min(best or (key, perm, rots), (key, perm, rots))
+    return best

@@ -137,6 +137,22 @@ def test_syntax_error_reports_line():
         raise AssertionError("expected a syntax error")
 
 
+@pytest.mark.parametrize(
+    "make", [CircleBundle.unit_tangent, CircleBundle.projective_tangent, CircleBundle.trivial]
+)
+def test_serialize_round_trips_bundle(make):
+    bundle = make(S2)
+    mode = "cusp" if bundle.kind.value == "PT" else "smooth"
+    d = Diagram(S2, mode, ((edge("a1"), qturn(1), qturn(1), qturn(1), qturn(1)),))
+    assert parse(serialize(d, bundle)) == (d, bundle)
+
+
+def test_serialize_rejects_custom_bundle():
+    # a custom bundle used to come back as TRIVIAL, with Euler number 0
+    with pytest.raises(ValueError, match="Euler number 5"):
+        serialize(smooth(qturn(1), qturn(1), qturn(1), qturn(1)), CircleBundle.custom(S2, 5))
+
+
 def test_empty_component_serializes_without_trailing_space():
     d = Diagram(S2, "smooth", ((),))
     text = serialize(d, UT)

@@ -4,6 +4,8 @@ bounded equivalence search."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelift import (
     CircleBundle,
@@ -32,8 +34,9 @@ from curvelift import (
     vertex_link_curve,
 )
 from curvelift.diagrams import cross, cusp, edge, kink, qturn
+from curvelift.moves import canonical_transform
 
-from helpers import random_diagram
+from helpers import random_diagram, reference_canonical_transform
 
 S2 = Surface(2)
 UT = CircleBundle.unit_tangent(S2)
@@ -290,6 +293,70 @@ def test_canonical_key_distinguishes_structure():
     assert diagrams_equal(d1, d2)
     d3 = smooth(kink(1), kink(1))
     assert not diagrams_equal(d1, d3)
+
+
+def renamed(comp, name):
+    """comp with each crossing id x renamed to name(x)."""
+    return tuple(("cross", name(ev[1]), ev[2]) if ev[0] == "cross" else ev for ev in comp)
+
+
+def tie_prone_diagram(rng):
+    """A random diagram on a genus-2 or genus-3 surface in either mode, with
+    1-3 components, sometimes a duplicated component (crossings renamed) and
+    sometimes a component repeated twice over, so that component orders and
+    rotations tie."""
+    surface = Surface(rng.choice((2, 3)))
+    mode = rng.choice(["smooth", "cusp"])
+    d = random_diagram(
+        rng, surface, mode, n_components=rng.randint(1, 3), max_loose_events=5, max_crossings=3
+    )
+    comps = list(d.components)
+    if len(comps) < 3 and rng.random() < 0.5:
+        comps.append(renamed(rng.choice(comps), lambda x: x + "d"))
+    if rng.random() < 0.3:
+        ci = rng.randrange(len(comps))
+        comps[ci] *= 2
+    return Diagram(surface, mode, tuple(comps))
+
+
+def rearranged(rng, d):
+    """d with each component rotated, the components shuffled and the
+    crossing ids renamed, all at random."""
+    ids = sorted({ev[1] for comp in d.components for ev in comp if ev[0] == "cross"})
+    names = dict(zip(ids, rng.sample([f"n{i}" for i in range(len(ids))], len(ids))))
+    comps = []
+    for comp in d.components:
+        r = rng.randrange(max(len(comp), 1))
+        comps.append(renamed(comp[r:] + comp[:r], names.get))
+    rng.shuffle(comps)
+    return Diagram(d.surface, d.mode, tuple(comps))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_canonical_transform_matches_reference(rng):
+    d = tie_prone_diagram(rng)
+    key, perm, rots = canonical_transform(d)
+    ref_key, ref_perm, ref_rots = reference_canonical_transform(d)
+    assert (perm, rots) == (ref_perm, ref_rots)
+    # the key ignores rotation, component order and crossing names...
+    d2 = rearranged(rng, d)
+    assert canonical_key(d2) == key
+    # ...and tells apart what the reference does: swap one adjacent pair
+    comps = list(d2.components)
+    ci = rng.randrange(len(comps))
+    if len(comps[ci]) >= 2:
+        p = rng.randrange(len(comps[ci]) - 1)
+        c = comps[ci]
+        comps[ci] = c[:p] + (c[p + 1], c[p]) + c[p + 2 :]
+    d3 = Diagram(d.surface, d.mode, tuple(comps))
+    assert (canonical_key(d3) == key) == (reference_canonical_transform(d3)[0] == ref_key)
+
+
+def test_canonical_key_rejects_event_outside_alphabet():
+    for ev in [edge("a3"), kink(2), cross("1", 3), ("bogus",)]:
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            canonical_key(smooth(qturn(1), ev))
 
 
 # ----------------------------------------------------------------------

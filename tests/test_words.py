@@ -21,7 +21,7 @@ from curvelift import (
     is_trivial,
     powersum_check,
 )
-from curvelift.words import _minimal_rotation
+from curvelift.words import _minimal_rotation, _rotations, least_rotation
 
 from helpers import random_word
 
@@ -132,3 +132,16 @@ def test_powersum_check_basic():
     # nonzero exponent sum, nontrivial product
     expr = GroupElementExpr("ab", (("c", 1), ("d", 1)))
     assert powersum_check(expr, S2) == CONSISTENT
+
+
+def test_least_rotation_is_the_least_of_every_rotation():
+    rng = random.Random(7)
+    words = ["", "a", "aaaa", "abab", "abAabAab", "BaBaBa"]  # powers and periodic words
+    for _ in range(500):
+        word = random_word(rng, Surface(rng.choice((1, 2))), rng.randint(1, 12))
+        words.append(word * rng.choice((1, 1, 2, 3)))
+    for word in words:
+        rotations = _rotations(word) or [""]
+        least = min(rotations)
+        assert least_rotation(word) == (least, [r for r, w in enumerate(rotations) if w == least])
+        assert _minimal_rotation(word) == least
