@@ -23,6 +23,7 @@ Comments start with '#'.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -86,12 +87,15 @@ class Diagram:
     def crossing_ids(self) -> set[str]:
         return {ev[1] for comp in self.components for ev in comp if ev[0] == "cross"}
 
-    def fresh_crossing_id(self) -> str:
+    @functools.cached_property
+    def fresh_crossing_ids(self) -> tuple[str, str]:
+        """The two least unused positive ids; k ids leave two of 1..k+2 free."""
         used = self.crossing_ids()
-        n = 1
-        while str(n) in used:
-            n += 1
-        return str(n)
+        free = [str(n) for n in range(1, len(used) + 3) if str(n) not in used]
+        return free[0], free[1]
+
+    def fresh_crossing_id(self) -> str:
+        return self.fresh_crossing_ids[0]
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,10 @@ Transvections have no sites, inverse or transport.  An ``r2_insert`` site may
 end with its first strand's slot pair ("12", "21" or "22"; absent means
 "11"); only the inverse of an ``r2_remove`` emits it.
 
+The search rewrites only the moves ``applicable_moves`` lists and, forward,
+the transvection generators whose gaps fit, by growth and then by move, each
+matched once; ``apply_move`` is the checked entry point for every other move.
+
 A canonical key is a tuple of one str per component, one character per event
 from a per-surface table built on first use.  The codes order one diagram's
 candidates as its event tuples do, so perm and rots are those the tuples give.
@@ -60,7 +64,9 @@ STAB_VARIANTS = {
     "ud": (cusp(1), cusp(-1)),
     "du": (cusp(-1), cusp(1)),
 }
-_VARIANT_OF = {pair[0]: variant for variant, pair in STAB_VARIANTS.items()}
+_VARIANT_OF = {pair: variant for variant, pair in STAB_VARIANTS.items()}
+# each mode's stabilizations; the first is the one the catalogue lists
+_STABS = {SMOOTH: ("lr", "rl"), CUSP_SMOOTH: ("ud", "du")}
 
 
 def transvection(curves) -> MoveInstance:
@@ -178,7 +184,7 @@ def _swap_pairs(diagram: Diagram, sites) -> Diagram:
 
 def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
     ci, p, variant = move.site
-    if variant not in (("lr", "rl") if diagram.mode == SMOOTH else ("ud", "du")):
+    if variant not in _STABS[diagram.mode]:
         return f"no stabilization {variant!r} in {diagram.mode} mode"
     return _no_gaps(diagram, [(ci, p)])
 
@@ -192,15 +198,13 @@ def _stab_rewrite(diagram: Diagram, move: MoveInstance):
 
 def _destab_match(diagram: Diagram, move: MoveInstance) -> str | None:
     why = _no_pair(diagram, move.site)
-    if why is None:
-        a, b = _pair(diagram, move.site)
-        if not (a[0] in _LOOP_TAGS[diagram.mode] and a[0] == b[0] and a[1] == -b[1]):
-            why = "not an opposite pair"
+    if why is None and _VARIANT_OF.get(_pair(diagram, move.site)) not in _STABS[diagram.mode]:
+        why = f"no stabilization pair in {diagram.mode} mode"
     return why
 
 
 def _destab_rewrite(diagram: Diagram, move: MoveInstance):
-    variant = _VARIANT_OF[_pair(diagram, move.site)[0]]
+    variant = _VARIANT_OF[_pair(diagram, move.site)]
     new, [gap] = _remove_pairs(diagram, [move.site])
     return new, MoveInstance("stab", (move.site[0], gap, variant))
 
@@ -229,9 +233,7 @@ def _r2_insert_match(diagram: Diagram, move: MoveInstance) -> str | None:
 def _r2_insert_rewrite(diagram: Diagram, move: MoveInstance):
     c1, p1, c2, p2 = move.site[:4]
     s, t = _R2_SLOTS[move.site[4:]]
-    used = diagram.crossing_ids()  # k ids leave at least two of 1..k+2 free
-    free = [n for n in range(1, len(used) + 3) if str(n) not in used]
-    x, y = str(free[0]), str(free[1])
+    x, y = diagram.fresh_crossing_ids
     first = (("cross", x, s), ("cross", y, t))
     second = (("cross", y, 3 - t), ("cross", x, 3 - s))
     # in one gap the first strand goes in front of the second
@@ -305,7 +307,7 @@ class _Kind:
 
 _KINDS = {
     "stab": _Kind(
-        2, lambda d: [(*gap, "lr" if d.mode == SMOOTH else "ud") for gap in _gaps(d)],
+        2, lambda d: [(*gap, _STABS[d.mode][0]) for gap in _gaps(d)],
         _stab_match, _stab_rewrite, lambda s, f: (*f(s[:2]), s[2]),
     ),
     "destab": _Kind(-2, _positions, _destab_match, _destab_rewrite, lambda s, f: f(s)),
@@ -334,8 +336,9 @@ _KINDS = {
 
 
 def applicable_moves(diagram: Diagram) -> list[MoveInstance]:
-    """Complete enumeration of catalogue sites (transvections excluded: they
-    are parameterized by external curve data)."""
+    """Every catalogue move whose site matches, sorted by MoveInstance
+    (transvections excluded: they are parameterized by external curve data).
+    Each listed move can be rewritten without a second match."""
     candidates = (
         MoveInstance(name, site) for name, kind in _KINDS.items() for site in kind.sites(diagram)
     )
@@ -354,8 +357,8 @@ def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance 
 
 
 def apply_move(diagram: Diagram, move: MoveInstance) -> Diagram:
-    """Apply a catalogue move or transvection; raises InapplicableMove when
-    the site does not match the move's local pattern."""
+    """Apply a catalogue move or transvection, checked: raises InapplicableMove
+    for an unknown kind or a site that does not match the kind's pattern."""
     return _apply(diagram, move)[0]
 
 
@@ -566,7 +569,7 @@ class EquivalenceVerdict:
         return self.status == "equivalent"
 
 
-def _shadow_class_multiset(diagram: Diagram, bundle: CircleBundle):
+def _shadow_class_multiset(diagram: Diagram):
     try:
         return sorted(
             conjugacy_class_key(shadow_word(diagram, ci), diagram.surface)
@@ -579,8 +582,8 @@ def _shadow_class_multiset(diagram: Diagram, bundle: CircleBundle):
 def _distinguish(d1, d2, bundle, generators):
     if len(d1.components) != len(d2.components):
         return ("component_count", len(d1.components), len(d2.components))
-    s1 = _shadow_class_multiset(d1, bundle)
-    s2 = _shadow_class_multiset(d2, bundle)
+    s1 = _shadow_class_multiset(d1)
+    s2 = _shadow_class_multiset(d2)
     if s1 is not None and s1 != s2:
         return ("shadow_classes", s1, s2)
     l1 = [lift_class(d1, bundle, ci) for ci in range(len(d1.components))]
@@ -603,21 +606,6 @@ def _distinguish(d1, d2, bundle, generators):
     return None
 
 
-def _search_moves(diagram: Diagram, generators, forward: bool):
-    moves = applicable_moves(diagram)
-    if forward:
-        for gen in generators:
-            for flip in (1, -1):
-                data = tuple(
-                    (word, weight * flip, sites) for word, weight, sites in gen.data
-                )
-                moves.append(MoveInstance("transvection", (), data))
-    # shrinking moves first: meets between the frontiers are found before the
-    # state budget is spent on the much wider growing branches
-    moves.sort(key=lambda m: (_KINDS[m.kind].growth, m))
-    return moves
-
-
 def equivalent_bounded(
     d1: Diagram, d2: Diagram, bundle: CircleBundle, budget: SearchBudget = SearchBudget()
 ) -> EquivalenceVerdict:
@@ -635,6 +623,13 @@ def equivalent_bounded(
     if k1 == k2:
         return EquivalenceVerdict("equivalent", certificate=())
 
+    # the forward side also tries each generator and its inverse where they fit
+    flips = sorted(
+        MoveInstance("transvection", (), tuple((w, n * flip, sites) for w, n, sites in gen.data))
+        for gen in budget.transvection_generators
+        for flip in (1, -1)
+    )
+
     # visited: key -> (exact diagram, path).  Forward paths are moves from d1;
     # backward paths are moves applied from d2 (to be inverted on meet).
     fwd = {k1: (d1, ())}
@@ -642,7 +637,6 @@ def equivalent_bounded(
     frontier_f = [(d1, ())]
     frontier_b = [(d2, ())]
     depth_f = depth_b = 0
-    states = 2
     size1 = sum(len(c) for c in d1.components)
     size2 = sum(len(c) for c in d2.components)
     # any path of <= max_moves moves can overshoot the endpoint sizes by at
@@ -652,13 +646,14 @@ def equivalent_bounded(
     def finish(f_diag, f_path, b_diag, b_path):
         cert = list(f_path)
         current = f_diag
-        # b_path: moves m_1..m_j with b_0 = d2, b_i = apply(b_{i-1}, m_i)
-        chain = [d2]
+        # replay b_path from d2, keeping each diagram with the inverse of the
+        # move that made it (the inverse applies to that diagram)
+        b, steps = d2, []
         for mv in b_path:
-            chain.append(apply_move(chain[-1], mv))
-        for i in range(len(b_path), 0, -1):
-            inv = invert_move(chain[i - 1], b_path[i - 1])  # applies to chain[i]
-            site = _KINDS[inv.kind].transport(inv.site, _site_map(chain[i], current))
+            b, inv = _apply(b, mv)
+            steps.append((b, inv))
+        for b, inv in reversed(steps):
+            site = _KINDS[inv.kind].transport(inv.site, _site_map(b, current))
             moved = MoveInstance(inv.kind, site)
             current = apply_move(current, moved)
             cert.append(moved)
@@ -676,13 +671,15 @@ def equivalent_bounded(
         here, there = (fwd, bwd) if expand_forward else (bwd, fwd)
         next_frontier = []
         for diag, path in frontier:
-            for move in _search_moves(
-                diag, budget.transvection_generators, forward=expand_forward
-            ):
-                try:
-                    new = apply_move(diag, move)
-                except InapplicableMove:
-                    continue
+            moves = applicable_moves(diag)
+            if expand_forward:
+                moves += [t for t in flips if _transvection_match(diag, t) is None]
+            # shrinking moves first, so that the frontiers meet before the
+            # budget goes on the wider growing branches; the moves are
+            # sorted, so this stable sort gives (growth, move) order
+            moves.sort(key=lambda m: _KINDS[m.kind].growth)
+            for move in moves:
+                new = _KINDS[move.kind].rewrite(diag, move)[0]
                 if sum(len(c) for c in new.components) > size_cap:
                     continue
                 key = canonical_key(new)
@@ -699,8 +696,7 @@ def equivalent_bounded(
                         pass
                 here[key] = (new, new_path)
                 next_frontier.append((new, new_path))
-                states += 1
-                if states > budget.max_states:
+                if len(fwd) + len(bwd) > budget.max_states:
                     return EquivalenceVerdict("unknown")
         if expand_forward:
             frontier_f = next_frontier

@@ -146,13 +146,9 @@ def _minimal_rotation(w: str) -> str:
 
 
 def conjugate_classes_equal(w1: str, w2: str, surface: Surface) -> bool:
-    """Compare free-homotopy classes up to orientation flip: cyclically
-    Dehn-reduce both words and test for equality up to rotation, also against
-    the reversed-orientation (inverse) word."""
-    r1 = cyclic_dehn_reduce(w1, surface)
-    r2 = cyclic_dehn_reduce(w2, surface)
-    c2 = _minimal_rotation(r2)
-    return _minimal_rotation(r1) == c2 or _minimal_rotation(inverse_word(r1)) == c2
+    """Compare free-homotopy classes up to orientation flip by their
+    conjugacy class keys."""
+    return conjugacy_class_key(w1, surface) == conjugacy_class_key(w2, surface)
 
 
 def conjugacy_class_key(word: str, surface: Surface) -> str:

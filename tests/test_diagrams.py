@@ -164,3 +164,4 @@ def test_empty_component_serializes_without_trailing_space():
 def test_fresh_crossing_id():
     d = smooth(cross("1", 1), cross("1", 2), cross("3", 1), cross("3", 2))
     assert d.fresh_crossing_id() == "2"
+    assert d.fresh_crossing_ids == ("2", "4")

@@ -150,23 +150,31 @@ def test_r2_insert_rebuilds_mixed_slot_bigon():
     assert diagrams_equal(apply_move(apply_move(d, rem), ins), d)
 
 
-def test_every_move_is_undone_by_its_inverse():
+def _walk_undoing_every_move(rng, d):
     # r2_insert is left out only for its quadratic fan-out; its inverse is an
     # r2_remove, which is checked here from the other side
+    for _ in range(4):
+        moves = applicable_moves(d)
+        for move in moves:
+            if move.kind == "r2_insert":
+                continue
+            moved = apply_move(d, move)
+            assert validate(moved) == [], (d, move)
+            back = apply_move(moved, invert_move(d, move))
+            assert canonical_key(back) == canonical_key(d), (d, move)
+        d = apply_move(d, rng.choice(moves))
+
+
+def test_every_move_is_undone_by_its_inverse():
     rng = random.Random(0)
     for _ in range(60):
         mode = rng.choice(["smooth", "cusp"])
         d = random_diagram(rng, S2, mode, n_components=rng.randint(1, 2), max_crossings=3)
-        for _ in range(4):
-            moves = applicable_moves(d)
-            for move in moves:
-                if move.kind == "r2_insert":
-                    continue
-                moved = apply_move(d, move)
-                assert validate(moved) == [], (d, move)
-                back = apply_move(moved, invert_move(d, move))
-                assert canonical_key(back) == canonical_key(d), (d, move)
-            d = apply_move(d, rng.choice(moves))
+        _walk_undoing_every_move(rng, d)
+    # an opposite kink pair in cusp mode: stab inserts only cusp pairs there,
+    # so destab must not take the kinks out
+    pt_kinks, _ = parse("surface genus=2 boundary=0\nbundle PT\ncomp: L+ L- C^ C^\n")
+    _walk_undoing_every_move(rng, pt_kinks)
 
 
 def test_r2_remove_detected_in_catalogue():
@@ -416,6 +424,20 @@ def test_equiv_fiber_gap_closed_by_transvection_generator():
         d1, d2, UT, budget(transvection_generators=(gen,), max_moves=2)
     )
     assert v.equivalent
+    assert diagrams_equal(replay(d1, v.certificate), d2)
+
+
+def test_equiv_uses_transvection_only_where_its_gap_fits():
+    # gap 6 is past the end of d1's four events, but fits once a stab has
+    # added two
+    d1 = circle()
+    gen = transvection([("a", 1, [(0, 6, 1)])])
+    d2 = smooth(qturn(1), qturn(1), qturn(1), qturn(1), kink(1))
+    with pytest.raises(InapplicableMove):
+        apply_move(d1, gen)
+    v = equivalent_bounded(d1, d2, UT, budget(transvection_generators=(gen,), max_moves=3))
+    assert v.equivalent
+    assert gen in v.certificate
     assert diagrams_equal(replay(d1, v.certificate), d2)
 
 
