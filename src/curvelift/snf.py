@@ -6,6 +6,7 @@ Matrices are plain lists of lists of Python ints (arbitrary precision).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 IntMatrix = list  # list[list[int]]
@@ -25,96 +26,79 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     ]
 
 
+def _clearing_step(a: int, b: int) -> tuple[int, int, int, int]:
+    """Unimodular [[x, y], [p, q]] taking (a, b) to (g, 0) for a != 0: one
+    subtraction when a divides b, otherwise the Bezout step with
+    x*a + y*b = g = gcd(a, b) and (p, q) = (-b/g, a/g)."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g = math.gcd(a, b)
+    x = pow(a // g, -1, abs(b) // g)
+    return x, (g - x * a) // b, -b // g, a // g
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (D, U, V) with U*m*V = D, U and V unimodular, D diagonal with
     non-negative entries satisfying the divisibility chain d1 | d2 | ...
+
+    The pivot is an entry of least absolute value.  Each entry of its column
+    and row is then cleared by one unimodular step (`_clearing_step`) on two
+    rows of A and U or two columns of A and V, which leaves the gcd of the
+    pivot and the entry as the pivot.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    A = [[int(x) for x in row] for row in m]
+    A = [list(map(int, row)) for row in m]
     U = identity_matrix(rows)
     V = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in A:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(i, k, f):
         # row_i += f * row_k
         A[i] = [x + f * y for x, y in zip(A[i], A[k])]
         U[i] = [x + f * y for x, y in zip(U[i], U[k])]
 
-    def add_col(j, k, f):
-        # col_j += f * col_k
-        for row in A:
-            row[j] += f * row[k]
-        for row in V:
-            row[j] += f * row[k]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = A[i][j]
-                if v != 0 and (best is None or abs(v) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        piv = find_pivot(t)
-        if piv is None:
+    for t in range(min(rows, cols)):
+        # the pivot: the first entry of least absolute value, in row-major order
+        nonzero = [(abs(A[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if A[i][j]]
+        if not nonzero:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        _, i, j = min(nonzero)
+        A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+        if j != t:
+            for row in A + V:
+                row[t], row[j] = row[j], row[t]
         while True:
-            # Euclid on column t
-            dirty = False
-            for i in range(t + 1, rows):
-                if A[i][t] % A[t][t] != 0:
-                    add_row(i, t, -(A[i][t] // A[t][t]))
-                    swap_rows(t, i)
-                    dirty = True
-            if dirty:
-                continue
+            # one step on rows t and i of A and U zeroes A[i][t]
             for i in range(t + 1, rows):
                 if A[i][t]:
-                    add_row(i, t, -(A[i][t] // A[t][t]))
-            # Euclid on row t (column swaps can repopulate column t; loop)
-            dirty = False
-            for j in range(t + 1, cols):
-                if A[t][j] % A[t][t] != 0:
-                    add_col(j, t, -(A[t][j] // A[t][t]))
-                    swap_cols(t, j)
-                    dirty = True
-            if dirty:
-                continue
+                    x, y, p, q = _clearing_step(A[t][t], A[i][t])
+                    for M in (A, U):
+                        rt, ri = M[t], M[i]
+                        if y:  # a Bezout step; a subtraction leaves row t as it is
+                            M[t] = [x * u + y * w for u, w in zip(rt, ri)]
+                        M[i] = [p * u + q * w for u, w in zip(rt, ri)]
+            # one step on columns t and j of A and V zeroes A[t][j]
             for j in range(t + 1, cols):
                 if A[t][j]:
-                    add_col(j, t, -(A[t][j] // A[t][t]))
+                    x, y, p, q = _clearing_step(A[t][t], A[t][j])
+                    if not y:  # a subtraction leaves column t as it is
+                        for row in A + V:
+                            row[j] += p * row[t]
+                        continue
+                    for row in A + V:
+                        u, w = row[t], row[j]
+                        row[t], row[j] = x * u + y * w, p * u + q * w
+            # a Bezout step on columns can repopulate column t; loop
+            if any(row[t] for row in A[t + 1 :]):
+                continue
             # divisibility of the remaining block by the pivot
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if A[i][j] % A[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            remainder = A[t][t].__rmod__  # x -> x % pivot
+            bad = next((i for i in range(t + 1, rows) if any(map(remainder, A[i][t + 1 :]))), None)
             if bad is None:
                 break
             add_row(t, bad, 1)
         if A[t][t] < 0:
             add_row(t, t, -2)  # negate row t
-        t += 1
     return A, U, V
 
 

@@ -30,10 +30,24 @@ def free_reduce(w: str) -> str:
 
 
 def cyclic_reduce(w: str) -> str:
-    w = free_reduce(w)
-    while len(w) >= 2 and w[0] == w[-1].swapcase():
-        w = w[1:-1]
-    return w
+    return _trim(free_reduce(w))
+
+
+def _join(left: str, right: str) -> str:
+    """free_reduce(left + right) for freely reduced left and right: only the
+    letters meeting at the junction can cancel."""
+    k, n = 0, min(len(left), len(right))
+    while k < n and left[-1 - k] == right[k].swapcase():
+        k += 1
+    return left[: len(left) - k] + right[k:]
+
+
+def _trim(w: str) -> str:
+    """Cyclic reduction of a freely reduced word: drop cancelling ends."""
+    k = 0
+    while len(w) - 2 * k >= 2 and w[k] == w[-1 - k].swapcase():
+        k += 1
+    return w[k : len(w) - k]
 
 
 def _rotations(w: str) -> list[str]:
@@ -50,7 +64,11 @@ def _relator_rotations(surface: Surface) -> list[str]:
 def _dehn_step(w: str, rotations: list[str], cyclic: bool) -> str | None:
     """One Dehn replacement: find a subword that is more than half of some
     relator rotation and swap it for the inverse of the complement.  Returns
-    the new word, or None when no replacement applies."""
+    the new word, or None when no replacement applies.
+
+    w is freely reduced (cyclically reduced when cyclic), and so is every
+    piece of a relator rotation, so only the splice can cancel: the result
+    joins the pieces at their junctions instead of reducing the whole word."""
     if not rotations:
         return None
     length = len(rotations[0])
@@ -73,8 +91,8 @@ def _dehn_step(w: str, rotations: list[str], cyclic: bool) -> str | None:
             replacement = inverse_word(rot[m:])
             if cyclic:
                 rotated = w[start:] + w[:start]
-                return cyclic_reduce(replacement + rotated[m:])
-            return free_reduce(w[:start] + replacement + w[start + m :])
+                return _trim(_join(replacement, rotated[m:]))
+            return _join(_join(w[:start], replacement), w[start + m :])
         # no occurrence of this rotation's long prefix; try the next one
     return None
 
@@ -91,18 +109,18 @@ def _check_surface(surface: Surface) -> bool:
     return True
 
 
+def _dehn(w: str, surface: Surface, cyclic: bool) -> str:
+    if _check_surface(surface):
+        rotations = _relator_rotations(surface)
+        while (nxt := _dehn_step(w, rotations, cyclic)) is not None:
+            w = nxt
+    return w
+
+
 def dehn_reduce(word: str, surface: Surface) -> str:
     """Dehn-reduced form: free reduction for free groups; for closed genus
     >= 2, greedy >half-relator replacement until none applies."""
-    w = free_reduce(word)
-    if not _check_surface(surface):
-        return w
-    rotations = _relator_rotations(surface)
-    while True:
-        nxt = _dehn_step(w, rotations, cyclic=False)
-        if nxt is None:
-            return w
-        w = nxt
+    return _dehn(free_reduce(word), surface, cyclic=False)
 
 
 def is_trivial(word: str, surface: Surface) -> bool:
@@ -111,15 +129,7 @@ def is_trivial(word: str, surface: Surface) -> bool:
 
 def cyclic_dehn_reduce(word: str, surface: Surface) -> str:
     """Cyclic-word variant; the result is well defined up to rotation."""
-    w = cyclic_reduce(word)
-    if not _check_surface(surface):
-        return w
-    rotations = _relator_rotations(surface)
-    while True:
-        nxt = _dehn_step(w, rotations, cyclic=True)
-        if nxt is None:
-            return w
-        w = nxt
+    return _dehn(cyclic_reduce(word), surface, cyclic=True)
 
 
 def least_rotation(w: str) -> tuple[str, list[int]]:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from curvelift import Diagram, Surface
+from curvelift import Diagram, Surface, free_reduce, inverse_word
 from curvelift.diagrams import CUSP_SMOOTH, SMOOTH, cross, cusp, edge, kink, qturn
 
 
@@ -31,6 +32,22 @@ def det_fraction(m) -> Fraction:
     return det
 
 
+def determinantal_invariant_factors(m) -> list[int]:
+    """Independent invariant-factor oracle: d_k = D_k / D_(k-1), where D_k is
+    the gcd of every k x k minor (det_fraction) and D_0 = 1; d_k = 0 once
+    D_k = 0."""
+    rows, cols = len(m), len(m[0])
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for r in itertools.combinations(range(rows), k):
+            for c in itertools.combinations(range(cols), k):
+                dk = math.gcd(dk, int(det_fraction([[m[i][j] for j in c] for i in r])))
+        out.append(dk // prev if prev else 0)
+        prev = dk
+    return out
+
+
 def random_matrix(rng, max_dim=8, lo=-50, hi=50):
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)
@@ -44,6 +61,57 @@ def random_word(rng, surface: Surface, length: int) -> str:
         ch = rng.choice(chars)
         out.append(ch.upper() if rng.random() < 0.5 else ch)
     return "".join(out)
+
+
+# ----------------------------------------------------------------------
+# Dehn's algorithm
+
+
+def _reference_dehn(w: str, surface: Surface, cyclic: bool) -> str:
+    """Greedy Dehn loop with a full free (cyclic) reduction of the whole word
+    after every replacement; rotations first, then the first occurrence."""
+    rel = surface.relator()
+    rotations = sorted({x[i:] + x[:i] for x in (rel, inverse_word(rel)) for i in range(len(rel))})
+    half = len(rel) // 2
+    while True:
+        haystack = w + w if cyclic else w
+        limit = len(w) if cyclic else max(len(w) - half, 0)
+        for rot in rotations:
+            start = haystack.find(rot[: half + 1])
+            if 0 <= start < limit:
+                m = half + 1
+                while (
+                    m < len(rel)
+                    and start + m < len(haystack)
+                    and (not cyclic or m < len(w))
+                    and haystack[start + m] == rot[m]
+                ):
+                    m += 1
+                if cyclic:
+                    rotated = w[start:] + w[:start]
+                    w = _reference_cyclic_reduce(inverse_word(rot[m:]) + rotated[m:])
+                else:
+                    w = free_reduce(w[:start] + inverse_word(rot[m:]) + w[start + m :])
+                break
+        else:
+            return w
+
+
+def _reference_cyclic_reduce(w: str) -> str:
+    w = free_reduce(w)
+    while len(w) >= 2 and w[0] == w[-1].swapcase():
+        w = w[1:-1]
+    return w
+
+
+def reference_dehn_reduce(word: str, surface: Surface) -> str:
+    """Oracle for words.dehn_reduce on a closed surface of genus >= 2."""
+    return _reference_dehn(free_reduce(word), surface, cyclic=False)
+
+
+def reference_cyclic_dehn_reduce(word: str, surface: Surface) -> str:
+    """Oracle for words.cyclic_dehn_reduce on a closed surface of genus >= 2."""
+    return _reference_dehn(_reference_cyclic_reduce(word), surface, cyclic=True)
 
 
 # ----------------------------------------------------------------------

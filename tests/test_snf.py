@@ -1,9 +1,13 @@
 """Smith normal form and abelian-group invariants, against independent
 rational-arithmetic oracles."""
 
+import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelift import (
     AbelianGroup,
@@ -15,11 +19,11 @@ from curvelift import (
 )
 from curvelift.snf import identity_matrix, mat_mul
 
-from helpers import det_fraction, random_matrix
+from helpers import det_fraction, determinantal_invariant_factors, random_matrix
 
 
-def check_snf(m):
-    d, u, v = smith_normal_form(m)
+def check_snf(m, snf=None):
+    d, u, v = snf or smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert abs(det_fraction(u)) == 1
     assert abs(det_fraction(v)) == 1
@@ -55,6 +59,46 @@ def test_snf_random_small():
     rng = random.Random(7)
     for _ in range(200):
         check_snf(random_matrix(rng, max_dim=5, lo=-9, hi=9))
+
+
+@st.composite
+def small_matrices(draw):
+    """Matrices up to 4 x 5 and 5 x 4, with zero rows and columns and
+    rank-deficient ones."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.integers(-6, 6)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):  # rank-deficient: the last row from two others
+        a, b = draw(entry), draw(entry)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[-2])]
+    if draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [0] * cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[j] = 0
+    if draw(st.booleans()):
+        m = [list(col) for col in zip(*m)]
+    return m
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(small_matrices())
+def test_snf_matches_determinantal_divisors(m):
+    assert check_snf(m) == determinantal_invariant_factors(m)
+
+
+def test_snf_has_no_cliff_at_ten():
+    # entry growth in the transforms shows here as seconds per matrix
+    rng = random.Random(1)
+    elapsed = 0.0
+    for n in (10,) * 6 + (12,) * 4:
+        m = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        start = time.perf_counter()
+        snf = smith_normal_form(m)
+        elapsed += time.perf_counter() - start
+        assert elapsed < 2.0
+        assert math.prod(check_snf(m, snf)) == abs(det_fraction(m))
 
 
 def test_identity_and_mat_mul():

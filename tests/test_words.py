@@ -4,6 +4,8 @@ obstruction for products of conjugates."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelift import (
     CONSISTENT,
@@ -21,9 +23,9 @@ from curvelift import (
     is_trivial,
     powersum_check,
 )
-from curvelift.words import _minimal_rotation, _rotations, least_rotation
+from curvelift.words import _join, _minimal_rotation, _rotations, least_rotation
 
-from helpers import random_word
+from helpers import random_word, reference_cyclic_dehn_reduce, reference_dehn_reduce
 
 S2 = Surface(2)
 
@@ -145,3 +147,37 @@ def test_least_rotation_is_the_least_of_every_rotation():
         least = min(rotations)
         assert least_rotation(word) == (least, [r for r, w in enumerate(rotations) if w == least])
         assert _minimal_rotation(word) == least
+
+
+@st.composite
+def relator_pieces_in_noise(draw):
+    """A genus 2-4 surface and a word of random noise with pieces of relator
+    rotations, each at least half a relator long, inserted between."""
+    surface = Surface(draw(st.integers(2, 4)))
+    rel = surface.relator()
+    noise = st.text(surface.generator_chars + surface.generator_chars.upper(), max_size=6)
+    parts = [draw(noise)]
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, len(rel) - 1))
+        rot = rel[k:] + rel[:k]
+        if draw(st.booleans()):
+            rot = inverse_word(rot)
+        parts += [rot[: draw(st.integers(len(rel) // 2, len(rel)))], draw(noise)]
+    return surface, "".join(parts)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(relator_pieces_in_noise(), st.text("abAB", max_size=12), st.text("abAB", max_size=12),
+       st.integers(0, 12))
+def test_dehn_matches_the_full_reduction_reference(case, left, right, overlap):
+    surface, w = case
+    assert dehn_reduce(w, surface) == reference_dehn_reduce(w, surface)
+    r = reference_cyclic_dehn_reduce(w, surface)
+    assert cyclic_dehn_reduce(w, surface) == r
+    assert conjugacy_class_key(w, surface) == min(
+        x[i:] + x[:i] for x in (r, inverse_word(r)) for i in range(max(len(x), 1))
+    )
+    # the splice join on freely reduced words; the overlap makes the junction cancel
+    left = free_reduce(left)
+    right = free_reduce(inverse_word(left[max(len(left) - overlap, 0) :]) + right)
+    assert _join(left, right) == free_reduce(left + right)
