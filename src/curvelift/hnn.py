@@ -57,6 +57,14 @@ class HNNExtension:
     def supported(self, word: str, letters: frozenset[str]) -> bool:
         return all(ch.lower() in letters for ch in word)
 
+    def _pinch(self, left: int, mid: str, right: int) -> str | None:
+        """The base word t^left mid t^right equals if it is a pinch, else None."""
+        if left == 1 and right == -1 and self.supported(mid, self.a_letters):
+            return self.phi_word(mid)
+        if left == -1 and right == 1 and self.supported(mid, self.b_letters):
+            return self.phi_inverse_word(mid)
+        return None
+
 
 @dataclass(frozen=True)
 class HNNWord:
@@ -105,14 +113,8 @@ class HNNWord:
         return len(self.signs)
 
     def has_pinch(self) -> bool:
-        ext = self.extension
-        for i in range(len(self.signs) - 1):
-            mid = self.base_words[i + 1]
-            if self.signs[i] == 1 and self.signs[i + 1] == -1 and ext.supported(mid, ext.a_letters):
-                return True
-            if self.signs[i] == -1 and self.signs[i + 1] == 1 and ext.supported(mid, ext.b_letters):
-                return True
-        return False
+        s, w, pinch = self.signs, self.base_words, self.extension._pinch
+        return any(pinch(s[i], w[i + 1], s[i + 1]) is not None for i in range(len(s) - 1))
 
 
 def britton_reduce(hw: HNNWord) -> HNNWord:
@@ -122,22 +124,15 @@ def britton_reduce(hw: HNNWord) -> HNNWord:
     ext = hw.extension
     words = list(hw.base_words)
     signs = list(hw.signs)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(signs) - 1):
-            mid = words[i + 1]
-            if signs[i] == 1 and signs[i + 1] == -1 and ext.supported(mid, ext.a_letters):
-                image = ext.phi_word(mid)
-            elif signs[i] == -1 and signs[i + 1] == 1 and ext.supported(mid, ext.b_letters):
-                image = ext.phi_inverse_word(mid)
-            else:
-                continue
-            merged = free_reduce(words[i] + image + words[i + 2])
-            words[i : i + 3] = [merged]
-            del signs[i : i + 2]
-            changed = True
-            break
+    i = 0
+    while i < len(signs) - 1:
+        image = ext._pinch(signs[i], words[i + 1], signs[i + 1])
+        if image is None:
+            i += 1
+            continue
+        words[i : i + 3] = [free_reduce(words[i] + image + words[i + 2])]
+        del signs[i : i + 2]
+        i = max(i - 1, 0)  # the pinch changed only base word i: none is left before i - 1
     return HNNWord(ext, tuple(words), tuple(signs))
 
 

@@ -21,11 +21,15 @@ end with its first strand's slot pair ("12", "21" or "22"; absent means
 
 The search rewrites only the moves ``applicable_moves`` lists and, forward,
 the transvection generators whose gaps fit, by growth and then by move, each
-matched once; ``apply_move`` is the checked entry point for every other move.
+matched once (or skipped unrewritten when its exact growth passes the size
+cap); ``apply_move`` is the checked entry point for every other move.
 
 A canonical key is a tuple of one str per component, one character per event
 from a per-surface table built on first use.  The codes order one diagram's
 candidates as its event tuples do, so perm and rots are those the tuples give.
+Nearly every searched diagram has one candidate (each component has one
+least id-blind rotation, no two alike), keyed in one pass per component; a
+component without crossings is keyed by its id-blind string.
 """
 
 from __future__ import annotations
@@ -336,13 +340,14 @@ _KINDS = {
 
 
 def applicable_moves(diagram: Diagram) -> list[MoveInstance]:
-    """Every catalogue move whose site matches, sorted by MoveInstance
-    (transvections excluded: they are parameterized by external curve data).
-    Each listed move can be rewritten without a second match."""
-    candidates = (
-        MoveInstance(name, site) for name, kind in _KINDS.items() for site in kind.sites(diagram)
-    )
-    return sorted(m for m in candidates if _KINDS[m.kind].match(diagram, m) is None)
+    """Every catalogue move whose site matches, in MoveInstance order
+    (transvections excluded: they are parameterized by external curve data):
+    the kinds are walked by name and each lists its sites in order, so no sort
+    is needed.  Each listed move can be rewritten without a second match."""
+    return [
+        move for name, kind in sorted(_KINDS.items()) for site in kind.sites(diagram)
+        if kind.match(diagram, move := MoveInstance(name, site)) is None
+    ]
 
 
 def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance | None]:
@@ -450,22 +455,22 @@ class _Codes(dict):
 _code_table = functools.cache(_Codes)  # one table per surface, built on first use
 
 
-def _relabel(comps, blinds, crossings, perm, rots):
-    """The key of one candidate: the blind strings, with each crossing recoded
-    by its id's first-occurrence index i as chr(_CROSS0 + 2 * i + slot - 1)."""
+def _relabel(comp, blind, r, ids: dict) -> str:
+    """comp rotated left by r: its blind string with each crossing recoded by
+    its id's first-occurrence index i in ids as chr(_CROSS0 + 2 * i + slot - 1).
+    Crossings code lowest, so a least rotation not starting with one has none."""
+    if blind[:1] > "\x01":
+        return blind
+    return "".join([
+        ch if ch > "\x01" else chr(_CROSS0 + 2 * ids.setdefault(ev[1], len(ids)) + ord(ch))
+        for ch, ev in zip(blind, comp[r:] + comp[:r])
+    ])
+
+
+def _key(comps, blinds, perm, rots) -> tuple:
+    """The key of one candidate: crossing ids are numbered across components."""
     ids: dict[str, int] = {}
-    key = []
-    for ci, r in zip(perm, rots):
-        blind = blinds[ci]
-        if not crossings[ci]:
-            key.append(blind)
-            continue
-        comp, chars = comps[ci][r:] + comps[ci][:r], list(blind)
-        for j in crossings[ci]:
-            _, cid, slot = comp[j]
-            chars[j] = chr(_CROSS0 + 2 * ids.setdefault(cid, len(ids)) + slot - 1)
-        key.append("".join(chars))
-    return tuple(key)
+    return tuple(_relabel(comps[ci], blinds[ci], r, ids) for ci, r in zip(perm, rots))
 
 
 def canonical_transform(diagram: Diagram):
@@ -475,26 +480,31 @@ def canonical_transform(diagram: Diagram):
     the original component perm[i] rotated left by rots[i].  The key holds
     one str per component, whose codes order the candidates as the event
     tuples with crossing ids replaced by first-occurrence indices do, so perm
-    and rots are those of the least tuples.  Raises ValueError on an event
-    outside the surface's alphabet."""
+    and rots are those of the least tuples.  A diagram whose components have
+    one least blind rotation each, all different, has one candidate: its key
+    needs no search.  Raises ValueError on an event outside the alphabet."""
     comps = diagram.components
+    code = _code_table(diagram.surface).__getitem__
+    if len(comps) == 1:
+        blind, starts = least_rotation("".join(map(code, comps[0])))
+        if len(starts) == 1:
+            return (_relabel(comps[0], blind, starts[0], {}),), (0,), (starts[0],)
     if not comps:
         return (), (), ()
 
-    code = _code_table(diagram.surface).__getitem__
     blinds, cand_rots = zip(*(least_rotation("".join(map(code, comp))) for comp in comps))
-    crossings = [[j for j, ch in enumerate(blind) if ch < "\x02"] for blind in blinds]
-
     # component order: sort by least blind string; only ties permute
-    order = sorted(range(len(comps)), key=blinds.__getitem__)
+    order = tuple(sorted(range(len(comps)), key=blinds.__getitem__))
+    rots = tuple(cand_rots[ci][0] for ci in order)
+    if len(set(blinds)) == len(blinds) and all(len(starts) == 1 for starts in cand_rots):
+        return _key(comps, blinds, order, rots), order, rots
+
     groups = [list(g) for _, g in itertools.groupby(order, blinds.__getitem__)]
     total = math.prod(map(len, cand_rots))
     total *= math.prod(math.factorial(min(len(g), 10)) for g in groups)
-    if total == 1 or total > _CANON_CAP:
-        # one candidate, or past the cap a sound fallback: the first of each
-        perm = tuple(order)
-        rots = tuple(cand_rots[ci][0] for ci in perm)
-        return _relabel(comps, blinds, crossings, perm, rots), perm, rots
+    if total > _CANON_CAP:
+        # past the cap a sound fallback: the first candidate of each
+        return _key(comps, blinds, order, rots), order, rots
 
     best = None
     for perm_groups in itertools.product(
@@ -502,7 +512,7 @@ def canonical_transform(diagram: Diagram):
     ):
         perm = tuple(ci for group in perm_groups for ci in group)
         for rots in itertools.product(*(cand_rots[ci] for ci in perm)):
-            key = _relabel(comps, blinds, crossings, perm, rots)
+            key = _key(comps, blinds, perm, rots)
             if best is None or key < best[0]:
                 best = (key, perm, rots)
     return best
@@ -623,12 +633,14 @@ def equivalent_bounded(
     if k1 == k2:
         return EquivalenceVerdict("equivalent", certificate=())
 
-    # the forward side also tries each generator and its inverse where they fit
+    # the forward side also tries each generator and its inverse where they
+    # fit; a flip adds |weight| loops per site (its growth 1 only orders it)
     flips = sorted(
         MoveInstance("transvection", (), tuple((w, n * flip, sites) for w, n, sites in gen.data))
         for gen in budget.transvection_generators
         for flip in (1, -1)
     )
+    flip_growth = {t: sum(abs(n) * len(sites) for _, n, sites in t.data) for t in flips}
 
     # visited: key -> (exact diagram, path).  Forward paths are moves from d1;
     # backward paths are moves applied from d2 (to be inverted on meet).
@@ -671,6 +683,7 @@ def equivalent_bounded(
         here, there = (fwd, bwd) if expand_forward else (bwd, fwd)
         next_frontier = []
         for diag, path in frontier:
+            size = sum(map(len, diag.components))
             moves = applicable_moves(diag)
             if expand_forward:
                 moves += [t for t in flips if _transvection_match(diag, t) is None]
@@ -679,9 +692,11 @@ def equivalent_bounded(
             # sorted, so this stable sort gives (growth, move) order
             moves.sort(key=lambda m: _KINDS[m.kind].growth)
             for move in moves:
-                new = _KINDS[move.kind].rewrite(diag, move)[0]
-                if sum(len(c) for c in new.components) > size_cap:
+                kind = _KINDS[move.kind]
+                growth = flip_growth[move] if move.kind == "transvection" else kind.growth
+                if size + growth > size_cap:
                     continue
+                new = kind.rewrite(diag, move)[0]
                 key = canonical_key(new)
                 if key in here:
                     continue

@@ -212,3 +212,28 @@ def reference_canonical_transform(diagram: Diagram):
             )
             best = min(best or (key, perm, rots), (key, perm, rots))
     return best
+
+
+# ----------------------------------------------------------------------
+# Britton reduction
+
+
+def reference_britton_reduce(hw):
+    """Oracle for hnn.britton_reduce: remove the first pinch and rescan the
+    whole word from the start, until no pinch is left."""
+    ext = hw.extension
+    words, signs = list(hw.base_words), list(hw.signs)
+    while True:
+        for i in range(len(signs) - 1):
+            mid = words[i + 1]
+            if signs[i] == 1 and signs[i + 1] == -1 and ext.supported(mid, ext.a_letters):
+                image = ext.phi_word(mid)
+            elif signs[i] == -1 and signs[i + 1] == 1 and ext.supported(mid, ext.b_letters):
+                image = ext.phi_inverse_word(mid)
+            else:
+                continue
+            words[i : i + 3] = [free_reduce(words[i] + image + words[i + 2])]
+            del signs[i : i + 2]
+            break
+        else:
+            return type(hw)(ext, tuple(words), tuple(signs))

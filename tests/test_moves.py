@@ -33,6 +33,7 @@ from curvelift import (
     validate,
     vertex_link_curve,
 )
+from curvelift import moves as moves_module
 from curvelift.diagrams import cross, cusp, edge, kink, qturn
 from curvelift.moves import canonical_transform
 
@@ -183,6 +184,21 @@ def test_r2_remove_detected_in_catalogue():
     assert removes
     for rem in removes:
         assert diagrams_equal(apply_move(d, rem), circle())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_applicable_moves_come_out_sorted(rng):
+    # up to two r2_insert moves add bigons and sometimes triangles, so that
+    # r2_remove and r3 sites occur
+    d = random_diagram(
+        rng, Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"]),
+        n_components=rng.randint(1, 3), max_loose_events=4, max_crossings=3,
+    )
+    for _ in range(rng.randint(0, 2)):
+        d = apply_move(d, rng.choice([m for m in applicable_moves(d) if m.kind == "r2_insert"]))
+    moves = applicable_moves(d)
+    assert moves == sorted(moves)
 
 
 def test_r2_remove_then_insert_recreates_canonically():
@@ -439,6 +455,55 @@ def test_equiv_uses_transvection_only_where_its_gap_fits():
     assert v.equivalent
     assert gen in v.certificate
     assert diagrams_equal(replay(d1, v.certificate), d2)
+
+
+def counting(monkeypatch, name):
+    """The argument of every later call to moves.<name>, in call order."""
+    calls = []
+    inner = getattr(moves_module, name)
+    monkeypatch.setattr(moves_module, name, lambda d: calls.append(d) or inner(d))
+    return calls
+
+
+def test_equiv_skips_transvection_past_size_cap_before_keying_it(monkeypatch):
+    # size_cap is 6 + 2 = 8 events; each flip of the weight-5 generator adds
+    # 5 loops to the 4-event circle, so neither child gets a key (its growth
+    # 1 in the move table only orders it)
+    keys = counting(monkeypatch, "canonical_key")
+    gen = transvection([("a", 5, [(0, 0, 1)])])
+    d2 = smooth(qturn(1), qturn(1), qturn(1), qturn(1), kink(1), kink(-1))
+    v = equivalent_bounded(circle(), d2, UT, budget(max_moves=1, transvection_generators=(gen,)))
+    assert v.certificate == (MoveInstance("stab", (0, 0, "lr")),)
+    # d1, d2, the stab child and the assembled certificate's end
+    assert len(keys) == 4
+
+
+EXHAUSTION_D1 = "surface genus=2 boundary=0\nbundle UT\ncomp: a1 X1.1 Q+ b1' X1.2 Q+ Q+ Q+ Q+ Q+\n"
+EXHAUSTION_D2 = (
+    "surface genus=2 boundary=0\nbundle UT\n"
+    "comp: a1 X1.1 Q+ b1' a2 a2' Q+ Q+ X1.2 Q+ Q+ Q+ Q+ Q+\n"
+)
+
+
+def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
+    # the benchmark's budget-exhaustion pair: no catalogue path connects them
+    (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
+    keys = counting(monkeypatch, "canonical_key")
+    listings = counting(monkeypatch, "applicable_moves")
+    v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
+    assert v.status == "unknown"
+    assert (len(keys), len(listings)) == (2100, 13)
+    # the search expands d1 first; its children's keys are the reference's
+    assert listings[0] is d1
+    children = [apply_move(d1, move) for move in applicable_moves(d1)]
+    pairs = set()
+    for child in children:
+        key, perm, rots = canonical_transform(child)
+        ref_key, ref_perm, ref_rots = reference_canonical_transform(child)
+        assert (perm, rots) == (ref_perm, ref_rots)
+        pairs.add((key, ref_key))
+    # two children share a key exactly when they share the reference's
+    assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
 
 
 def test_equiv_unknown_under_tiny_budget():
