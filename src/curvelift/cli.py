@@ -16,37 +16,9 @@ import argparse
 import json
 import sys
 
-from .diagrams import BUNDLE_FOR_TOKEN, Diagram, parse, serialize, shadow_word, validate
 from .errors import CurveLiftError, DiagramSyntaxError, InapplicableMove, ModeMismatch
-from .hnn import HNNExtension, HNNWord, britton_reduce, is_trivial_hnn
-from .homology import bundle_h1, exponent_vector
-from .lifting import (
-    canonicalize,
-    fiber_degree,
-    lift_class,
-    parse_twisted_shadow,
-    raw_turning,
-    turning_delta,
-)
-from .moves import (
-    SearchBudget,
-    equivalent_bounded,
-    move_from_json,
-    move_to_json,
-    replay,
-    transvection,
-)
-from .snf import filling_quotient
-from .surfaces import CircleBundle, Surface, bundle_pi1_presentation
-from .words import (
-    CONSISTENT,
-    GroupElementExpr,
-    conjugate_classes_equal,
-    dehn_reduce,
-    exponent_sum,
-    is_trivial,
-    powersum_check,
-)
+
+# Each verb imports what it calls, so a process loads only the modules its verb uses.
 
 
 def _read_text(path: str) -> str:
@@ -66,17 +38,10 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _surface_from_args(args) -> Surface:
+def _surface_from_args(args):
+    from .surfaces import Surface
+
     return Surface(args.genus, args.boundary)
-
-
-def _bundle_from_args(args, surface: Surface) -> CircleBundle:
-    token = args.bundle.upper()
-    if token == "CUSTOM":
-        return CircleBundle.custom(surface, args.euler)
-    if token not in BUNDLE_FOR_TOKEN:
-        raise ValueError(f"unknown bundle kind {args.bundle!r}")
-    return BUNDLE_FOR_TOKEN[token](surface)
 
 
 # ----------------------------------------------------------------------
@@ -84,6 +49,8 @@ def _bundle_from_args(args, surface: Surface) -> CircleBundle:
 
 
 def cmd_validate(args) -> int:
+    from .diagrams import parse, validate
+
     diagram, _ = parse(_read_text(args.path))
     violations = validate(diagram)
     payload = {
@@ -98,6 +65,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .diagrams import parse, shadow_word, validate
+    from .homology import bundle_h1
+    from .lifting import fiber_degree, lift_class, raw_turning
+
     diagram, bundle = parse(_read_text(args.path))
     violations = validate(diagram)
     if violations:
@@ -111,10 +82,10 @@ def cmd_invariants(args) -> int:
     components = []
     lines = [f"bundle {bundle}  H1 = {h1}"]
     for ci in range(len(diagram.components)):
-        lc = lift_class(diagram, bundle, ci)
         word = shadow_word(diagram, ci)
         turning = raw_turning(diagram, ci)
-        fiber = fiber_degree(diagram, ci)
+        lc = lift_class(diagram, bundle, ci, turning)
+        fiber = fiber_degree(diagram, ci, turning)
         components.append(
             {
                 "shadow": word,
@@ -134,6 +105,9 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
+    from .diagrams import serialize
+    from .lifting import canonicalize, parse_twisted_shadow, turning_delta
+
     shadow, bundle = parse_twisted_shadow(_read_text(args.path))
     result = canonicalize(shadow, bundle)
     delta = turning_delta(shadow)
@@ -156,6 +130,8 @@ def cmd_canonicalize(args) -> int:
 
 
 def _load_transvections(path: str):
+    from .moves import transvection
+
     return tuple(
         transvection(
             [(c["word"], c["weight"], [tuple(s) for s in c["sites"]])]
@@ -164,9 +140,17 @@ def _load_transvections(path: str):
     )
 
 
-def _relabel(diagram: Diagram, table: dict[str, str]) -> Diagram:
+def _relabel(diagram, table: dict[str, str]):
     """Generator substitution on edge letters; values may carry a prime for
-    an orientation-reversed image."""
+    an orientation-reversed image.
+
+    Raises ValueError unless the substitution permutes the generators up to
+    inversion and, in closed genus >= 2, maps the relator R to the identity:
+    such a map is an automorphism of pi_1 (surface groups are Hopfian), so a
+    homeomorphism induces it (Dehn-Nielsen-Baer).  Other surfaces get only the
+    permutation check."""
+    from .words import is_trivial
+
     surface = diagram.surface
     char_map: dict[str, str] = {}
     for src, dst in table.items():
@@ -174,6 +158,14 @@ def _relabel(diagram: Diagram, table: dict[str, str]) -> Diagram:
         d = surface.char_of(dst)
         char_map[s] = d
         char_map[s.swapcase()] = d.swapcase()
+    chars = surface.generator_chars
+    if len({char_map.get(ch, ch).lower() for ch in chars}) < len(chars):
+        raise ValueError("the substitution does not permute the generators")
+    relator = surface.relator()
+    if relator is not None and surface.genus >= 2:
+        image = relator.translate(str.maketrans(char_map))
+        if not is_trivial(image, surface):
+            raise ValueError(f"the substitution maps the relator {relator} to {image}, not to 1")
     comps = []
     for comp in diagram.components:
         events = []
@@ -188,12 +180,20 @@ def _relabel(diagram: Diagram, table: dict[str, str]) -> Diagram:
 
 
 def cmd_equiv(args) -> int:
+    from .diagrams import parse
+    from .moves import SearchBudget, equivalent_bounded, move_to_json
+
     d1, b1 = parse(_read_text(args.path1))
     d2, b2 = parse(_read_text(args.path2))
     if b1 != b2:
         raise ModeMismatch(f"bundle mismatch: {b1} vs {b2}")
     if args.relabel:
-        d2 = _relabel(d2, _read_json(args.relabel))
+        table = _read_json(args.relabel)
+        try:
+            d2 = _relabel(d2, table)
+        except ValueError as exc:
+            print(f"error: --relabel: {exc}", file=sys.stderr)
+            return 2
     generators = _load_transvections(args.transvections) if args.transvections else ()
     budget = SearchBudget(
         max_moves=args.budget_moves,
@@ -215,8 +215,11 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_h1(args) -> int:
-    surface = _surface_from_args(args)
-    bundle = _bundle_from_args(args, surface)
+    from .homology import bundle_h1, exponent_vector
+    from .snf import filling_quotient
+    from .surfaces import bundle_for_token, bundle_pi1_presentation
+
+    bundle = bundle_for_token(args.bundle.upper(), _surface_from_args(args), args.euler)
     group = bundle_h1(bundle)
     if args.sigma:
         try:
@@ -232,8 +235,10 @@ def cmd_h1(args) -> int:
 
 
 def cmd_group(args) -> int:
-    if args.group_command != "britton":
-        surface = _surface_from_args(args)
+    from .words import CONSISTENT, GroupElementExpr, conjugate_classes_equal, dehn_reduce
+    from .words import exponent_sum, is_trivial, powersum_check
+
+    surface = _surface_from_args(args)
     if args.group_command == "reduce":
         reduced = dehn_reduce(args.word, surface)
         _emit(args, {"reduced": reduced}, [reduced or "1"])
@@ -246,17 +251,21 @@ def cmd_group(args) -> int:
         verdict = conjugate_classes_equal(args.word, args.word2, surface)
         _emit(args, {"conjugate": verdict}, ["conjugate" if verdict else "not conjugate"])
         return 0 if verdict else 1
-    if args.group_command == "powersum":
-        factors = []
-        for item in args.factor:
-            g, _, eps = item.rpartition(":")
-            factors.append((g, int(eps)))
-        expr = GroupElementExpr(args.word, tuple(factors))
-        result = powersum_check(expr, surface)
-        payload = {"result": result, "exponent_sum": exponent_sum(expr)}
-        _emit(args, payload, [result])
-        return 0 if result == CONSISTENT else 1
-    # britton
+    # powersum
+    factors = []
+    for item in args.factor:
+        g, _, eps = item.rpartition(":")
+        factors.append((g, int(eps)))
+    expr = GroupElementExpr(args.word, tuple(factors))
+    result = powersum_check(expr, surface)
+    payload = {"result": result, "exponent_sum": exponent_sum(expr)}
+    _emit(args, payload, [result])
+    return 0 if result == CONSISTENT else 1
+
+
+def cmd_britton(args) -> int:
+    from .hnn import HNNExtension, HNNWord, britton_reduce, is_trivial_hnn
+
     spec = _read_json(args.spec)
     ext = HNNExtension(
         generators=tuple(spec["generators"]),
@@ -285,6 +294,9 @@ def cmd_group(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .diagrams import parse, serialize
+    from .moves import move_from_json, replay
+
     diagram, bundle = parse(_read_text(args.path))
     certificate = [move_from_json(obj) for obj in _read_json(args.certificate)]
     result = replay(diagram, certificate)
@@ -370,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.set_defaults(func=cmd_group)
     gp = gsub.add_parser("britton")
     gp.add_argument("spec", help="JSON HNN datum with generators/a_letters/b_letters/phi/word")
-    gp.set_defaults(func=cmd_group)
+    gp.set_defaults(func=cmd_britton)
 
     p = sub.add_parser("replay", help="apply a JSON move certificate to a diagram")
     p.add_argument("path")

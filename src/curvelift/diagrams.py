@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DiagramSyntaxError
-from .surfaces import BundleKind, CircleBundle, Surface
+from .surfaces import BundleKind, CircleBundle, Surface, bundle_for_token
 from .words import cyclic_reduce
 
 Event = tuple
@@ -204,13 +204,9 @@ def parse_event(tok: str, surface: Surface, line: int) -> Event:
     raise DiagramSyntaxError(f"bad event token {tok!r}", line)
 
 
-BUNDLE_FOR_TOKEN = {
-    "UT": CircleBundle.unit_tangent,
-    "PT": CircleBundle.projective_tangent,
-    "TRIVIAL": CircleBundle.trivial,
-}
+_BUNDLE_TOKENS = "UT|PT|TRIVIAL"  # no CUSTOM: see bundle_token
 _SURFACE_RE = re.compile(r"^surface\s+genus=(\d+)\s+boundary=(\d+)$")
-_BUNDLE_RE = re.compile(rf"^bundle\s+({'|'.join(BUNDLE_FOR_TOKEN)})$")
+_BUNDLE_RE = re.compile(rf"^bundle\s+({_BUNDLE_TOKENS})$")
 
 
 def bundle_token(bundle: CircleBundle) -> str:
@@ -253,8 +249,8 @@ def _parse_with_annotations(text: str):
     lineno, line = lines[1]
     m = _BUNDLE_RE.match(line)
     if not m:
-        raise DiagramSyntaxError(f"expected 'bundle <{'|'.join(BUNDLE_FOR_TOKEN)}>'", lineno)
-    bundle = BUNDLE_FOR_TOKEN[m.group(1)](surface)
+        raise DiagramSyntaxError(f"expected 'bundle <{_BUNDLE_TOKENS}>'", lineno)
+    bundle = bundle_for_token(m.group(1), surface)
     mode = MODE_FOR_KIND[bundle.kind]
 
     components: list[tuple[Event, ...]] = []

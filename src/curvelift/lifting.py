@@ -116,10 +116,11 @@ def _check_mode(diagram: Diagram, bundle: CircleBundle) -> None:
         )
 
 
-def fiber_degree(diagram: Diagram, component: int) -> int:
-    """Unreduced fiber degree of the component's lift: its turning number,
-    doubled in cusp-smooth mode."""
-    turning = raw_turning(diagram, component)
+def fiber_degree(diagram: Diagram, component: int, turning: Fraction | None = None) -> int:
+    """Unreduced fiber degree of the component's lift: its turning number
+    (``raw_turning``, unless the caller has it), doubled in cusp-smooth mode."""
+    if turning is None:
+        turning = raw_turning(diagram, component)
     fiber = 2 * turning if diagram.mode == CUSP_SMOOTH else turning
     if fiber.denominator != 1:
         raise NonIntegralTurning(
@@ -128,16 +129,14 @@ def fiber_degree(diagram: Diagram, component: int) -> int:
     return int(fiber)
 
 
-def lift_class(diagram: Diagram, bundle: CircleBundle, component: int) -> LiftClass:
+def lift_class(
+    diagram: Diagram, bundle: CircleBundle, component: int, turning: Fraction | None = None
+) -> LiftClass:
     _check_mode(diagram, bundle)
     base = shadow_homology_vector(diagram, component)
-    m = fiber_degree(diagram, component)
+    m = fiber_degree(diagram, component, turning)
     e = bundle.euler_number
     return LiftClass(base, m % abs(e) if e != 0 else m, e)
-
-
-def lift_classes(diagram: Diagram, bundle: CircleBundle) -> list[LiftClass]:
-    return [lift_class(diagram, bundle, ci) for ci in range(len(diagram.components))]
 
 
 # ----------------------------------------------------------------------

@@ -234,6 +234,16 @@ class CircleBundle:
         return f"{self.kind.value}({self.base})"
 
 
+def bundle_for_token(token: str, base: Surface, euler_number: int = 0) -> CircleBundle:
+    """The bundle over ``base`` whose BundleKind value is ``token``; only a
+    CUSTOM bundle takes ``euler_number``, the others have theirs fixed.  An
+    unknown token raises ValueError."""
+    kind = BundleKind(token)
+    if kind is BundleKind.CUSTOM:
+        return CircleBundle.custom(base, euler_number)
+    return CircleBundle(base, kind, _expected_euler(base, kind))
+
+
 def _expected_euler(base: Surface, kind: BundleKind) -> int | None:
     if not base.is_closed:
         return 0

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: subcommands, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -153,11 +156,26 @@ def test_equiv_relabel(tmp_path, capsys):
         tmp_path, "d2.txt",
         "surface genus=2 boundary=0\nbundle UT\ncomp: a2 Q+ Q+ Q+ Q+ Q+\n",
     )
-    relabel = write(tmp_path, "map.json", json.dumps({"a2": "a1", "a1": "a2"}))
+    swap = {"a1": "a2", "b1": "b2", "a2": "a1", "b2": "b1"}  # the handle swap
+    relabel = write(tmp_path, "map.json", json.dumps(swap))
     code, _ = run(capsys, "equiv", p1, p2)
     assert code == 3  # different shadow classes as-is
     code, _ = run(capsys, "equiv", p1, p2, "--relabel", relabel)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "table, named",
+    [
+        ({"a1": "a2", "a2": "a1"}, "cbCBadAD"),  # R = abABcdCD goes to a nontrivial word
+        ({"b1": "a1", "b2": "a2"}, "permute"),  # R goes to aaAAccCC = 1, but b1, b2 are lost
+    ],
+)
+def test_equiv_relabel_rejects_non_homeomorphism(tmp_path, capsys, table, named):
+    p1 = write(tmp_path, "d1.txt", CIRCLE)
+    relabel = write(tmp_path, "map.json", json.dumps(table))
+    assert main(["equiv", p1, p1, "--relabel", relabel]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_equiv_transvections_file(tmp_path, capsys):
@@ -188,6 +206,20 @@ def test_h1_closed_and_filling(capsys):
     )
     assert code == 0
     assert json.loads(out)["rank"] == 4 and json.loads(out)["torsion"] == []
+
+
+@pytest.mark.parametrize(
+    "flags, group",
+    [
+        (["--bundle", "pt"], "Z^4 + Z/4"),  # the CLI reads bundle tokens in any case
+        (["--bundle", "Trivial"], "Z^5"),
+        (["--bundle", "custom", "--euler", "6"], "Z^4 + Z/6"),
+        (["--bundle", "XX"], None),
+    ],
+)
+def test_h1_bundle_tokens(capsys, flags, group):
+    code, out = run(capsys, "h1", "--genus", "2", *flags)
+    assert (code, out.strip()) == ((0, group) if group else (1, ""))
 
 
 def test_h1_malformed_sigma(capsys):
@@ -252,3 +284,48 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["equiv"])  # missing required paths
     assert exc.value.code == 2
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+PROBE = """
+import json, sys
+import curvelift.cli
+code = curvelift.cli.main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("curvelift"))]))
+"""
+CLI_ONLY = {"curvelift", "curvelift.cli", "curvelift.errors"}
+
+
+def loaded_modules(*argv):
+    """Exit code and curvelift modules of a fresh process that imports the
+    CLI and runs one verb."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m.removeprefix("curvelift.") for m in set(modules) - CLI_ONLY}
+
+
+def test_cli_import_loads_no_library_module():
+    assert loaded_modules() == (None, set())
+
+
+@pytest.mark.parametrize(
+    "argv, code, absent",
+    [
+        (["validate", "{d}"], 0, {"moves", "snf", "homology", "hnn"}),
+        (["invariants", "{d}"], 0, {"moves", "hnn"}),
+        (["group", "trivial", "--genus", "2", "abAB"], 1, {"diagrams", "moves", "lifting", "snf"}),
+        (["equiv", "{d}", "{d}"], 0, {"snf", "hnn"}),
+    ],
+)
+def test_verb_loads_only_what_it_uses(tmp_path, argv, code, absent):
+    path = write(tmp_path, "d.txt", VERTEX_LINK)
+    got, modules = loaded_modules(*(a.format(d=path) for a in argv))
+    assert got == code and modules and not modules & absent
+
+
+def test_h1_loads_only_the_algebra():
+    code, modules = loaded_modules("h1", "--genus", "2", "--sigma", "0,0,0,0,1")
+    assert code == 0 and modules == {"surfaces", "snf", "homology"}

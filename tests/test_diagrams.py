@@ -114,6 +114,9 @@ def test_parse_pt_mode():
         "surface genus=2\nbundle UT\n",
         "surface genus=2 boundary=0\n",
         "surface genus=2 boundary=0\nbundle XX\n",
+        # the text format takes exactly UT|PT|TRIVIAL: no lower case, no CUSTOM
+        "surface genus=2 boundary=0\nbundle ut\n",
+        "surface genus=2 boundary=0\nbundle CUSTOM\n",
         "surface genus=2 boundary=0\nbundle UT\ncomp: zz\n",
         "surface genus=2 boundary=0\nbundle UT\ncomp: a9\n",
         "surface genus=2 boundary=0\nbundle UT\ncomp: X1.3\n",

@@ -1,0 +1,62 @@
+"""The package's public names: lazily resolved, but the same objects."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import curvelift
+
+EXPORTS = {
+    "errors": "CurveLiftError DiagramSyntaxError InapplicableMove MalformedAssociatedSubgroup "
+    "ModeMismatch NonIntegralTurning UnsupportedSurface",
+    "surfaces": "BundleKind CircleBundle GroupPresentation Surface bundle_pi1_presentation "
+    "surface_pi1_presentation",
+    "snf": "AbelianGroup BundleFit diagonal filling_quotient genus_from_filling_h1 "
+    "smith_normal_form",
+    "homology": "abelianization bundle_h1 exponent_vector",
+    "words": "CONSISTENT VIOLATES GroupElementExpr conjugacy_class_key conjugate_classes_equal "
+    "cyclic_dehn_reduce cyclic_reduce dehn_reduce exponent_sum free_reduce inverse_word "
+    "is_trivial powersum_check",
+    "hnn": "HNNExtension HNNWord britton_reduce is_trivial_hnn",
+    "diagrams": "Diagram Violation cross cusp edge kink parse qturn serialize shadow_word "
+    "validate",
+    "lifting": "LiftClass TwistedShadow canonicalize lift_class parse_twisted_shadow raw_turning "
+    "serialize_twisted_shadow shadow_homology_vector turning_delta turning_number "
+    "vertex_link_curve",
+    "moves": "EquivalenceVerdict MoveInstance SearchBudget applicable_moves apply_move "
+    "canonical_key contract_kink diagrams_equal equivalent_bounded expand_kink invert_move "
+    "move_from_json move_to_json replay transvection transvection_fiber_shift",
+}
+
+
+def test_every_export_is_its_submodules_object():
+    names = set()
+    for module, exported in EXPORTS.items():
+        submodule = importlib.import_module(f"curvelift.{module}")
+        for name in exported.split():
+            assert getattr(curvelift, name) is getattr(submodule, name), name
+            names.add(name)
+        assert getattr(curvelift, module) is submodule
+    namespace = {}
+    exec("from curvelift import *", namespace)
+    assert set(namespace) - {"__builtins__"} == names == set(dir(curvelift))
+    assert curvelift.__version__ == "0.1.0"
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(curvelift, "lift_classes")
+    assert not hasattr(curvelift, "no_such_name")
+
+
+def test_import_loads_no_submodule_until_used():
+    probe = (
+        "import sys, curvelift\n"
+        "print(sorted(m for m in sys.modules if m.startswith('curvelift.')), curvelift.hnn.__name__)"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    ).stdout
+    assert out.split() == ["[]", "curvelift.hnn"]
