@@ -45,9 +45,8 @@ _EXPORTS = {
     ),
     "moves": (
         "EquivalenceVerdict", "MoveInstance", "SearchBudget", "applicable_moves", "apply_move",
-        "canonical_key", "contract_kink", "diagrams_equal", "equivalent_bounded", "expand_kink",
-        "invert_move", "move_from_json", "move_to_json", "replay", "transvection",
-        "transvection_fiber_shift",
+        "canonical_key", "diagrams_equal", "equivalent_bounded", "invert_move", "move_from_json",
+        "move_to_json", "replay", "transvection", "transvection_fiber_shift",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

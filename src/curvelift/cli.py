@@ -145,12 +145,11 @@ def _relabel(diagram, table: dict[str, str]):
     an orientation-reversed image.
 
     Raises ValueError unless the substitution permutes the generators up to
-    inversion and, in closed genus >= 2, maps the relator R to the identity:
-    such a map is an automorphism of pi_1 (surface groups are Hopfian), so a
-    homeomorphism induces it (Dehn-Nielsen-Baer).  Other surfaces get only the
-    permutation check."""
-    from .words import is_trivial
-
+    inversion and maps the polygon's boundary word R (prod [a_i, b_i] prod d_j)
+    to a rotation of R or of R^-1, on every surface.  Such a map is an
+    automorphism of pi_1 that sends R to a conjugate of R^+-1 and each boundary
+    loop d_j (a letter that occurs once in R, where a_i and b_i occur twice)
+    to a boundary loop, so a homeomorphism induces it (Dehn-Nielsen-Baer)."""
     surface = diagram.surface
     char_map: dict[str, str] = {}
     for src, dst in table.items():
@@ -158,25 +157,24 @@ def _relabel(diagram, table: dict[str, str]):
         d = surface.char_of(dst)
         char_map[s] = d
         char_map[s.swapcase()] = d.swapcase()
+    substitute = str.maketrans(char_map)
     chars = surface.generator_chars
-    if len({char_map.get(ch, ch).lower() for ch in chars}) < len(chars):
+    if len(set(chars.translate(substitute).lower())) < len(chars):
         raise ValueError("the substitution does not permute the generators")
-    relator = surface.relator()
-    if relator is not None and surface.genus >= 2:
-        image = relator.translate(str.maketrans(char_map))
-        if not is_trivial(image, surface):
-            raise ValueError(f"the substitution maps the relator {relator} to {image}, not to 1")
-    comps = []
-    for comp in diagram.components:
-        events = []
-        for ev in comp:
-            if ev[0] == "edge":
-                ch = char_map.get(surface.char_of(ev[1]), surface.char_of(ev[1]))
-                events.append(("edge", surface.name_of(ch)))
-            else:
-                events.append(ev)
-        comps.append(events)
-    return diagram.with_components(comps)
+    word = surface.boundary_word()
+    image = word.translate(substitute)
+    if image not in 2 * word and image not in 2 * word[::-1].swapcase():
+        raise ValueError(
+            f"the substitution maps the boundary word {word} to {image}, "
+            "not to a rotation of it or of its inverse"
+        )
+
+    def relabeled(ev):
+        if ev[0] != "edge":
+            return ev
+        return "edge", surface.name_of(surface.char_of(ev[1]).translate(substitute))
+
+    return diagram.with_components(map(relabeled, comp) for comp in diagram.components)
 
 
 def cmd_equiv(args) -> int:

@@ -94,9 +94,6 @@ class Diagram:
         free = [str(n) for n in range(1, len(used) + 3) if str(n) not in used]
         return free[0], free[1]
 
-    def fresh_crossing_id(self) -> str:
-        return self.fresh_crossing_ids[0]
-
 
 # ----------------------------------------------------------------------
 # validation

@@ -13,11 +13,13 @@ index p in [0, n) names the insertion point before event p (gap 0 doubles as
 the wrap-around gap).
 
 Each move kind is written once, in the table ``_KINDS``: its growth in
-events, candidate sites, local pattern, rewrite (with the inverse move) and
-site transport (the same move on a reordered, rotated copy of the diagram).
-Transvections have no sites, inverse or transport.  An ``r2_insert`` site may
-end with its first strand's slot pair ("12", "21" or "22"; absent means
-"11"); only the inverse of an ``r2_remove`` emits it.
+events, the sites where it fits, its match (the check ``apply_move`` makes),
+rewrite (with the inverse move) and site transport (the same move on a
+reordered, rotated copy of the diagram); a local pattern is one test, which
+the sites and the match both run.  Transvections have no sites, inverse or
+transport.  An ``r2_insert`` site may end with its first strand's slot pair
+("12", "21" or "22"; absent means "11"); only the inverse of an
+``r2_remove`` emits it.
 
 The search rewrites only the moves ``applicable_moves`` lists and, forward,
 the transvection generators whose gaps fit, by growth and then by move, each
@@ -41,7 +43,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .diagrams import CUSP_SMOOTH, SMOOTH, Diagram, cross, cusp, edge, kink, qturn, shadow_word
+from .diagrams import CUSP_SMOOTH, SMOOTH, Diagram, cusp, edge, kink, qturn, shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
 from .lifting import lift_class
 from .surfaces import CircleBundle, Surface
@@ -99,8 +101,8 @@ def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# the move table.  match(diagram, move) returns None or why the site does not
-# fit; rewrite(diagram, move) runs on a matching site only and returns the new
+# the move table.  match(diagram, move) returns None or why the move does not
+# fit; rewrite(diagram, move) runs on a fitting move only and returns the new
 # diagram and the inverse move.
 
 
@@ -143,6 +145,11 @@ def _spots(diagram: Diagram, sites) -> set:
     return {(ci, q) for ci, p in sites for q in (p, (p + 1) % len(diagram.components[ci]))}
 
 
+def _is_crossing_pair(diagram: Diagram, site) -> bool:
+    a, b = _pair(diagram, site)
+    return a[0] == b[0] == "cross" and a[1] != b[1]
+
+
 def _no_crossing_pairs(diagram: Diagram, sites) -> str | None:
     """Why sites are not disjoint adjacent pairs of two different crossings,
     or None."""
@@ -150,16 +157,17 @@ def _no_crossing_pairs(diagram: Diagram, sites) -> str | None:
         why = _no_pair(diagram, site)
         if why is not None:
             return why
-        a, b = _pair(diagram, site)
-        if not (a[0] == b[0] == "cross" and a[1] != b[1]):
+        if not _is_crossing_pair(diagram, site):
             return "not a crossing pair"
     if len(_spots(diagram, sites)) != 2 * len(sites):
         return "overlapping sites"
     return None
 
 
-def _crossing_pairs(diagram: Diagram) -> list:
-    return [s for s in _positions(diagram) if _no_crossing_pairs(diagram, (s,)) is None]
+def _crossing_pairs(diagram: Diagram, k: int) -> list:
+    """Every k disjoint crossing pairs, in order."""
+    pairs = [s for s in _positions(diagram) if _is_crossing_pair(diagram, s)]
+    return [s for s in itertools.combinations(pairs, k) if len(_spots(diagram, s)) == 2 * k]
 
 
 def _remove_pairs(diagram: Diagram, sites):
@@ -200,11 +208,8 @@ def _stab_rewrite(diagram: Diagram, move: MoveInstance):
     return Diagram(diagram.surface, diagram.mode, tuple(comps)), MoveInstance("destab", (ci, p))
 
 
-def _destab_match(diagram: Diagram, move: MoveInstance) -> str | None:
-    why = _no_pair(diagram, move.site)
-    if why is None and _VARIANT_OF.get(_pair(diagram, move.site)) not in _STABS[diagram.mode]:
-        why = f"no stabilization pair in {diagram.mode} mode"
-    return why
+def _is_stab_pair(diagram: Diagram, site) -> bool:
+    return _VARIANT_OF.get(_pair(diagram, site)) in _STABS[diagram.mode]
 
 
 def _destab_rewrite(diagram: Diagram, move: MoveInstance):
@@ -213,14 +218,11 @@ def _destab_rewrite(diagram: Diagram, move: MoveInstance):
     return new, MoveInstance("stab", (move.site[0], gap, variant))
 
 
-def _kink_slide_match(diagram: Diagram, move: MoveInstance) -> str | None:
-    why = _no_pair(diagram, move.site)
-    if why is None:
-        a, b = _pair(diagram, move.site)
-        loops, tags = _LOOP_TAGS[diagram.mode], {a[0], b[0]}
-        if (a[0] in loops) == (b[0] in loops) or not tags <= {"kink", "cusp", "cross", "edge"}:
-            why = "needs a kink/cusp adjacent to a crossing or edge event"
-    return why
+def _is_slidable(diagram: Diagram, site) -> bool:
+    """A kink/cusp next to a crossing or edge event."""
+    a, b = _pair(diagram, site)
+    loops = _LOOP_TAGS[diagram.mode]
+    return (a[0] in loops) != (b[0] in loops) and {a[0], b[0]} <= {"kink", "cusp", "cross", "edge"}
 
 
 # an r2_insert site's optional fifth entry -> the first strand's slots
@@ -250,14 +252,10 @@ def _r2_insert_rewrite(diagram: Diagram, move: MoveInstance):
     return new, MoveInstance("r2_remove", ((c1, q1), (c2, q2)))
 
 
-def _r2_remove_match(diagram: Diagram, move: MoveInstance) -> str | None:
-    why = _no_crossing_pairs(diagram, move.site)
-    if why is None:
-        # bigon: [x, y] against [y, x] with complementary slots
-        (a, b), (c, d) = (_pair(diagram, site) for site in move.site)
-        if not (a[1] == d[1] and b[1] == c[1] and a[2] != d[2] and b[2] != c[2]):
-            why = "not a bigon pattern"
-    return why
+def _is_bigon(diagram: Diagram, sites) -> bool:
+    """[x, y] against [y, x] with complementary slots."""
+    (a, b), (c, d) = (_pair(diagram, site) for site in sites)
+    return a[1] == d[1] and b[1] == c[1] and a[2] != d[2] and b[2] != c[2]
 
 
 def _r2_remove_rewrite(diagram: Diagram, move: MoveInstance):
@@ -274,13 +272,9 @@ def _r2_remove_rewrite(diagram: Diagram, move: MoveInstance):
     return new, MoveInstance("r2_insert", inv)
 
 
-def _r3_match(diagram: Diagram, move: MoveInstance) -> str | None:
-    why = _no_crossing_pairs(diagram, move.site)
-    if why is None:
-        ids = Counter(ev[1] for site in move.site for ev in _pair(diagram, site))
-        if len(ids) != 3 or any(v != 2 for v in ids.values()):
-            why = "not a triangle"
-    return why
+def _is_triangle(diagram: Diagram, sites) -> bool:
+    ids = Counter(ev[1] for site in sites for ev in _pair(diagram, site))
+    return len(ids) == 3 and all(v == 2 for v in ids.values())
 
 
 def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
@@ -303,10 +297,19 @@ def _transvection_rewrite(diagram: Diagram, move: MoveInstance):
 @dataclass(frozen=True)
 class _Kind:
     growth: int  # events added; the search tries shrinking kinds first
-    sites: Callable  # diagram -> candidate sites
-    match: Callable
+    sites: Callable  # diagram -> every site where the kind fits, in order
+    match: Callable  # the check apply_move makes
     rewrite: Callable  # the inverse is None for a transvection
     transport: Callable | None  # (site, site_map) -> the site in an equal diagram
+
+
+def _local(candidates: Callable, check: Callable, fits: Callable, why: str) -> tuple:
+    """sites and match of a kind with a local pattern: fits takes a well-formed
+    site (one that check passes, as every candidate does) and is the pattern."""
+    return (
+        lambda d: [site for site in candidates(d) if fits(d, site)],
+        lambda d, m: check(d, m.site) or (None if fits(d, m.site) else why),
+    )
 
 
 _KINDS = {
@@ -314,22 +317,27 @@ _KINDS = {
         2, lambda d: [(*gap, _STABS[d.mode][0]) for gap in _gaps(d)],
         _stab_match, _stab_rewrite, lambda s, f: (*f(s[:2]), s[2]),
     ),
-    "destab": _Kind(-2, _positions, _destab_match, _destab_rewrite, lambda s, f: f(s)),
+    "destab": _Kind(
+        -2, *_local(_positions, _no_pair, _is_stab_pair, "no stabilization pair of this mode"),
+        _destab_rewrite, lambda s, f: f(s),
+    ),
     "kink_slide": _Kind(
-        0, _positions,
-        _kink_slide_match, lambda d, m: (_swap_pairs(d, [m.site]), m), lambda s, f: f(s),
+        0, *_local(_positions, _no_pair, _is_slidable, "no kink/cusp next to a crossing or edge"),
+        lambda d, m: (_swap_pairs(d, [m.site]), m), lambda s, f: f(s),
     ),
     "r2_insert": _Kind(
         4, lambda d: [(*gap1, *gap2) for gap1, gap2 in itertools.product(_gaps(d), repeat=2)],
         _r2_insert_match, _r2_insert_rewrite, lambda s, f: (*f(s[:2]), *f(s[2:4]), *s[4:]),
     ),
     "r2_remove": _Kind(
-        -4, lambda d: itertools.combinations(_crossing_pairs(d), 2),
-        _r2_remove_match, _r2_remove_rewrite, lambda s, f: tuple(map(f, s)),
+        -4, *_local(lambda d: _crossing_pairs(d, 2), _no_crossing_pairs, _is_bigon, "not a bigon"),
+        _r2_remove_rewrite, lambda s, f: tuple(map(f, s)),
     ),
     "r3": _Kind(
-        0, lambda d: itertools.combinations(_crossing_pairs(d), 3),
-        _r3_match, lambda d, m: (_swap_pairs(d, m.site), m), lambda s, f: tuple(sorted(map(f, s))),
+        0, *_local(
+            lambda d: _crossing_pairs(d, 3), _no_crossing_pairs, _is_triangle, "not a triangle",
+        ),
+        lambda d, m: (_swap_pairs(d, m.site), m), lambda s, f: tuple(sorted(map(f, s))),
     ),
     "transvection": _Kind(1, lambda d: (), _transvection_match, _transvection_rewrite, None),
 }
@@ -340,13 +348,13 @@ _KINDS = {
 
 
 def applicable_moves(diagram: Diagram) -> list[MoveInstance]:
-    """Every catalogue move whose site matches, in MoveInstance order
-    (transvections excluded: they are parameterized by external curve data):
-    the kinds are walked by name and each lists its sites in order, so no sort
-    is needed.  Each listed move can be rewritten without a second match."""
+    """Every catalogue move that fits, in MoveInstance order (transvections
+    excluded: they are parameterized by external curve data): the kinds are
+    walked by name and each lists the sites where it fits in order, so no
+    match and no sort is needed."""
     return [
-        move for name, kind in sorted(_KINDS.items()) for site in kind.sites(diagram)
-        if kind.match(diagram, move := MoveInstance(name, site)) is None
+        MoveInstance(name, site)
+        for name, kind in sorted(_KINDS.items()) for site in kind.sites(diagram)
     ]
 
 
@@ -374,57 +382,6 @@ def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
     if inv is None:
         raise InapplicableMove("transvections are not invertible as moves")
     return inv
-
-
-# ----------------------------------------------------------------------
-# kink expansion (macro, outside the move catalogue)
-
-
-def expand_kink(diagram: Diagram, site: tuple[int, int]) -> Diagram:
-    """Expand an atomic kink into an explicit crossing with four quarter
-    turns; turning number and lift class are unchanged."""
-    ci, p = site
-    comps = [list(c) for c in diagram.components]
-    if not (0 <= ci < len(comps) and 0 <= p < len(comps[ci])):
-        raise InapplicableMove(f"no event at {site}")
-    ev = comps[ci][p]
-    if ev[0] != "kink":
-        raise InapplicableMove(f"event at {site} is not a kink")
-    cid = diagram.fresh_crossing_id()
-    comps[ci][p : p + 1] = [cross(cid, 1)] + [qturn(ev[1])] * 4 + [cross(cid, 2)]
-    return diagram.with_components(comps)
-
-
-def contract_kink(diagram: Diagram, site: tuple[int, int]) -> Diagram:
-    """Inverse of expand_kink: collapse X.1 Q^4 X.2 back to an atomic kink."""
-    ci, p = site
-    comps = [list(c) for c in diagram.components]
-    if not (0 <= ci < len(comps)):
-        raise InapplicableMove(f"no component {ci}")
-    comp = comps[ci]
-    n = len(comp)
-    if n < 6:
-        raise InapplicableMove("component too short for a kink macro")
-    window = [comp[(p + i) % n] for i in range(6)]
-    head, tail = window[0], window[5]
-    turns = window[1:5]
-    ok = (
-        head[0] == "cross"
-        and tail[0] == "cross"
-        and head[1] == tail[1]
-        and {head[2], tail[2]} == {1, 2}
-        and all(ev[0] == "qturn" for ev in turns)
-        and len({ev[1] for ev in turns}) == 1
-    )
-    if not ok:
-        raise InapplicableMove(f"no kink macro at {site}")
-    sign = turns[0][1]
-    if p + 6 <= n:
-        comp[p : p + 6] = [kink(sign)]
-    else:
-        rotated = comp[p:] + comp[:p]
-        comps[ci] = [kink(sign)] + rotated[6:]
-    return diagram.with_components(comps)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,9 @@ closed-surface word problem is solved by Dehn's greedy algorithm: any
 freely reduced trivial word contains more than half of a cyclic rotation of
 the relator (Greendlinger), so repeatedly replacing such subwords by the
 shorter complement terminates at the empty word exactly for trivial input.
+A bounded surface's group is free on every generator but the last boundary
+letter d_k, which the polygon relation eliminates:
+d_k = (prod [a_i, b_i] d_1 ... d_{k-1})^-1.
 """
 
 from __future__ import annotations
@@ -97,30 +100,30 @@ def _dehn_step(w: str, rotations: list[str], cyclic: bool) -> str | None:
     return None
 
 
-def _check_surface(surface: Surface) -> bool:
-    """True when the closed-surface Dehn machinery applies, False for free."""
-    if not surface.is_closed:
-        return False
-    if surface.genus <= 1:
-        raise UnsupportedSurface(
-            "Dehn's algorithm needs a closed surface of genus >= 2 "
-            "(or a bounded surface, whose group is free)"
-        )
-    return True
-
-
-def _dehn(w: str, surface: Surface, cyclic: bool) -> str:
-    if _check_surface(surface):
+def _dehn(word: str, surface: Surface, cyclic: bool) -> str:
+    if surface.is_closed:
+        if surface.genus <= 1:
+            raise UnsupportedSurface(
+                "Dehn's algorithm needs a closed surface of genus >= 2 "
+                "(or a bounded surface, whose group is free)"
+            )
         rotations = _relator_rotations(surface)
-        while (nxt := _dehn_step(w, rotations, cyclic)) is not None:
-            w = nxt
+    else:  # write d_k in the free generators; no replacement applies
+        rest = surface.boundary_word()[:-1]
+        d = surface.generator_chars[-1]
+        word = word.translate({ord(d): inverse_word(rest), ord(d.upper()): rest})
+        rotations = []
+    w = cyclic_reduce(word) if cyclic else free_reduce(word)
+    while (nxt := _dehn_step(w, rotations, cyclic)) is not None:
+        w = nxt
     return w
 
 
 def dehn_reduce(word: str, surface: Surface) -> str:
-    """Dehn-reduced form: free reduction for free groups; for closed genus
-    >= 2, greedy >half-relator replacement until none applies."""
-    return _dehn(free_reduce(word), surface, cyclic=False)
+    """Dehn-reduced form: free reduction for free groups (on a bounded
+    surface after eliminating d_k); for closed genus >= 2, greedy
+    >half-relator replacement until none applies."""
+    return _dehn(word, surface, cyclic=False)
 
 
 def is_trivial(word: str, surface: Surface) -> bool:
@@ -129,7 +132,7 @@ def is_trivial(word: str, surface: Surface) -> bool:
 
 def cyclic_dehn_reduce(word: str, surface: Surface) -> str:
     """Cyclic-word variant; the result is well defined up to rotation."""
-    return _dehn(cyclic_reduce(word), surface, cyclic=True)
+    return _dehn(word, surface, cyclic=True)
 
 
 def least_rotation(w: str) -> tuple[str, list[int]]:
@@ -151,10 +154,6 @@ def least_rotation(w: str) -> tuple[str, list[int]]:
     return best, starts
 
 
-def _minimal_rotation(w: str) -> str:
-    return least_rotation(w)[0]
-
-
 def conjugate_classes_equal(w1: str, w2: str, surface: Surface) -> bool:
     """Compare free-homotopy classes up to orientation flip by their
     conjugacy class keys."""
@@ -165,7 +164,7 @@ def conjugacy_class_key(word: str, surface: Surface) -> str:
     """Canonical representative used for multiset comparison of shadow
     classes (orientation-flip symmetric)."""
     r = cyclic_dehn_reduce(word, surface)
-    return min(_minimal_rotation(r), _minimal_rotation(inverse_word(r)))
+    return min(least_rotation(r)[0], least_rotation(inverse_word(r))[0])
 
 
 # ----------------------------------------------------------------------

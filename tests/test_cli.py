@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, JSON output."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import sys
 
 import pytest
 
-from curvelift.cli import main
+from curvelift import Diagram, Surface
+from curvelift.cli import _relabel, main
 
 VERTEX_LINK = (
     "surface genus=2 boundary=0\n"
@@ -176,6 +178,43 @@ def test_equiv_relabel_rejects_non_homeomorphism(tmp_path, capsys, table, named)
     relabel = write(tmp_path, "map.json", json.dumps(table))
     assert main(["equiv", p1, p1, "--relabel", relabel]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_equiv_relabel_keeps_boundary_loops_peripheral(tmp_path, capsys):
+    p1 = write(tmp_path, "d1.txt", "surface genus=1 boundary=1\nbundle UT\ncomp: a1 Q+ Q+ Q+ Q+\n")
+    p2 = write(tmp_path, "d2.txt", "surface genus=1 boundary=1\nbundle UT\ncomp: d1 Q+ Q+ Q+ Q+\n")
+    # the boundary loop d1 would go to a1, which is not peripheral: R = abABc goes to cbCBa
+    relabel = write(tmp_path, "map.json", json.dumps({"a1": "d1", "d1": "a1"}))
+    code, _ = run(capsys, "equiv", p1, p2)
+    assert code == 3
+    assert main(["equiv", p1, p2, "--relabel", relabel]) == 2
+    assert "cbCBa" in capsys.readouterr().err
+
+
+def test_relabel_accepts_four_signed_permutations_in_genus_2():
+    surface = Surface(2)
+    d = Diagram(surface, "smooth", ((),))
+    names = surface.generator_names
+    accepted = 0
+    for image in itertools.permutations(names):
+        for primes in itertools.product(("", "'"), repeat=len(names)):
+            try:
+                _relabel(d, {a: b + p for a, b, p in zip(names, image, primes)})
+                accepted += 1
+            except ValueError:
+                pass
+    assert accepted == 4  # the identity, the handle swap, a_i <-> b_i and their product
+
+
+def test_equiv_bounded_shadow_classes_use_the_polygon_relation(tmp_path, capsys):
+    # on Sigma_{1,1}, d1 = (a1 b1 a1' b1')^-1 = b1 a1 b1' a1': the shadows are equal
+    p1 = write(tmp_path, "d1.txt", "surface genus=1 boundary=1\nbundle UT\ncomp: d1 Q+ Q+ Q+ Q+\n")
+    p2 = write(
+        tmp_path, "d2.txt",
+        "surface genus=1 boundary=1\nbundle UT\ncomp: b1 a1 b1' a1' Q+ Q+ Q+ Q+\n",
+    )
+    code, out = run(capsys, "equiv", p1, p2, "--budget-moves", "2")
+    assert code == 4, out
 
 
 def test_equiv_transvections_file(tmp_path, capsys):

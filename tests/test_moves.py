@@ -1,6 +1,7 @@
 """Move calculus: catalogue, application, inverses, canonical forms, and the
 bounded equivalence search."""
 
+import itertools
 import random
 
 import pytest
@@ -18,10 +19,8 @@ from curvelift import (
     applicable_moves,
     apply_move,
     canonical_key,
-    contract_kink,
     diagrams_equal,
     equivalent_bounded,
-    expand_kink,
     invert_move,
     lift_class,
     move_from_json,
@@ -199,6 +198,29 @@ def test_applicable_moves_come_out_sorted(rng):
         d = apply_move(d, rng.choice([m for m in applicable_moves(d) if m.kind == "r2_insert"]))
     moves = applicable_moves(d)
     assert moves == sorted(moves)
+    # sound and complete: exactly the moves apply_move accepts among a
+    # brute-force superset of each kind's sites, in the catalogue's form
+    gaps = [(ci, p) for ci, comp in enumerate(d.components) for p in range(max(len(comp), 1))]
+    positions = [(ci, p) for ci, comp in enumerate(d.components) for p in range(len(comp))]
+    candidates = {
+        "stab": [(*gap, moves_module._STABS[d.mode][0]) for gap in gaps],
+        "destab": positions,
+        "kink_slide": positions,
+        "r2_insert": [(*g1, *g2) for g1 in gaps for g2 in gaps],
+        "r2_remove": list(itertools.combinations(positions, 2)),
+        "r3": list(itertools.combinations(positions, 3)),
+    }
+    accepted = {}
+    for kind, sites in candidates.items():
+        for site in sites:
+            move = MoveInstance(kind, site)
+            try:
+                accepted[move] = apply_move(d, move)
+            except InapplicableMove:
+                pass
+    assert moves == sorted(accepted)
+    for move in moves:
+        assert moves_module._KINDS[move.kind].rewrite(d, move)[0] == accepted[move]
 
 
 def test_r2_remove_then_insert_recreates_canonically():
@@ -261,29 +283,6 @@ def test_transvection_validation():
         transvection([("a", 1, [(0, 0, 2)])])
     with pytest.raises(InapplicableMove):
         invert_move(circle(), transvection([("a", 1, [(0, 0, 1)])]))
-
-
-# ----------------------------------------------------------------------
-# kink macros
-
-
-def test_expand_contract_kink():
-    d = smooth(kink(1), qturn(1), qturn(1), qturn(1), qturn(1), kink(-1))
-    d2 = expand_kink(d, (0, 0))
-    comp = d2.components[0]
-    assert comp[0][0] == "cross" and comp[5][0] == "cross"
-    assert comp[1:5] == (("qturn", 1),) * 4
-    assert contract_kink(d2, (0, 0)) == d
-    with pytest.raises(InapplicableMove):
-        expand_kink(d, (0, 1))
-    with pytest.raises(InapplicableMove):
-        contract_kink(d, (0, 0))
-
-
-def test_expand_kink_preserves_lift_class():
-    d = smooth(kink(1), qturn(1), qturn(1), qturn(1), qturn(1), kink(-1))
-    d2 = expand_kink(d, (0, 0))
-    assert lift_class(d, UT, 0) == lift_class(d2, UT, 0)
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ EXPORTS = {
     "serialize_twisted_shadow shadow_homology_vector turning_delta turning_number "
     "vertex_link_curve",
     "moves": "EquivalenceVerdict MoveInstance SearchBudget applicable_moves apply_move "
-    "canonical_key contract_kink diagrams_equal equivalent_bounded expand_kink invert_move "
-    "move_from_json move_to_json replay transvection transvection_fiber_shift",
+    "canonical_key diagrams_equal equivalent_bounded invert_move move_from_json move_to_json "
+    "replay transvection transvection_fiber_shift",
 }
 
 
@@ -46,6 +46,8 @@ def test_every_export_is_its_submodules_object():
 
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(curvelift, "lift_classes")
+    assert not hasattr(curvelift, "expand_kink")
+    assert not hasattr(curvelift, "contract_kink")
     assert not hasattr(curvelift, "no_such_name")
 
 

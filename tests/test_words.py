@@ -23,7 +23,7 @@ from curvelift import (
     is_trivial,
     powersum_check,
 )
-from curvelift.words import _join, _minimal_rotation, _rotations, least_rotation
+from curvelift.words import _join, _rotations, least_rotation
 
 from helpers import random_word, reference_cyclic_dehn_reduce, reference_dehn_reduce
 
@@ -92,16 +92,23 @@ def test_unsupported_surfaces():
 
 
 def test_free_group_path():
-    s = Surface(1, 1)  # free group
+    s = Surface(1, 1)  # free group on a1, b1: d1 = (a1 b1 a1' b1')^-1
     assert dehn_reduce("abAB", s) == "abAB"
     assert is_trivial("aA", s)
+    assert is_trivial(s.boundary_word(), s)
+    assert dehn_reduce("c", s) == "baBA"
+    assert conjugacy_class_key("c", s) == conjugacy_class_key("abAB", s)
+    s = Surface(2, 2)  # d2 = (prod [a_i, b_i] d1)^-1
+    assert is_trivial(s.boundary_word(), s)
+    assert cyclic_dehn_reduce("f" + s.boundary_word()[:-1], s) == ""
+    assert not is_trivial("e", s)
 
 
 def test_cyclic_dehn_reduce():
     rel = S2.relator()
     assert cyclic_dehn_reduce(rel, S2) == ""
     # conjugates of a short word collapse to the same cyclic class
-    assert _minimal_rotation(cyclic_dehn_reduce("Bab", S2)) == _minimal_rotation("a")
+    assert least_rotation(cyclic_dehn_reduce("Bab", S2))[0] == least_rotation("a")[0]
 
 
 def test_conjugate_classes_equal():
@@ -146,7 +153,6 @@ def test_least_rotation_is_the_least_of_every_rotation():
         rotations = _rotations(word) or [""]
         least = min(rotations)
         assert least_rotation(word) == (least, [r for r, w in enumerate(rotations) if w == least])
-        assert _minimal_rotation(word) == least
 
 
 @st.composite
