@@ -38,6 +38,20 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
+def _write_diagram(args, text: str, payload: dict, lines) -> None:
+    """Write the text to --output, or print it (as "diagram" under json)."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _emit(args, {"output": args.output, **payload}, [f"wrote {args.output}", *lines])
+    elif args.format == "json":
+        _emit(args, {"diagram": text, **payload}, [])
+    else:
+        sys.stdout.write(text)
+        for line in lines:
+            print(line, file=sys.stderr)
+
+
 def _surface_from_args(args):
     from .surfaces import Surface
 
@@ -109,23 +123,9 @@ def cmd_canonicalize(args) -> int:
     from .lifting import canonicalize, parse_twisted_shadow, turning_delta
 
     shadow, bundle = parse_twisted_shadow(_read_text(args.path))
-    result = canonicalize(shadow, bundle)
+    text = serialize(canonicalize(shadow, bundle), bundle)
     delta = turning_delta(shadow)
-    text = serialize(result, bundle)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit(
-            args,
-            {"output": args.output, "turning_delta": delta},
-            [f"wrote {args.output}", f"turning delta {delta:+d}"],
-        )
-    else:
-        if args.format == "json":
-            print(json.dumps({"diagram": text, "turning_delta": delta}, indent=2))
-        else:
-            sys.stdout.write(text)
-            print(f"turning delta {delta:+d}", file=sys.stderr)
+    _write_diagram(args, text, {"turning_delta": delta}, [f"turning delta {delta:+d}"])
     return 0
 
 
@@ -297,14 +297,7 @@ def cmd_replay(args) -> int:
 
     diagram, bundle = parse(_read_text(args.path))
     certificate = [move_from_json(obj) for obj in _read_json(args.certificate)]
-    result = replay(diagram, certificate)
-    text = serialize(result, bundle)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_diagram(args, serialize(replay(diagram, certificate), bundle), {}, [])
     return 0
 
 

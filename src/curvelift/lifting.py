@@ -25,7 +25,8 @@ from .diagrams import (
     serialize,
 )
 from .errors import ModeMismatch, NonIntegralTurning
-from .surfaces import CircleBundle, Surface
+from .surfaces import CircleBundle, Surface, surface_pi1_presentation
+from .words import eliminate_last_boundary
 
 
 def raw_turning(diagram: Diagram, component: int) -> Fraction:
@@ -83,26 +84,13 @@ class LiftClass:
 
 
 def shadow_homology_vector(diagram: Diagram, component: int) -> tuple[int, ...]:
-    """Abelianized shadow in the a_i, b_i (and d_1..d_{k-1}) basis; for a
-    bounded surface the eliminated d_k maps to -(d_1 + ... + d_{k-1})."""
+    """Abelianized shadow: the exponent sums of its edge word, d_k eliminated,
+    over the generators of surface_pi1_presentation (a_i, b_i, d_1..d_{k-1})."""
     surface = diagram.surface
-    g, k = surface.genus, surface.boundary
-    dim = 2 * g + max(k - 1, 0)
-    vec = [0] * dim
-    chars = surface.generator_chars
-    index = {ch: i for i, ch in enumerate(chars)}
-    for ev in diagram.components[component]:
-        if ev[0] != "edge":
-            continue
-        ch = surface.char_of(ev[1])
-        sign = -1 if ch.isupper() else 1
-        i = index[ch.lower()]
-        if i < dim:
-            vec[i] += sign
-        else:  # d_k, eliminated: [d_k] = -sum of the other boundary classes
-            for j in range(2 * g, dim):
-                vec[j] -= sign
-    return tuple(vec)
+    tokens = [ev[1] for ev in diagram.components[component] if ev[0] == "edge"]
+    word = eliminate_last_boundary(surface.encode(tokens), surface)
+    gens = surface_pi1_presentation(surface).generators
+    return tuple(word.count(ch) - word.count(ch.upper()) for ch in gens)
 
 
 def _check_mode(diagram: Diagram, bundle: CircleBundle) -> None:

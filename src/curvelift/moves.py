@@ -28,10 +28,8 @@ cap); ``apply_move`` is the checked entry point for every other move.
 
 A canonical key is a tuple of one str per component, one character per event
 from a per-surface table built on first use.  The codes order one diagram's
-candidates as its event tuples do, so perm and rots are those the tuples give.
-Nearly every searched diagram has one candidate (each component has one
-least id-blind rotation, no two alike), keyed in one pass per component; a
-component without crossings is keyed by its id-blind string.
+candidates as its event tuples do, so perm and rots are those the tuples give;
+a one-component diagram with one least id-blind rotation is keyed in one pass.
 """
 
 from __future__ import annotations
@@ -388,7 +386,7 @@ def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
 # canonical forms (equality up to rotation, component order, id names)
 
 
-_CANON_CAP = 200000
+_CANON_CAP = 200000  # relabels at one position of canonical_transform
 # codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 relabeled crossings
 _CROSS0 = 64
 
@@ -424,22 +422,17 @@ def _relabel(comp, blind, r, ids: dict) -> str:
     ])
 
 
-def _key(comps, blinds, perm, rots) -> tuple:
-    """The key of one candidate: crossing ids are numbered across components."""
-    ids: dict[str, int] = {}
-    return tuple(_relabel(comps[ci], blinds[ci], r, ids) for ci, r in zip(perm, rots))
-
-
 def canonical_transform(diagram: Diagram):
     """(key, perm, rots): key is the least id-relabeled key over the
     rotations with the least id-blind string (crossings coded by slot alone)
-    and the orders of components with equal ones; canonical component i is
-    the original component perm[i] rotated left by rots[i].  The key holds
-    one str per component, whose codes order the candidates as the event
-    tuples with crossing ids replaced by first-occurrence indices do, so perm
-    and rots are those of the least tuples.  A diagram whose components have
-    one least blind rotation each, all different, has one candidate: its key
-    needs no search.  Raises ValueError on an event outside the alphabet."""
+    and the orders of components with equal ones, and (perm, rots) the least
+    reaching it: canonical component i is component perm[i] rotated left by
+    rots[i].  Position i takes a component with the i-th least blind string,
+    and the key's i-th str depends only on positions 0..i, so the positions
+    are filled in order, keeping the choices tied on the least prefix.  A
+    position relabels at most once per candidate, so the key is exact up to
+    _CANON_CAP candidates; a position past _CANON_CAP relabels, and any later
+    one, extends only its first prefix.  Raises ValueError on an unknown event."""
     comps = diagram.components
     code = _code_table(diagram.surface).__getitem__
     if len(comps) == 1:
@@ -450,29 +443,32 @@ def canonical_transform(diagram: Diagram):
         return (), (), ()
 
     blinds, cand_rots = zip(*(least_rotation("".join(map(code, comp))) for comp in comps))
-    # component order: sort by least blind string; only ties permute
-    order = tuple(sorted(range(len(comps)), key=blinds.__getitem__))
-    rots = tuple(cand_rots[ci][0] for ci in order)
-    if len(set(blinds)) == len(blinds) and all(len(starts) == 1 for starts in cand_rots):
-        return _key(comps, blinds, order, rots), order, rots
-
-    groups = [list(g) for _, g in itertools.groupby(order, blinds.__getitem__)]
-    total = math.prod(map(len, cand_rots))
-    total *= math.prod(math.factorial(min(len(g), 10)) for g in groups)
-    if total > _CANON_CAP:
-        # past the cap a sound fallback: the first candidate of each
-        return _key(comps, blinds, order, rots), order, rots
-
-    best = None
-    for perm_groups in itertools.product(
-        *(itertools.permutations(group) for group in groups)
-    ):
-        perm = tuple(ci for group in perm_groups for ci in group)
-        for rots in itertools.product(*(cand_rots[ci] for ci in perm)):
-            key = _key(comps, blinds, perm, rots)
-            if best is None or key < best[0]:
-                best = (key, perm, rots)
-    return best
+    homes = Counter(x for comp in comps for x in {ev[1] for ev in comp if ev[0] == "cross"})
+    alone = [all(homes[ev[1]] == 1 for ev in comp if ev[0] == "cross") for comp in comps]
+    key, states, relabels = (), [((), (), {})], 0  # states: (perm, rots, crossing ids)
+    for blind in sorted(blinds):
+        level, least = [], None
+        if relabels <= _CANON_CAP:
+            relabels = 0
+        for n, (perm, rots, ids) in enumerate(states):
+            if n and relabels > _CANON_CAP:
+                break
+            seen = set()  # of components sharing no crossing, equal strs are interchangeable
+            for ci in (ci for ci, b in enumerate(blinds) if b == blind and ci not in perm):
+                for r in cand_rots[ci]:
+                    new_ids = dict(ids)
+                    s = _relabel(comps[ci], blind, r, new_ids)
+                    relabels += 1
+                    if alone[ci]:
+                        if s in seen:
+                            continue
+                        seen.add(s)
+                    if least is None or s < least:
+                        level, least = [], s
+                    if s == least:
+                        level.append((perm + (ci,), rots + (r,), new_ids))
+        key, states = key + (least,), level
+    return (key, *min(state[:2] for state in states))
 
 
 def canonical_key(diagram: Diagram):

@@ -214,17 +214,16 @@ class CircleBundle:
 
     @classmethod
     def unit_tangent(cls, base: Surface) -> "CircleBundle":
-        e = 0 if not base.is_closed else base.euler_char
-        return cls(base, BundleKind.UNIT_TANGENT, e)
+        return cls(base, BundleKind.UNIT_TANGENT, _expected_euler(base, BundleKind.UNIT_TANGENT))
 
     @classmethod
     def projective_tangent(cls, base: Surface) -> "CircleBundle":
-        e = 0 if not base.is_closed else 2 * base.euler_char
-        return cls(base, BundleKind.PROJECTIVE_TANGENT, e)
+        kind = BundleKind.PROJECTIVE_TANGENT
+        return cls(base, kind, _expected_euler(base, kind))
 
     @classmethod
     def trivial(cls, base: Surface) -> "CircleBundle":
-        return cls(base, BundleKind.TRIVIAL, 0)
+        return cls(base, BundleKind.TRIVIAL, _expected_euler(base, BundleKind.TRIVIAL))
 
     @classmethod
     def custom(cls, base: Surface, euler_number: int) -> "CircleBundle":

@@ -100,19 +100,23 @@ def _dehn_step(w: str, rotations: list[str], cyclic: bool) -> str | None:
     return None
 
 
-def _dehn(word: str, surface: Surface, cyclic: bool) -> str:
+def eliminate_last_boundary(word: str, surface: Surface) -> str:
+    """word with d_k written in the other generators; a closed surface has none."""
     if surface.is_closed:
-        if surface.genus <= 1:
-            raise UnsupportedSurface(
-                "Dehn's algorithm needs a closed surface of genus >= 2 "
-                "(or a bounded surface, whose group is free)"
-            )
-        rotations = _relator_rotations(surface)
-    else:  # write d_k in the free generators; no replacement applies
-        rest = surface.boundary_word()[:-1]
-        d = surface.generator_chars[-1]
-        word = word.translate({ord(d): inverse_word(rest), ord(d.upper()): rest})
-        rotations = []
+        return word
+    rest = surface.boundary_word()[:-1]
+    d = surface.generator_chars[-1]
+    return word.translate({ord(d): inverse_word(rest), ord(d.upper()): rest})
+
+
+def _dehn(word: str, surface: Surface, cyclic: bool) -> str:
+    if surface.is_closed and surface.genus <= 1:
+        raise UnsupportedSurface(
+            "Dehn's algorithm needs a closed surface of genus >= 2 "
+            "(or a bounded surface, whose group is free)"
+        )
+    rotations = _relator_rotations(surface) if surface.is_closed else []  # bounded: free
+    word = eliminate_last_boundary(word, surface)
     w = cyclic_reduce(word) if cyclic else free_reduce(word)
     while (nxt := _dehn_step(w, rotations, cyclic)) is not None:
         w = nxt

@@ -319,6 +319,40 @@ def test_replay_inapplicable_move(tmp_path, capsys):
     assert code == 1
 
 
+HNN = {"generators": "ab", "a_letters": "a", "b_letters": "b", "phi": {"a": "b"}, "word": [1, -1]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{d}"],
+        ["invariants", "{d}"],
+        ["canonicalize", "{shadow}"],
+        ["canonicalize", "{shadow}", "-o", "{out}"],
+        ["equiv", "{d}", "{d}"],
+        ["replay", "{d}", "{cert}"],
+        ["replay", "{d}", "{cert}", "-o", "{out}"],
+        ["h1", "--genus", "2", "--sigma=0,0,0,0,1"],
+        ["group", "reduce", "--genus", "2", "abAB"],
+        ["group", "trivial", "--genus", "2", "abAB"],
+        ["group", "conj", "--genus", "2", "ab", "ba"],
+        ["group", "powersum", "--genus", "2", "ab", "--factor", "c:1"],
+        ["group", "britton", "{hnn}"],
+    ],
+    ids=" ".join,
+)
+def test_every_verb_prints_one_json_object(tmp_path, capsys, argv):
+    paths = {
+        "d": write(tmp_path, "d.txt", VERTEX_LINK),
+        "shadow": write(tmp_path, "s.txt", CIRCLE + "twist: 0 1 2\n"),
+        "cert": write(tmp_path, "c.json", json.dumps([{"kind": "stab", "site": [0, 0, "lr"]}])),
+        "hnn": write(tmp_path, "h.json", json.dumps(HNN)),
+        "out": str(tmp_path / "out.txt"),
+    }
+    code, out = run(capsys, "--format", "json", *(a.format(**paths) for a in argv))
+    assert code in (0, 1) and isinstance(json.loads(out), dict)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["equiv"])  # missing required paths

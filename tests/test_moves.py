@@ -325,17 +325,18 @@ def renamed(comp, name):
 
 def tie_prone_diagram(rng):
     """A random diagram on a genus-2 or genus-3 surface in either mode, with
-    1-3 components, sometimes a duplicated component (crossings renamed) and
-    sometimes a component repeated twice over, so that component orders and
-    rotations tie."""
+    1-4 components, sometimes up to two duplicated components (crossings
+    renamed) and sometimes a component repeated twice over, so that component
+    orders and rotations tie."""
     surface = Surface(rng.choice((2, 3)))
     mode = rng.choice(["smooth", "cusp"])
     d = random_diagram(
         rng, surface, mode, n_components=rng.randint(1, 3), max_loose_events=5, max_crossings=3
     )
     comps = list(d.components)
-    if len(comps) < 3 and rng.random() < 0.5:
-        comps.append(renamed(rng.choice(comps), lambda x: x + "d"))
+    for suffix in "de":
+        if len(comps) < 4 and rng.random() < 0.5:
+            comps.append(renamed(rng.choice(comps), lambda x: x + suffix))
     if rng.random() < 0.3:
         ci = rng.randrange(len(comps))
         comps[ci] *= 2
@@ -374,6 +375,85 @@ def test_canonical_transform_matches_reference(rng):
         comps[ci] = c[:p] + (c[p + 1], c[p]) + c[p + 2 :]
     d3 = Diagram(d.surface, d.mode, tuple(comps))
     assert (canonical_key(d3) == key) == (reference_canonical_transform(d3)[0] == ref_key)
+
+
+Q4 = (qturn(1),) * 4
+
+
+def relabel_calls(monkeypatch):
+    """The arguments of every later moves._relabel call."""
+    calls = []
+    inner = moves_module._relabel
+    monkeypatch.setattr(moves_module, "_relabel", lambda *a: calls.append(a) or inner(*a))
+    return calls
+
+
+def test_canonical_key_nine_component_chain():
+    # 9! = 362,880 component orders tie on their blind strings, but each
+    # position after the first has one least choice: the next link
+    links = [(cross(str(i), 2), cross(str((i + 1) % 9), 1)) + Q4 for i in range(9)]
+    d = Diagram(S2, "smooth", tuple(links))
+    assert diagrams_equal(d, rearranged(random.Random(0), d))
+
+
+def linked_pairs(n):
+    """n copies of a pair of components crossing each other twice."""
+    comps = []
+    for i in range(n):
+        x, y = f"{i}x", f"{i}y"
+        comps.append((cross(x, 1), qturn(1), cross(y, 1)) + Q4[:3])
+        comps.append((cross(x, 2), qturn(1), cross(y, 2)) + Q4[:3])
+    return Diagram(S2, "smooth", tuple(comps))
+
+
+def test_canonical_key_six_identical_linked_pairs():
+    # 6! * 6! = 518,400 candidates; the first six positions tie in 720 ways
+    d = linked_pairs(6)
+    assert diagrams_equal(d, rearranged(random.Random(0), d))
+
+
+def test_canonical_key_identical_components_alone_are_kept_once(monkeypatch):
+    # components that share no crossing and have equal strings are
+    # interchangeable: each position relabels each free one and keeps the
+    # first, so ten copies make 10 + 9 + ... + 1 relabels, not 10! orders
+    calls = relabel_calls(monkeypatch)
+    for comp in [(edge("a1"),) + Q4, (cross("x", 1), cross("x", 2)) + Q4]:
+        d = Diagram(S2, "smooth", tuple(renamed(comp, lambda x, i=i: f"{x}{i}") for i in range(10)))
+        calls.clear()
+        key, perm, rots = canonical_transform(d)
+        assert perm == tuple(range(10)) and len(calls) == 55
+        assert canonical_key(rearranged(random.Random(0), d)) == key
+
+
+def test_canonical_key_is_exact_up_to_the_cap(monkeypatch):
+    # five identical components each share one crossing with a sixth,
+    # which meets them in reverse order: 5! = 120 candidates, and only the
+    # order that component 5 reads, 4 3 2 1 0, gives the least key.  No
+    # position relabels more than 120 times, but all of them together do.
+    comps = [(cross(f"x{i}", 1), cross(f"x{i}", 2), cross(f"y{i}", 1)) + Q4 for i in range(5)]
+    comps.append(tuple(cross(f"y{i}", 2) for i in (4, 3, 2, 1, 0)) + Q4)
+    d = Diagram(S2, "smooth", tuple(comps))
+    monkeypatch.setattr(moves_module, "_CANON_CAP", 120)
+    calls = relabel_calls(monkeypatch)
+    key, perm, rots = canonical_transform(d)
+    assert len(calls) > 120
+    assert (perm, rots) == reference_canonical_transform(d)[1:] and perm == (4, 3, 2, 1, 0, 5)
+    for seed in range(3):
+        assert canonical_key(rearranged(random.Random(seed), d)) == key
+
+
+def test_canonical_transform_stops_at_the_cap(monkeypatch):
+    # eight identical linked pairs: the eight first components tie at every
+    # position, so position p makes 8!/(7-p)! relabels uncapped (more than a
+    # million in all).  With a cap of 100, positions 0 and 1 make 8 and 56,
+    # position 2 stops after the prefix that passes 100 (6 relabels each),
+    # and every later position relabels its first prefix only.
+    monkeypatch.setattr(moves_module, "_CANON_CAP", 100)
+    calls = relabel_calls(monkeypatch)
+    key, perm, rots = canonical_transform(linked_pairs(8))
+    assert len(key) == 16 and sorted(perm) == list(range(16))
+    first_prefixes = sum(range(1, 6)) + sum(range(1, 9))
+    assert len(calls) <= 8 + 56 + (100 + 6) + first_prefixes
 
 
 def test_canonical_key_rejects_event_outside_alphabet():

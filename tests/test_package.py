@@ -1,5 +1,6 @@
 """The package's public names: lazily resolved, but the same objects."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -62,3 +63,21 @@ def test_import_loads_no_submodule_until_used():
         capture_output=True, text=True, timeout=60,
     ).stdout
     assert out.split() == ["[]", "curvelift.hnn"]
+
+
+def test_package_imports_only_the_standard_library():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.join(root, "src", "curvelift")
+    imported = set()  # (file, top-level module) of every absolute import
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((name, node.module.split(".")[0]))
+    allowed = sys.stdlib_module_names | {"curvelift"}
+    assert {(name, module) for name, module in imported if module not in allowed} == set()
