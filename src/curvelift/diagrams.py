@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import DiagramSyntaxError
 from .surfaces import BundleKind, CircleBundle, Surface, bundle_for_token
@@ -71,15 +70,15 @@ CUSP_U = cusp(1)
 CUSP_D = cusp(-1)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    surface: Surface
-    mode: str  # SMOOTH or CUSP_SMOOTH
-    components: tuple[tuple[Event, ...], ...]
+class Diagram(namedtuple("Diagram", "surface mode components")):
+    """Components (tuples of events) in mode SMOOTH or CUSP_SMOOTH; no
+    __slots__, since fresh_crossing_ids caches itself in the instance dict."""
 
-    def __post_init__(self):
+    def __new__(cls, surface: Surface, mode: str, components: tuple[tuple[Event, ...], ...]):
+        self = tuple.__new__(cls, (surface, mode, components))
         if self.mode not in (SMOOTH, CUSP_SMOOTH):
             raise ValueError(f"unknown mode {self.mode!r}")
+        return self
 
     def with_components(self, components) -> "Diagram":
         return Diagram(self.surface, self.mode, tuple(tuple(c) for c in components))
@@ -99,11 +98,10 @@ class Diagram:
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    component: int | None
-    detail: str
+class Violation(namedtuple("Violation", "rule component detail")):
+    """A rule broken by one component (None: the whole diagram), with detail."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         where = f" (component {self.component})" if self.component is not None else ""

@@ -9,23 +9,21 @@ is exactly what makes pinch detection effective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MalformedAssociatedSubgroup
 from .words import free_reduce, inverse_word
 
 
-@dataclass(frozen=True)
-class HNNExtension:
+class HNNExtension(namedtuple("HNNExtension", "generators a_letters b_letters phi")):
     """<base gens, t | t h t^{-1} = phi(h) for h in <A>>, with A, B generator
-    subsets and phi a letterwise bijection A -> B."""
+    subsets and phi a letterwise bijection A -> B, as (a, phi(a)) pairs."""
 
-    generators: tuple[str, ...]
-    a_letters: frozenset[str]
-    b_letters: frozenset[str]
-    phi: tuple[tuple[str, str], ...]  # (a, phi(a)) pairs
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, generators: tuple[str, ...], a_letters: frozenset[str],
+                b_letters: frozenset[str], phi: tuple[tuple[str, str], ...]):
+        self = tuple.__new__(cls, (generators, a_letters, b_letters, phi))
         gens = set(self.generators)
         table = dict(self.phi)
         if not self.a_letters <= gens or not self.b_letters <= gens:
@@ -34,6 +32,7 @@ class HNNExtension:
             raise MalformedAssociatedSubgroup("phi must be a bijection A -> B")
         if len(table) != len(set(table.values())):
             raise MalformedAssociatedSubgroup("phi must be injective")
+        return self
 
     def _map(self, word: str, table: dict[str, str], domain: frozenset[str]) -> str:
         out = []
@@ -66,19 +65,18 @@ class HNNExtension:
         return None
 
 
-@dataclass(frozen=True)
-class HNNWord:
+class HNNWord(namedtuple("HNNWord", "extension base_words signs")):
     """Alternating normal form g_0 t^{s_0} g_1 ... t^{s_{n-1}} g_n."""
 
-    extension: HNNExtension
-    base_words: tuple[str, ...]
-    signs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, extension: HNNExtension, base_words: tuple[str, ...], signs: tuple[int, ...]):
+        self = tuple.__new__(cls, (extension, base_words, signs))
         if len(self.base_words) != len(self.signs) + 1:
             raise ValueError("need one more base word than t-exponents")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("t-exponents must be +-1")
+        return self
 
     @classmethod
     def from_items(cls, extension: HNNExtension, items) -> "HNNWord":

@@ -10,7 +10,7 @@ bundle is the abelianized shadow plus the fiber degree reduced mod |e|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .diagrams import (
@@ -62,18 +62,17 @@ def turning_number(diagram: Diagram, component: int):
     return int(total)
 
 
-@dataclass(frozen=True)
-class LiftClass:
+class LiftClass(namedtuple("LiftClass", "base_part fiber_part euler_number")):
     """Homology class of the canonical lift: abelianized shadow plus fiber
     degree reduced to [0, |e|) when e != 0."""
 
-    base_part: tuple[int, ...]
-    fiber_part: int
-    euler_number: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, base_part: tuple[int, ...], fiber_part: int, euler_number: int):
+        self = tuple.__new__(cls, (base_part, fiber_part, euler_number))
         if self.euler_number != 0 and not 0 <= self.fiber_part < abs(self.euler_number):
             raise ValueError("fiber_part must be reduced mod |e|")
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -145,8 +144,7 @@ def vertex_link_curve(surface: Surface) -> Diagram:
 # twisted shadows and canonicalization
 
 
-@dataclass(frozen=True)
-class TwistedShadow:
+class TwistedShadow(namedtuple("TwistedShadow", "diagram twists crossing_fixes corner_modes")):
     """Rectilinear diagram without kinks/cusps, plus fiber-twist annotations.
 
     twists:        (component, position) -> m, fiber twists over the straight
@@ -157,12 +155,10 @@ class TwistedShadow:
                    quarter-turn events
     """
 
-    diagram: Diagram
-    twists: tuple[tuple[tuple[int, int], int], ...] = ()
-    crossing_fixes: tuple[tuple[str, str], ...] = ()
-    corner_modes: tuple[tuple[tuple[int, int], str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, diagram: Diagram, twists=(), crossing_fixes=(), corner_modes=()):
+        self = tuple.__new__(cls, (diagram, twists, crossing_fixes, corner_modes))
         for comp in self.diagram.components:
             for ev in comp:
                 if ev[0] in ("kink", "cusp"):
@@ -187,6 +183,7 @@ class TwistedShadow:
                 raise ValueError(f"corner references missing quarter turn ({ci}, {pos})")
             if mode not in ("smooth", "through_loop"):
                 raise ValueError(f"bad corner mode {mode!r}")
+        return self
 
 
 def _loops(mode: str, n: int) -> list:

@@ -37,9 +37,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .diagrams import CUSP_SMOOTH, SMOOTH, Diagram, cusp, edge, kink, qturn, shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
@@ -52,14 +51,11 @@ from .words import conjugacy_class_key, least_rotation
 # move instances
 
 
-@dataclass(frozen=True, order=True)
-class MoveInstance:
-    """A catalogued rewrite: kind, site coordinates, optional payload
-    (transvection data)."""
+class MoveInstance(namedtuple("MoveInstance", "kind site data", defaults=((), ()))):
+    """A catalogued rewrite: kind (str), site coordinates (tuple), optional
+    payload (tuple: transvection data).  Moves order by (kind, site, data)."""
 
-    kind: str
-    site: tuple = ()
-    data: tuple = ()
+    __slots__ = ()
 
 
 STAB_VARIANTS = {
@@ -292,13 +288,14 @@ def _transvection_rewrite(diagram: Diagram, move: MoveInstance):
     return diagram.with_components(comps), None
 
 
-@dataclass(frozen=True)
-class _Kind:
-    growth: int  # events added; the search tries shrinking kinds first
-    sites: Callable  # diagram -> every site where the kind fits, in order
-    match: Callable  # the check apply_move makes
-    rewrite: Callable  # the inverse is None for a transvection
-    transport: Callable | None  # (site, site_map) -> the site in an equal diagram
+class _Kind(namedtuple("_Kind", "growth sites match rewrite transport")):
+    """growth: events added (the search tries shrinking kinds first); sites:
+    diagram -> every site where the kind fits, in order; match: the check
+    apply_move makes; rewrite: the new diagram and the inverse move, which is
+    None for a transvection; transport: (site, site_map) -> the site in an
+    equal diagram, or None."""
+
+    __slots__ = ()
 
 
 def _local(candidates: Callable, check: Callable, fits: Callable, why: str) -> tuple:
@@ -510,22 +507,26 @@ def _site_map(src: Diagram, dst: Diagram):
 # bounded equivalence search
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_moves: int = 6
-    max_states: int = 100000
-    transvection_generators: tuple[MoveInstance, ...] = ()
+class SearchBudget(namedtuple("SearchBudget", "max_moves max_states transvection_generators")):
+    """Limits of equivalent_bounded and the transvections it may apply."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, max_moves: int = 6, max_states: int = 100000,
+                transvection_generators: tuple[MoveInstance, ...] = ()):
+        self = tuple.__new__(cls, (max_moves, max_states, transvection_generators))
         if self.max_moves < 0 or self.max_states < 1:
             raise ValueError("budgets must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    status: str  # "equivalent" | "distinguished" | "unknown"
-    certificate: tuple[MoveInstance, ...] | None = None
-    invariant: tuple | None = None  # (name, value_for_d1, value_for_d2)
+class EquivalenceVerdict(namedtuple("EquivalenceVerdict", "status certificate invariant",
+                                     defaults=(None, None))):
+    """Outcome of equivalent_bounded: status "equivalent" | "distinguished" |
+    "unknown", a certificate (tuple of MoveInstance) when equivalent, and an
+    invariant (name, value_for_d1, value_for_d2) when distinguished."""
+
+    __slots__ = ()
 
     @property
     def equivalent(self) -> bool:

@@ -7,7 +7,7 @@ Matrices are plain lists of lists of Python ints (arbitrary precision).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 IntMatrix = list  # list[list[int]]
 
@@ -110,14 +110,13 @@ def diagonal(d: IntMatrix) -> list[int]:
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "rank torsion")):
     """Z^rank + Z/t1 + ... with the invariant-factor chain t1 | t2 | ..."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rank: int, torsion: tuple[int, ...] = ()):
+        self = tuple.__new__(cls, (rank, torsion))
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -125,6 +124,7 @@ class AbelianGroup:
                 raise ValueError(f"invariant factors must form a chain: {self.torsion}")
         if any(tq < 2 for tq in self.torsion):
             raise ValueError("invariant factors must be >= 2")
+        return self
 
     @classmethod
     def from_relation_matrix(cls, relations: IntMatrix, num_generators: int) -> "AbelianGroup":
@@ -176,12 +176,10 @@ def filling_quotient(relations: IntMatrix, num_generators: int, sigma: list[int]
     return AbelianGroup.from_relation_matrix(rows, num_generators)
 
 
-@dataclass(frozen=True)
-class BundleFit:
+class BundleFit(namedtuple("BundleFit", "genus euler_numbers")):
     """Solution of the circle-bundle homology formulas for (genus, e)."""
 
-    genus: int
-    euler_numbers: tuple[int, ...]
+    __slots__ = ()
 
 
 def genus_from_filling_h1(h: AbelianGroup, boundary_count: int) -> BundleFit | None:

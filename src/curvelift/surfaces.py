@@ -10,9 +10,8 @@ draw from the remaining alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 
 from .errors import UnsupportedSurface
 
@@ -21,18 +20,18 @@ _LETTER_POOL = "abcdefghijklmnopqrsuvwxyz"
 FIBER_CHAR = "t"
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(namedtuple("Surface", "genus boundary")):
     """Closed or bounded orientable surface with its fundamental polygon data."""
 
-    genus: int
-    boundary: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, genus: int, boundary: int = 0):
+        self = tuple.__new__(cls, (genus, boundary))
         if self.genus < 0 or self.boundary < 0:
             raise ValueError("genus and boundary count must be non-negative")
         if 2 * self.genus + self.boundary > len(_LETTER_POOL):
             raise ValueError("surface too large for the one-char letter encoding")
+        return self
 
     # ------------------------------------------------------------------
     # basic invariants
@@ -126,6 +125,8 @@ class Surface:
         exactly chi.  Bounded surfaces are genuinely flat-trivializable and
         get offset 0.  See docs/turning_model.md.
         """
+        from fractions import Fraction  # here, so that h1 and group load no fractions
+
         if self.is_closed and self.genus >= 1:
             return Fraction(self.euler_char, 4 * self.genus)
         return Fraction(0)
@@ -140,20 +141,19 @@ class Surface:
 # group presentations
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(namedtuple("GroupPresentation", "generators relators names")):
     """Finite presentation; generators are one-char symbols, relators are
-    compact words (uppercase = inverse)."""
+    compact words (uppercase = inverse), names are (char, display name) pairs."""
 
-    generators: tuple[str, ...]
-    relators: tuple[str, ...]
-    names: tuple[tuple[str, str], ...] = ()  # (char, display name)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, generators: tuple[str, ...], relators: tuple[str, ...], names=()):
+        self = tuple.__new__(cls, (generators, relators, names))
         gens = set(self.generators)
         for rel in self.relators:
             if any(ch.lower() not in gens for ch in rel):
                 raise ValueError(f"relator {rel!r} uses undeclared generators")
+        return self
 
     def display_name(self, ch: str) -> str:
         table = dict(self.names)
@@ -190,19 +190,17 @@ class BundleKind(Enum):
     CUSTOM = "CUSTOM"
 
 
-@dataclass(frozen=True)
-class CircleBundle:
+class CircleBundle(namedtuple("CircleBundle", "base kind euler_number")):
     """Oriented circle bundle over a surface, classified by its Euler number.
 
     Convention: e(UT(S)) = chi(S), e(PT(S)) = 2 chi(S); bundles over surfaces
     with boundary are trivial (e = 0).
     """
 
-    base: Surface
-    kind: BundleKind
-    euler_number: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, base: Surface, kind: BundleKind, euler_number: int):
+        self = tuple.__new__(cls, (base, kind, euler_number))
         expected = _expected_euler(self.base, self.kind)
         if expected is not None and self.euler_number != expected:
             raise ValueError(
@@ -211,6 +209,7 @@ class CircleBundle:
             )
         if not self.base.is_closed and self.euler_number != 0:
             raise ValueError("bundles over bounded surfaces are trivial (e = 0)")
+        return self
 
     @classmethod
     def unit_tangent(cls, base: Surface) -> "CircleBundle":

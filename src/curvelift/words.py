@@ -12,7 +12,7 @@ d_k = (prod [a_i, b_i] d_1 ... d_{k-1})^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnsupportedSurface
 from .surfaces import Surface
@@ -175,16 +175,16 @@ def conjugacy_class_key(word: str, surface: Surface) -> str:
 # exponent-sum obstruction for normal closures
 
 
-@dataclass(frozen=True)
-class GroupElementExpr:
+class GroupElementExpr(namedtuple("GroupElementExpr", "w factors")):
     """Product prod_j g_j^{-1} w^{eps_j} g_j of conjugated powers of w."""
 
-    w: str
-    factors: tuple[tuple[str, int], ...]  # (g_j, eps_j)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, w: str, factors: tuple[tuple[str, int], ...]):
+        self = tuple.__new__(cls, (w, factors))
         if any(eps not in (1, -1) for _, eps in self.factors):
             raise ValueError("exponents must be +-1")
+        return self
 
     def product_word(self) -> str:
         parts = []

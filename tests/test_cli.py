@@ -362,43 +362,52 @@ def test_usage_error_exit_code(capsys):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PROBE = """
 import json, sys
+before = set(sys.modules)
 import curvelift.cli
 code = curvelift.cli.main(sys.argv[1:]) if sys.argv[1:] else None
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("curvelift"))]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 CLI_ONLY = {"curvelift", "curvelift.cli", "curvelift.errors"}
+# records are named tuples: dataclasses (and the inspect it imports) stay unloaded
+RECORDS = {"dataclasses", "inspect"}
+FRACTIONS = {"fractions", "decimal"}
 
 
 def loaded_modules(*argv):
-    """Exit code and curvelift modules of a fresh process that imports the
-    CLI and runs one verb."""
+    """Exit code, curvelift modules and standard-library modules that a fresh
+    process loads when it imports the CLI and runs one verb (those the
+    interpreter had loaded before the import do not count)."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
     )
     code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, {m.removeprefix("curvelift.") for m in set(modules) - CLI_ONLY}
+    ours = {m for m in modules if m.split(".")[0] == "curvelift"}
+    return code, {m.removeprefix("curvelift.") for m in ours - CLI_ONLY}, set(modules) - ours
 
 
 def test_cli_import_loads_no_library_module():
-    assert loaded_modules() == (None, set())
+    code, modules, stdlib = loaded_modules()
+    assert (code, modules) == (None, set()) and not stdlib & (RECORDS | FRACTIONS)
 
 
 @pytest.mark.parametrize(
-    "argv, code, absent",
+    "argv, code, absent",  # absent: curvelift modules by short name, and stdlib modules
     [
-        (["validate", "{d}"], 0, {"moves", "snf", "homology", "hnn"}),
-        (["invariants", "{d}"], 0, {"moves", "hnn"}),
-        (["group", "trivial", "--genus", "2", "abAB"], 1, {"diagrams", "moves", "lifting", "snf"}),
-        (["equiv", "{d}", "{d}"], 0, {"snf", "hnn"}),
+        (["validate", "{d}"], 0, {"moves", "snf", "homology", "hnn", *RECORDS}),
+        (["invariants", "{d}"], 0, {"moves", "hnn", *RECORDS}),
+        (["group", "trivial", "--genus", "2", "abAB"], 1,
+         {"diagrams", "moves", "lifting", "snf", *RECORDS, *FRACTIONS}),
+        (["equiv", "{d}", "{d}"], 0, {"snf", "hnn", *RECORDS}),
     ],
 )
 def test_verb_loads_only_what_it_uses(tmp_path, argv, code, absent):
     path = write(tmp_path, "d.txt", VERTEX_LINK)
-    got, modules = loaded_modules(*(a.format(d=path) for a in argv))
-    assert got == code and modules and not modules & absent
+    got, modules, stdlib = loaded_modules(*(a.format(d=path) for a in argv))
+    assert got == code and modules and stdlib and not (modules | stdlib) & absent
 
 
 def test_h1_loads_only_the_algebra():
-    code, modules = loaded_modules("h1", "--genus", "2", "--sigma", "0,0,0,0,1")
+    code, modules, stdlib = loaded_modules("h1", "--genus", "2", "--sigma", "0,0,0,0,1")
     assert code == 0 and modules == {"surfaces", "snf", "homology"}
+    assert stdlib and not stdlib & (RECORDS | FRACTIONS)
