@@ -129,17 +129,6 @@ def cmd_canonicalize(args) -> int:
     return 0
 
 
-def _load_transvections(path: str):
-    from .moves import transvection
-
-    return tuple(
-        transvection(
-            [(c["word"], c["weight"], [tuple(s) for s in c["sites"]])]
-        )
-        for c in _read_json(path)
-    )
-
-
 def _relabel(diagram, table: dict[str, str]):
     """Generator substitution on edge letters; values may carry a prime for
     an orientation-reversed image.
@@ -179,7 +168,7 @@ def _relabel(diagram, table: dict[str, str]):
 
 def cmd_equiv(args) -> int:
     from .diagrams import parse
-    from .moves import SearchBudget, equivalent_bounded, move_to_json
+    from .moves import SearchBudget, equivalent_bounded, move_from_json, move_to_json
 
     d1, b1 = parse(_read_text(args.path1))
     d2, b2 = parse(_read_text(args.path2))
@@ -189,10 +178,13 @@ def cmd_equiv(args) -> int:
         table = _read_json(args.relabel)
         try:
             d2 = _relabel(d2, table)
-        except ValueError as exc:
-            print(f"error: --relabel: {exc}", file=sys.stderr)
+        except (KeyError, ValueError) as exc:  # an unknown name, or no homeomorphism
+            print(f"error: --relabel: {exc.args[0]}", file=sys.stderr)
             return 2
-    generators = _load_transvections(args.transvections) if args.transvections else ()
+    generators = tuple(
+        move_from_json({"kind": "transvection", "curves": [c]})
+        for c in (_read_json(args.transvections) if args.transvections else ())
+    )
     budget = SearchBudget(
         max_moves=args.budget_moves,
         max_states=args.budget_states,
@@ -218,8 +210,9 @@ def cmd_h1(args) -> int:
     from .surfaces import bundle_for_token, bundle_pi1_presentation
 
     bundle = bundle_for_token(args.bundle.upper(), _surface_from_args(args), args.euler)
-    group = bundle_h1(bundle)
-    if args.sigma:
+    if not args.sigma:
+        group = bundle_h1(bundle)
+    else:
         try:
             sigma = [int(x) for x in args.sigma.replace(",", " ").split()]
             pres = bundle_pi1_presentation(bundle)
@@ -237,6 +230,13 @@ def cmd_group(args) -> int:
     from .words import exponent_sum, is_trivial, powersum_check
 
     surface = _surface_from_args(args)
+    letters = surface.generator_chars + surface.generator_chars.upper()
+    words = [args.word, getattr(args, "word2", "")]
+    words += [item.rpartition(":")[0] for item in getattr(args, "factor", ())]
+    bad = next((ch for word in words for ch in word if ch not in letters), None)
+    if bad is not None:
+        print(f"error: {bad!r} is not a generator letter of {surface} ({letters})", file=sys.stderr)
+        return 2
     if args.group_command == "reduce":
         reduced = dehn_reduce(args.word, surface)
         _emit(args, {"reduced": reduced}, [reduced or "1"])

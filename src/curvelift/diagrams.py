@@ -74,6 +74,8 @@ class Diagram(namedtuple("Diagram", "surface mode components")):
     """Components (tuples of events) in mode SMOOTH or CUSP_SMOOTH; no
     __slots__, since fresh_crossing_ids caches itself in the instance dict."""
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
     def __new__(cls, surface: Surface, mode: str, components: tuple[tuple[Event, ...], ...]):
         self = tuple.__new__(cls, (surface, mode, components))
         if self.mode not in (SMOOTH, CUSP_SMOOTH):

@@ -20,6 +20,7 @@ class HNNExtension(namedtuple("HNNExtension", "generators a_letters b_letters ph
     subsets and phi a letterwise bijection A -> B, as (a, phi(a)) pairs."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, generators: tuple[str, ...], a_letters: frozenset[str],
                 b_letters: frozenset[str], phi: tuple[tuple[str, str], ...]):
@@ -69,6 +70,7 @@ class HNNWord(namedtuple("HNNWord", "extension base_words signs")):
     """Alternating normal form g_0 t^{s_0} g_1 ... t^{s_{n-1}} g_n."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, extension: HNNExtension, base_words: tuple[str, ...], signs: tuple[int, ...]):
         self = tuple.__new__(cls, (extension, base_words, signs))

@@ -67,6 +67,7 @@ class LiftClass(namedtuple("LiftClass", "base_part fiber_part euler_number")):
     degree reduced to [0, |e|) when e != 0."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, base_part: tuple[int, ...], fiber_part: int, euler_number: int):
         self = tuple.__new__(cls, (base_part, fiber_part, euler_number))
@@ -156,6 +157,7 @@ class TwistedShadow(namedtuple("TwistedShadow", "diagram twists crossing_fixes c
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, diagram: Diagram, twists=(), crossing_fixes=(), corner_modes=()):
         self = tuple.__new__(cls, (diagram, twists, crossing_fixes, corner_modes))

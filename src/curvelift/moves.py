@@ -511,6 +511,7 @@ class SearchBudget(namedtuple("SearchBudget", "max_moves max_states transvection
     """Limits of equivalent_bounded and the transvections it may apply."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, max_moves: int = 6, max_states: int = 100000,
                 transvection_generators: tuple[MoveInstance, ...] = ()):
@@ -562,7 +563,7 @@ def _distinguish(d1, d2, bundle, generators):
         shifts.append(
             sum(transvection_fiber_shift(gen, ci) for ci in range(len(d1.components)))
         )
-    modulus = math.gcd(*shifts) if shifts else 0
+    modulus = math.gcd(*shifts)
     f1 = sum(lc.fiber_part for lc in l1)
     f2 = sum(lc.fiber_part for lc in l2)
     if (f1 - f2) % modulus if modulus else (f1 != f2):
@@ -596,22 +597,18 @@ def equivalent_bounded(
     )
     flip_growth = {t: sum(abs(n) * len(sites) for _, n, sites in t.data) for t in flips}
 
-    # visited: key -> (exact diagram, path).  Forward paths are moves from d1;
-    # backward paths are moves applied from d2 (to be inverted on meet).
-    fwd = {k1: (d1, ())}
-    bwd = {k2: (d2, ())}
-    frontier_f = [(d1, ())]
-    frontier_b = [(d2, ())]
-    depth_f = depth_b = 0
-    size1 = sum(len(c) for c in d1.components)
-    size2 = sum(len(c) for c in d2.components)
+    # side 0 searches forward from d1, side 1 backward from d2 (its paths are
+    # inverted on meet); each side maps key -> path, and diagrams live only in
+    # the frontiers
+    seen = ({k1: ()}, {k2: ()})
+    frontiers = [[(d1, ())], [(d2, ())]]
     # any path of <= max_moves moves can overshoot the endpoint sizes by at
     # most 4 events per move round-trip; larger states cannot help
-    size_cap = max(size1, size2) + 2 * budget.max_moves
+    size_cap = max(sum(map(len, d.components)) for d in (d1, d2)) + 2 * budget.max_moves
 
-    def finish(f_diag, f_path, b_diag, b_path):
+    def finish(f_path, b_path):
+        current = replay(d1, f_path)
         cert = list(f_path)
-        current = f_diag
         # replay b_path from d2, keeping each diagram with the inverse of the
         # move that made it (the inverse applies to that diagram)
         b, steps = d2, []
@@ -627,19 +624,17 @@ def equivalent_bounded(
             raise InapplicableMove("certificate assembly failed")
         return EquivalenceVerdict("equivalent", certificate=tuple(cert))
 
-    while frontier_f or frontier_b:
-        if depth_f + depth_b >= budget.max_moves:
+    for _ in range(budget.max_moves):  # one layer of the smaller side, forward on a tie
+        if not any(frontiers):
             break
-        expand_forward = bool(frontier_f) and (
-            not frontier_b or len(frontier_f) <= len(frontier_b)
-        )
-        frontier = frontier_f if expand_forward else frontier_b
-        here, there = (fwd, bwd) if expand_forward else (bwd, fwd)
+        forward, backward = map(len, frontiers)
+        side = 0 if forward and (not backward or forward <= backward) else 1
+        here, there = seen[side], seen[1 - side]
         next_frontier = []
-        for diag, path in frontier:
+        for diag, path in frontiers[side]:
             size = sum(map(len, diag.components))
             moves = applicable_moves(diag)
-            if expand_forward:
+            if side == 0:
                 moves += [t for t in flips if _transvection_match(diag, t) is None]
             # shrinking moves first, so that the frontiers meet before the
             # budget goes on the wider growing branches; the moves are
@@ -656,23 +651,16 @@ def equivalent_bounded(
                     continue
                 new_path = path + (move,)
                 if key in there:
-                    other_diag, other_path = there[key]
+                    paths = (new_path, there[key])
                     try:
-                        if expand_forward:
-                            return finish(new, new_path, other_diag, other_path)
-                        return finish(other_diag, other_path, new, new_path)
+                        return finish(*(paths if side == 0 else paths[::-1]))
                     except InapplicableMove:
                         pass
-                here[key] = (new, new_path)
+                here[key] = new_path
                 next_frontier.append((new, new_path))
-                if len(fwd) + len(bwd) > budget.max_states:
+                if len(seen[0]) + len(seen[1]) > budget.max_states:
                     return EquivalenceVerdict("unknown")
-        if expand_forward:
-            frontier_f = next_frontier
-            depth_f += 1
-        else:
-            frontier_b = next_frontier
-            depth_b += 1
+        frontiers[side] = next_frontier
     return EquivalenceVerdict("unknown")
 
 

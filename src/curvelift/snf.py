@@ -114,6 +114,7 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank torsion")):
     """Z^rank + Z/t1 + ... with the invariant-factor chain t1 | t2 | ..."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, rank: int, torsion: tuple[int, ...] = ()):
         self = tuple.__new__(cls, (rank, torsion))

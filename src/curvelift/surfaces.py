@@ -24,6 +24,7 @@ class Surface(namedtuple("Surface", "genus boundary")):
     """Closed or bounded orientable surface with its fundamental polygon data."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, genus: int, boundary: int = 0):
         self = tuple.__new__(cls, (genus, boundary))
@@ -146,6 +147,7 @@ class GroupPresentation(namedtuple("GroupPresentation", "generators relators nam
     compact words (uppercase = inverse), names are (char, display name) pairs."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, generators: tuple[str, ...], relators: tuple[str, ...], names=()):
         self = tuple.__new__(cls, (generators, relators, names))
@@ -198,6 +200,7 @@ class CircleBundle(namedtuple("CircleBundle", "base kind euler_number")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, base: Surface, kind: BundleKind, euler_number: int):
         self = tuple.__new__(cls, (base, kind, euler_number))

@@ -179,6 +179,7 @@ class GroupElementExpr(namedtuple("GroupElementExpr", "w factors")):
     """Product prod_j g_j^{-1} w^{eps_j} g_j of conjugated powers of w."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, w: str, factors: tuple[tuple[str, int], ...]):
         self = tuple.__new__(cls, (w, factors))

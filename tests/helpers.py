@@ -6,7 +6,15 @@ import itertools
 import math
 from fractions import Fraction
 
-from curvelift import Diagram, Surface, free_reduce, inverse_word
+from curvelift import (
+    Diagram,
+    Surface,
+    applicable_moves,
+    apply_move,
+    canonical_key,
+    free_reduce,
+    inverse_word,
+)
 from curvelift.diagrams import CUSP_SMOOTH, SMOOTH, cross, cusp, edge, kink, qturn
 
 
@@ -212,6 +220,30 @@ def reference_canonical_transform(diagram: Diagram):
             )
             best = min(best or (key, perm, rots), (key, perm, rots))
     return best
+
+
+# ----------------------------------------------------------------------
+# equivalence search
+
+
+def reference_distance(d1: Diagram, d2: Diagram, k: int) -> int | None:
+    """Oracle for moves.equivalent_bounded: plain breadth-first search from
+    d1 over every move applicable_moves lists, diagrams compared by
+    canonical_key, with no state budget, size cap or meet.  The least number
+    of moves that reach d2, or None when it is more than k."""
+    target = canonical_key(d2)
+    layer, seen = {canonical_key(d1): d1}, set()
+    for depth in range(k):
+        if target in layer:
+            return depth
+        seen |= layer.keys()
+        children = {}
+        for diagram in layer.values():
+            for move in applicable_moves(diagram):
+                child = apply_move(diagram, move)
+                children.setdefault(canonical_key(child), child)
+        layer = {key: child for key, child in children.items() if key not in seen}
+    return k if target in layer else None
 
 
 # ----------------------------------------------------------------------

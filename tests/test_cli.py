@@ -171,6 +171,8 @@ def test_equiv_relabel(tmp_path, capsys):
     [
         ({"a1": "a2", "a2": "a1"}, "cbCBadAD"),  # R = abABcdCD goes to a nontrivial word
         ({"b1": "a1", "b2": "a2"}, "permute"),  # R goes to aaAAccCC = 1, but b1, b2 are lost
+        ({"a9": "a1"}, "unknown generator 'a9'"),
+        ({"a1": "b9'"}, "unknown generator 'b9'"),
     ],
 )
 def test_equiv_relabel_rejects_non_homeomorphism(tmp_path, capsys, table, named):
@@ -261,6 +263,18 @@ def test_h1_bundle_tokens(capsys, flags, group):
     assert (code, out.strip()) == ((0, group) if group else (1, ""))
 
 
+def test_h1_runs_one_smith_normal_form(monkeypatch, capsys):
+    from curvelift import snf
+
+    calls = []
+    inner = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda m: calls.append(m) or inner(m))
+    for sigma in ([], ["--sigma", "0,0,0,0,1"]):
+        calls.clear()
+        code, _ = run(capsys, "h1", "--genus", "2", *sigma)
+        assert code == 0 and len(calls) == 1
+
+
 def test_h1_malformed_sigma(capsys):
     code, _ = run(capsys, "h1", "--genus", "2", "--sigma", "1,2")
     assert code == 2
@@ -282,6 +296,21 @@ def test_group_conj(capsys):
     assert code == 0
     code, _ = run(capsys, "group", "conj", "--genus", "2", "a", "b")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, letter",
+    [
+        (["trivial", "--genus", "2", "11"], "'1'"),  # digits are their own swapcase
+        (["trivial", "--genus", "2", "xX"], "'x'"),
+        (["reduce", "--genus", "2", "abe"], "'e'"),  # e is d1, a generator only with boundary
+        (["conj", "--genus", "2", "ab", "bE"], "'E'"),
+        (["powersum", "--genus", "2", "ab", "--factor", "c:1", "--factor", "z:1"], "'z'"),
+    ],
+)
+def test_group_rejects_letters_outside_the_surface(capsys, argv, letter):
+    assert main(["group", *argv]) == 2
+    assert letter in capsys.readouterr().err
 
 
 def test_group_powersum(capsys):

@@ -36,7 +36,7 @@ from curvelift import moves as moves_module
 from curvelift.diagrams import cross, cusp, edge, kink, qturn
 from curvelift.moves import canonical_transform
 
-from helpers import random_diagram, reference_canonical_transform
+from helpers import random_diagram, reference_canonical_transform, reference_distance
 
 S2 = Surface(2)
 UT = CircleBundle.unit_tangent(S2)
@@ -634,6 +634,65 @@ def test_equiv_random_scrambles_replayable():
         v = equivalent_bounded(d, cur, UT, budget())
         assert v.equivalent, f"trial {trial}: {v.status}"
         assert diagrams_equal(replay(d, v.certificate), cur)
+
+
+def random_walk(rng, d, steps):
+    for _ in range(steps):
+        d = apply_move(d, rng.choice(applicable_moves(d)))
+    return d
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_equiv_agrees_with_reference_search(rng):
+    # the bidirectional search certifies within k moves exactly when a plain
+    # breadth-first search from d1 reaches d2 within k moves (except on paths
+    # that end in a move whose inverse the catalogue does not list: below)
+    mode, bundle = rng.choice([("smooth", UT), ("cusp", PT)])
+    d1 = random_diagram(rng, S2, mode, max_loose_events=3, max_crossings=1)
+    d2 = random_walk(rng, d1, rng.randint(1, 3))
+    for k in (1, 2):
+        v = equivalent_bounded(d1, d2, bundle, budget(max_moves=k, max_states=10**6))
+        assert v.status != "distinguished"
+        assert v.equivalent == (reference_distance(d1, d2, k) is not None), (d1, d2, k)
+        if v.equivalent:
+            assert diagrams_equal(replay(d1, v.certificate), d2)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the catalogue is not closed under inverses, so the backward side "
+                   "cannot undo the last move of these paths (ROADMAP item 8)")
+@pytest.mark.parametrize(
+    "comp1, comp2",
+    [
+        ("Q+ L- b1' L+", "Q+ b1'"),  # kink_slide, then destab of the pair L- L+
+        ("Q+ X1.1 a2 X1.2", "X3.1 Q+ X3.2 a2"),  # r2_insert, then r2_remove of a mixed bigon
+    ],
+)
+def test_equiv_finds_reference_paths_ending_in_an_unlisted_inverse(comp1, comp2):
+    head = "surface genus=2 boundary=0\nbundle UT\ncomp: "
+    (d1, bundle), (d2, _) = parse(head + comp1), parse(head + comp2)
+    assert reference_distance(d1, d2, 2) == 2
+    assert equivalent_bounded(d1, d2, bundle, budget(max_moves=2)).equivalent
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_equiv_with_walk_transvection_replays(rng):
+    mode, bundle = rng.choice([("smooth", UT), ("cusp", PT)])
+    d1 = random_diagram(rng, S2, mode, n_components=rng.randint(1, 2), max_loose_events=3,
+                        max_crossings=1)
+    ci = rng.randrange(len(d1.components))
+    site = (ci, rng.randint(0, len(d1.components[ci])), rng.choice((1, -1)))
+    gen = transvection([("a", rng.choice((1, -1, 2)), [site])])
+    d2 = random_walk(rng, apply_move(d1, gen), rng.randint(1, 3))
+    for k in (1, 2):
+        v = equivalent_bounded(
+            d1, d2, bundle, budget(max_moves=k, max_states=10**6, transvection_generators=(gen,))
+        )
+        assert v.status != "distinguished"
+        if v.equivalent:
+            assert diagrams_equal(replay(d1, v.certificate), d2)
 
 
 def test_random_move_preserves_lift_class():

@@ -68,6 +68,16 @@ def test_record_checks_its_fields(cls, fields, error):
         cls(**fields)
 
 
+@pytest.mark.parametrize("cls, fields, error", REJECTED, ids=[c.__name__ for c, _, _ in REJECTED])
+def test_replace_and_make_check_the_fields(cls, fields, error):
+    valid = next(r for r in RECORDS if type(r) is cls)
+    assert valid._replace() == valid and cls._make(valid) == valid
+    with pytest.raises(error):
+        valid._replace(**fields)
+    with pytest.raises(error):
+        cls._make({**valid._asdict(), **fields}.values())
+
+
 def test_records_are_immutable_tuples():
     assert len({type(r) for r in RECORDS}) == 16
     for record in RECORDS:
