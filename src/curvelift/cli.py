@@ -38,6 +38,11 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _write_diagram(args, text: str, payload: dict, lines) -> None:
     """Write the text to --output, or print it (as "diagram" under json)."""
     if args.output:
@@ -133,12 +138,15 @@ def _relabel(diagram, table: dict[str, str]):
     """Generator substitution on edge letters; values may carry a prime for
     an orientation-reversed image.
 
-    Raises ValueError unless the substitution permutes the generators up to
-    inversion and maps the polygon's boundary word R (prod [a_i, b_i] prod d_j)
-    to a rotation of R or of R^-1, on every surface.  Such a map is an
-    automorphism of pi_1 that sends R to a conjugate of R^+-1 and each boundary
-    loop d_j (a letter that occurs once in R, where a_i and b_i occur twice)
-    to a boundary loop, so a homeomorphism induces it (Dehn-Nielsen-Baer)."""
+    Raises ValueError unless table maps names to names, the substitution
+    permutes the generators up to inversion, and it maps the polygon's
+    boundary word R (prod [a_i, b_i] prod d_j) to a rotation of R or of R^-1,
+    on every surface.  Such a map is an automorphism of pi_1 that sends R to a
+    conjugate of R^+-1 and each boundary loop d_j (a letter that occurs once
+    in R, where a_i and b_i occur twice) to a boundary loop, so a
+    homeomorphism induces it (Dehn-Nielsen-Baer)."""
+    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+        raise ValueError("the substitution must be a JSON object of generator names")
     surface = diagram.surface
     char_map: dict[str, str] = {}
     for src, dst in table.items():
@@ -175,16 +183,19 @@ def cmd_equiv(args) -> int:
     if b1 != b2:
         raise ModeMismatch(f"bundle mismatch: {b1} vs {b2}")
     if args.relabel:
-        table = _read_json(args.relabel)
         try:
-            d2 = _relabel(d2, table)
+            d2 = _relabel(d2, _read_json(args.relabel))
         except (KeyError, ValueError) as exc:  # an unknown name, or no homeomorphism
-            print(f"error: --relabel: {exc.args[0]}", file=sys.stderr)
-            return 2
-    generators = tuple(
-        move_from_json({"kind": "transvection", "curves": [c]})
-        for c in (_read_json(args.transvections) if args.transvections else ())
-    )
+            return _usage_error(f"--relabel: {exc.args[0]}")
+    try:
+        generators = tuple(
+            move_from_json({"kind": "transvection", "curves": [c]})
+            for c in (_read_json(args.transvections) if args.transvections else ())
+        )
+    except KeyError as exc:
+        return _usage_error(f"--transvections: a generator has no {exc}")
+    except (TypeError, ValueError) as exc:
+        return _usage_error(f"--transvections: {exc}")
     budget = SearchBudget(
         max_moves=args.budget_moves,
         max_states=args.budget_states,
@@ -219,8 +230,7 @@ def cmd_h1(args) -> int:
             rows = [exponent_vector(rel, pres.generators) for rel in pres.relators]
             group = filling_quotient(rows, len(pres.generators), sigma)
         except ValueError as exc:
-            print(f"error: malformed sigma: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(f"malformed sigma: {exc}")
     _emit(args, {"group": str(group), **group.to_json()}, [str(group)])
     return 0
 
@@ -231,12 +241,14 @@ def cmd_group(args) -> int:
 
     surface = _surface_from_args(args)
     letters = surface.generator_chars + surface.generator_chars.upper()
-    words = [args.word, getattr(args, "word2", "")]
-    words += [item.rpartition(":")[0] for item in getattr(args, "factor", ())]
+    factors = [item.rpartition(":")[::2] for item in getattr(args, "factor", ())]
+    words = [args.word, getattr(args, "word2", "")] + [g for g, _ in factors]
     bad = next((ch for word in words for ch in word if ch not in letters), None)
     if bad is not None:
-        print(f"error: {bad!r} is not a generator letter of {surface} ({letters})", file=sys.stderr)
-        return 2
+        return _usage_error(f"{bad!r} is not a generator letter of {surface} ({letters})")
+    bad = next((f"{g}:{eps}" for g, eps in factors if eps not in ("1", "+1", "-1")), None)
+    if bad is not None:
+        return _usage_error(f"--factor {bad!r}: the exponent must be 1 or -1")
     if args.group_command == "reduce":
         reduced = dehn_reduce(args.word, surface)
         _emit(args, {"reduced": reduced}, [reduced or "1"])
@@ -250,11 +262,7 @@ def cmd_group(args) -> int:
         _emit(args, {"conjugate": verdict}, ["conjugate" if verdict else "not conjugate"])
         return 0 if verdict else 1
     # powersum
-    factors = []
-    for item in args.factor:
-        g, _, eps = item.rpartition(":")
-        factors.append((g, int(eps)))
-    expr = GroupElementExpr(args.word, tuple(factors))
+    expr = GroupElementExpr(args.word, tuple((g, int(eps)) for g, eps in factors))
     result = powersum_check(expr, surface)
     payload = {"result": result, "exponent_sum": exponent_sum(expr)}
     _emit(args, payload, [result])
@@ -389,8 +397,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, DiagramSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     except (ModeMismatch, InapplicableMove, CurveLiftError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -64,12 +64,6 @@ def qturn(sign: int) -> Event:
     return ("qturn", sign)
 
 
-KINK_L = kink(1)
-KINK_R = kink(-1)
-CUSP_U = cusp(1)
-CUSP_D = cusp(-1)
-
-
 class Diagram(namedtuple("Diagram", "surface mode components")):
     """Components (tuples of events) in mode SMOOTH or CUSP_SMOOTH; no
     __slots__, since fresh_crossing_ids caches itself in the instance dict."""
@@ -141,10 +135,9 @@ def validate(diagram: Diagram) -> list[Violation]:
         from .lifting import raw_turning  # local import to avoid a cycle
 
         for ci in range(len(diagram.components)):
-            if raw_turning(diagram, ci).denominator != 1:
-                out.append(
-                    Violation("NonIntegralTurning", ci, f"turning {raw_turning(diagram, ci)}")
-                )
+            turning = raw_turning(diagram, ci)
+            if turning.denominator != 1:
+                out.append(Violation("NonIntegralTurning", ci, f"turning {turning}"))
     return out
 
 
@@ -168,10 +161,10 @@ _TOKEN_RES = {
 }
 
 _FIXED_TOKENS = {
-    "L+": KINK_L,
-    "L-": KINK_R,
-    "C^": CUSP_U,
-    "Cv": CUSP_D,
+    "L+": kink(1),
+    "L-": kink(-1),
+    "C^": cusp(1),
+    "Cv": cusp(-1),
     "Q+": qturn(1),
     "Q-": qturn(-1),
 }

@@ -26,10 +26,9 @@ the transvection generators whose gaps fit, by growth and then by move, each
 matched once (or skipped unrewritten when its exact growth passes the size
 cap); ``apply_move`` is the checked entry point for every other move.
 
-A canonical key is a tuple of one str per component, one character per event
-from a per-surface table built on first use.  The codes order one diagram's
-candidates as its event tuples do, so perm and rots are those the tuples give;
-a one-component diagram with one least id-blind rotation is keyed in one pass.
+A canonical key holds one str per component, one character per event from a
+per-surface table built on first use; each block of components joined by
+crossings is keyed by its least reading, so keys are exact at polynomial cost.
 """
 
 from __future__ import annotations
@@ -383,7 +382,6 @@ def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
 # canonical forms (equality up to rotation, component order, id names)
 
 
-_CANON_CAP = 200000  # relabels at one position of canonical_transform
 # codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 relabeled crossings
 _CROSS0 = 64
 
@@ -420,52 +418,54 @@ def _relabel(comp, blind, r, ids: dict) -> str:
 
 
 def canonical_transform(diagram: Diagram):
-    """(key, perm, rots): key is the least id-relabeled key over the
-    rotations with the least id-blind string (crossings coded by slot alone)
-    and the orders of components with equal ones, and (perm, rots) the least
-    reaching it: canonical component i is component perm[i] rotated left by
-    rots[i].  Position i takes a component with the i-th least blind string,
-    and the key's i-th str depends only on positions 0..i, so the positions
-    are filled in order, keeping the choices tied on the least prefix.  A
-    position relabels at most once per candidate, so the key is exact up to
-    _CANON_CAP candidates; a position past _CANON_CAP relabels, and any later
-    one, extends only its first prefix.  Raises ValueError on an unknown event."""
+    """(key, perm, rots): canonical component i is component perm[i] rotated
+    left by rots[i]; keys are equal exactly when the diagrams are equal up to
+    rotation, component order and crossing names.  A block (components joined
+    by crossings) is read from a component with its least id-blind string, at
+    a least rotation; the next component holds the unread visit (slots are
+    distinct) of the least-numbered crossing read so far and begins there.  A
+    block takes its least (strs, perm, rots) reading; the key is one block's
+    strs, or the blocks' strs in order.  Raises ValueError on an unknown event
+    and, unless one component has one least rotation, on a slot visited twice."""
     comps = diagram.components
     code = _code_table(diagram.surface).__getitem__
     if len(comps) == 1:
         blind, starts = least_rotation("".join(map(code, comps[0])))
         if len(starts) == 1:
             return (_relabel(comps[0], blind, starts[0], {}),), (0,), (starts[0],)
-    if not comps:
-        return (), (), ()
 
-    blinds, cand_rots = zip(*(least_rotation("".join(map(code, comp))) for comp in comps))
-    homes = Counter(x for comp in comps for x in {ev[1] for ev in comp if ev[0] == "cross"})
-    alone = [all(homes[ev[1]] == 1 for ev in comp if ev[0] == "cross") for comp in comps]
-    key, states, relabels = (), [((), (), {})], 0  # states: (perm, rots, crossing ids)
-    for blind in sorted(blinds):
-        level, least = [], None
-        if relabels <= _CANON_CAP:
-            relabels = 0
-        for n, (perm, rots, ids) in enumerate(states):
-            if n and relabels > _CANON_CAP:
-                break
-            seen = set()  # of components sharing no crossing, equal strs are interchangeable
-            for ci in (ci for ci, b in enumerate(blinds) if b == blind and ci not in perm):
-                for r in cand_rots[ci]:
-                    new_ids = dict(ids)
-                    s = _relabel(comps[ci], blind, r, new_ids)
-                    relabels += 1
-                    if alone[ci]:
-                        if s in seen:
-                            continue
-                        seen.add(s)
-                    if least is None or s < least:
-                        level, least = [], s
-                    if s == least:
-                        level.append((perm + (ci,), rots + (r,), new_ids))
-        key, states = key + (least,), level
-    return (key, *min(state[:2] for state in states))
+    blinds = ["".join(map(code, comp)) for comp in comps]
+    visits = {}  # (crossing id, slot) -> (component, position)
+    for ci, comp in enumerate(comps):
+        for p, ev in enumerate(comp):
+            if ev[0] == "cross" and visits.setdefault(ev[1:], (ci, p)) != (ci, p):
+                raise ValueError(f"crossing {ev[1]} slot {ev[2]} is visited twice")
+
+    def read(ci, r):
+        reading, ids, unread = [], {}, []
+        while True:
+            n, blind = len(ids), blinds[ci]
+            reading.append((_relabel(comps[ci], blind[r:] + blind[:r], r, ids), ci, r))
+            # the unread visits of the crossings numbered so far, in number order
+            unread += (visits.get((x, s)) for x in list(ids)[n:] for s in (1, 2))
+            unread = [v for v in unread if v and v[0] != ci]
+            if not unread:
+                return tuple(zip(*reading))
+            ci, r = unread[0]
+
+    lows = [least_rotation(blind) for blind in blinds]
+    blocks, done = [], set()
+    for ci in sorted(range(len(comps)), key=lambda c: lows[c][0]):
+        if ci not in done:  # the least index with its block's least string: starts[0]
+            first = read(ci, lows[ci][1][0])
+            done.update(first[1])
+            starts = [(c, r) for c in sorted(first[1]) if lows[c][0] == lows[ci][0]
+                      for r in lows[c][1]]
+            blocks.append(min([first] + [read(c, r) for c, r in starts[1:]]))
+    if len(blocks) == 1:
+        return blocks[0]
+    strs, perms, rots = zip(*sorted(blocks)) if blocks else ((), (), ())
+    return strs, sum(perms, ()), sum(rots, ())
 
 
 def canonical_key(diagram: Diagram):

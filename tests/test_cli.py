@@ -173,6 +173,8 @@ def test_equiv_relabel(tmp_path, capsys):
         ({"b1": "a1", "b2": "a2"}, "permute"),  # R goes to aaAAccCC = 1, but b1, b2 are lost
         ({"a9": "a1"}, "unknown generator 'a9'"),
         ({"a1": "b9'"}, "unknown generator 'b9'"),
+        (["a1"], "JSON object"),  # not a map of names
+        ({"a1": 5}, "JSON object"),
     ],
 )
 def test_equiv_relabel_rejects_non_homeomorphism(tmp_path, capsys, table, named):
@@ -234,6 +236,31 @@ def test_equiv_transvections_file(tmp_path, capsys):
     assert code == 3
     code, _ = run(capsys, "equiv", p1, p2, "--transvections", gens)
     assert code == 0
+
+
+GENERATOR = {"word": "a", "weight": 1, "sites": [[0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, content, named",
+    [
+        (["group", "powersum", "--genus", "2", "ab", "--factor", "c:x"], None, "'c:x'"),
+        (["group", "powersum", "--genus", "2", "ab", "--factor", "c:2"], None, "'c:2'"),
+        (["group", "powersum", "--genus", "2", "ab", "--factor", "c"], None, "exponent"),
+        *(
+            (["equiv", "{d}", "{d}", "--transvections", "{f}"],
+             [{k: v for k, v in GENERATOR.items() if k != field}], f"no '{field}'")
+            for field in GENERATOR
+        ),
+        (["equiv", "{d}", "{d}", "--transvections", "{f}"], [{**GENERATOR, "weight": "x"}], "'x'"),
+    ],
+    ids=["factor-x", "factor-2", "factor-bare", "no-word", "no-weight", "no-sites", "weight-x"],
+)
+def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv, content, named):
+    d = write(tmp_path, "d.txt", CIRCLE)
+    f = write(tmp_path, "f.json", json.dumps(content))
+    assert main([arg.format(d=d, f=f) for arg in argv]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_h1_closed_and_filling(capsys):

@@ -3,6 +3,7 @@ bounded equivalence search."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -326,8 +327,8 @@ def renamed(comp, name):
 def tie_prone_diagram(rng):
     """A random diagram on a genus-2 or genus-3 surface in either mode, with
     1-4 components, sometimes up to two duplicated components (crossings
-    renamed) and sometimes a component repeated twice over, so that component
-    orders and rotations tie."""
+    renamed) and sometimes a component followed by a renamed copy of itself,
+    so that component orders and rotations tie."""
     surface = Surface(rng.choice((2, 3)))
     mode = rng.choice(["smooth", "cusp"])
     d = random_diagram(
@@ -339,7 +340,7 @@ def tie_prone_diagram(rng):
             comps.append(renamed(rng.choice(comps), lambda x: x + suffix))
     if rng.random() < 0.3:
         ci = rng.randrange(len(comps))
-        comps[ci] *= 2
+        comps[ci] += renamed(comps[ci], lambda x: x + "r")
     return Diagram(surface, mode, tuple(comps))
 
 
@@ -356,13 +357,35 @@ def rearranged(rng, d):
     return Diagram(d.surface, d.mode, tuple(comps))
 
 
+def rebuilt_key(d, perm, rots, key):
+    """The key that d rotated and permuted by (perm, rots) reads, with crossing
+    ids numbered per block; key's blocks are its strs if it has one, else its
+    tuples of strs."""
+    code = moves_module._code_table(d.surface)
+    comps = [d.components[ci][r:] + d.components[ci][:r] for ci, r in zip(perm, rots)]
+    nested = bool(key) and isinstance(key[0], tuple)
+    out = []
+    for n in map(len, key) if nested else [len(key)]:
+        ids = {}
+        out.append(tuple(
+            "".join(code[ev] if ev[0] != "cross"
+                    else chr(64 + 2 * ids.setdefault(ev[1], len(ids)) + ev[2] - 1) for ev in comp)
+            for comp in comps[:n]
+        ))
+        del comps[:n]
+    return tuple(out) if nested else out[0]
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_canonical_transform_matches_reference(rng):
     d = tie_prone_diagram(rng)
     key, perm, rots = canonical_transform(d)
     ref_key, ref_perm, ref_rots = reference_canonical_transform(d)
-    assert (perm, rots) == (ref_perm, ref_rots)
+    # (perm, rots) rebuild the key, and a single component's are the reference's
+    assert rebuilt_key(d, perm, rots, key) == key
+    if len(d.components) == 1:
+        assert (perm, rots) == (ref_perm, ref_rots)
     # the key ignores rotation, component order and crossing names...
     d2 = rearranged(rng, d)
     assert canonical_key(d2) == key
@@ -389,10 +412,8 @@ def relabel_calls(monkeypatch):
 
 
 def test_canonical_key_nine_component_chain():
-    # 9! = 362,880 component orders tie on their blind strings, but each
-    # position after the first has one least choice: the next link
-    links = [(cross(str(i), 2), cross(str((i + 1) % 9), 1)) + Q4 for i in range(9)]
-    d = Diagram(S2, "smooth", tuple(links))
+    # 9! = 362,880 component orders tie on their blind strings
+    d = chain(9)
     assert diagrams_equal(d, rearranged(random.Random(0), d))
 
 
@@ -407,53 +428,75 @@ def linked_pairs(n):
 
 
 def test_canonical_key_six_identical_linked_pairs():
-    # 6! * 6! = 518,400 candidates; the first six positions tie in 720 ways
+    # 6! * 6! = 518,400 component orders tie on their blind strings
     d = linked_pairs(6)
     assert diagrams_equal(d, rearranged(random.Random(0), d))
 
 
 def test_canonical_key_identical_components_alone_are_kept_once(monkeypatch):
-    # components that share no crossing and have equal strings are
-    # interchangeable: each position relabels each free one and keeps the
-    # first, so ten copies make 10 + 9 + ... + 1 relabels, not 10! orders
+    # a component that shares no crossing is a block of its own with one
+    # start, so ten copies make ten relabels, not 10! orders
     calls = relabel_calls(monkeypatch)
     for comp in [(edge("a1"),) + Q4, (cross("x", 1), cross("x", 2)) + Q4]:
         d = Diagram(S2, "smooth", tuple(renamed(comp, lambda x, i=i: f"{x}{i}") for i in range(10)))
         calls.clear()
         key, perm, rots = canonical_transform(d)
-        assert perm == tuple(range(10)) and len(calls) == 55
+        assert perm == tuple(range(10)) and len(calls) == 10
         assert canonical_key(rearranged(random.Random(0), d)) == key
 
 
+def star(leaves):
+    """Identical leaves that each share one crossing with a center, which
+    meets them in reverse order."""
+    comps = [(cross(f"x{i}", 1), cross(f"x{i}", 2), cross(f"y{i}", 1)) + Q4 for i in range(leaves)]
+    comps.append(tuple(cross(f"y{i}", 2) for i in reversed(range(leaves))) + Q4)
+    return Diagram(S2, "smooth", tuple(comps))
+
+
 def test_canonical_key_is_exact_up_to_the_cap(monkeypatch):
-    # five identical components each share one crossing with a sixth,
-    # which meets them in reverse order: 5! = 120 candidates, and only the
-    # order that component 5 reads, 4 3 2 1 0, gives the least key.  No
-    # position relabels more than 120 times, but all of them together do.
-    comps = [(cross(f"x{i}", 1), cross(f"x{i}", 2), cross(f"y{i}", 1)) + Q4 for i in range(5)]
-    comps.append(tuple(cross(f"y{i}", 2) for i in (4, 3, 2, 1, 0)) + Q4)
-    d = Diagram(S2, "smooth", tuple(comps))
-    monkeypatch.setattr(moves_module, "_CANON_CAP", 120)
+    # five leaves tie in 5! = 120 component orders; the block is read once
+    # from each leaf, six relabels per reading, and the least reading starts
+    # at the leaf just before the center's quarter turns, then reads the
+    # center from there and the other leaves in the center's order
     calls = relabel_calls(monkeypatch)
+    d = star(5)
     key, perm, rots = canonical_transform(d)
-    assert len(calls) > 120
-    assert (perm, rots) == reference_canonical_transform(d)[1:] and perm == (4, 3, 2, 1, 0, 5)
+    assert len(calls) == 5 * 6 and perm == (0, 5, 4, 3, 2, 1)
+    assert rebuilt_key(d, perm, rots, key) == key
     for seed in range(3):
         assert canonical_key(rearranged(random.Random(seed), d)) == key
 
 
-def test_canonical_transform_stops_at_the_cap(monkeypatch):
-    # eight identical linked pairs: the eight first components tie at every
-    # position, so position p makes 8!/(7-p)! relabels uncapped (more than a
-    # million in all).  With a cap of 100, positions 0 and 1 make 8 and 56,
-    # position 2 stops after the prefix that passes 100 (6 relabels each),
-    # and every later position relabels its first prefix only.
-    monkeypatch.setattr(moves_module, "_CANON_CAP", 100)
+def chain(n):
+    """n components, each crossing the next once and the last the first."""
+    links = [(cross(str(i), 2), cross(str((i + 1) % n), 1)) + Q4 for i in range(n)]
+    return Diagram(S2, "smooth", tuple(links))
+
+
+@pytest.mark.parametrize(
+    "d", [linked_pairs(10), star(10), chain(20)], ids=["linked_pairs", "star", "chain"]
+)
+def test_canonical_key_symmetric_blocks_are_exact(monkeypatch, d):
+    # every start of a block is read once; here each component has one least
+    # rotation, so at most n starts of n relabels, however many orders tie
+    start = time.perf_counter()
+    key = canonical_key(d)
+    assert time.perf_counter() - start < 0.1
     calls = relabel_calls(monkeypatch)
-    key, perm, rots = canonical_transform(linked_pairs(8))
-    assert len(key) == 16 and sorted(perm) == list(range(16))
-    first_prefixes = sum(range(1, 6)) + sum(range(1, 9))
-    assert len(calls) <= 8 + 56 + (100 + 6) + first_prefixes
+    assert canonical_key(d) == key
+    n = len(d.components)
+    assert len(calls) <= n * (n + 1)
+    for seed in range(3):
+        assert canonical_key(rearranged(random.Random(seed), d)) == key
+
+
+def test_canonical_key_rejects_a_slot_visited_twice():
+    for comps in [
+        ((cross("x", 1), qturn(1)), (cross("x", 1), qturn(1))),
+        ((cross("x", 1), cross("x", 2), cross("x", 1), cross("x", 2)),),
+    ]:
+        with pytest.raises(ValueError, match="crossing x slot 1 is visited twice"):
+            canonical_key(Diagram(S2, "smooth", comps))
 
 
 def test_canonical_key_rejects_event_outside_alphabet():
