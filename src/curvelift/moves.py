@@ -68,11 +68,18 @@ _VARIANT_OF = {pair: variant for variant, pair in STAB_VARIANTS.items()}
 _STABS = {SMOOTH: ("lr", "rl"), CUSP_SMOOTH: ("ud", "du")}
 
 
+def _integer(x) -> int:
+    if type(x) is not int:  # no bool, float or str
+        raise TypeError(f"transvection weights and sites must be integers, not {x!r}")
+    return x
+
+
 def transvection(curves) -> MoveInstance:
     """Transvection datum: curves is a list of (word, weight, sites) with
     sites a list of (component, gap, sign) intersection records."""
     data = tuple(
-        (str(word), int(weight), tuple((int(c), int(p), int(s)) for c, p, s in sites))
+        (str(word), _integer(weight),
+         tuple((_integer(c), _integer(p), _integer(s)) for c, p, s in sites))
         for word, weight, sites in curves
     )
     for _, weight, sites in data:

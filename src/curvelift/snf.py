@@ -37,7 +37,7 @@ def _clearing_step(a: int, b: int) -> tuple[int, int, int, int]:
     return x, (g - x * a) // b, -b // g, a // g
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(m: IntMatrix, transforms: bool = True) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (D, U, V) with U*m*V = D, U and V unimodular, D diagonal with
     non-negative entries satisfying the divisibility chain d1 | d2 | ...
 
@@ -45,17 +45,21 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     and row is then cleared by one unimodular step (`_clearing_step`) on two
     rows of A and U or two columns of A and V, which leaves the gcd of the
     pivot and the entry as the pivot.
+
+    With transforms=False, U and V are neither built nor updated and the
+    result is (D, [], []), with the same D by the same steps.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     A = [list(map(int, row)) for row in m]
-    U = identity_matrix(rows)
-    V = identity_matrix(cols)
+    U = identity_matrix(rows) if transforms else []
+    V = identity_matrix(cols) if transforms else []
+    row_mats = (A, U) if transforms else (A,)
 
     def add_row(i, k, f):
         # row_i += f * row_k
-        A[i] = [x + f * y for x, y in zip(A[i], A[k])]
-        U[i] = [x + f * y for x, y in zip(U[i], U[k])]
+        for M in row_mats:
+            M[i] = [x + f * y for x, y in zip(M[i], M[k])]
 
     for t in range(min(rows, cols)):
         # the pivot: the first entry of least absolute value, in row-major order
@@ -63,7 +67,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if not nonzero:
             break
         _, i, j = min(nonzero)
-        A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+        for M in row_mats:
+            M[t], M[i] = M[i], M[t]
         if j != t:
             for row in A + V:
                 row[t], row[j] = row[j], row[t]
@@ -72,7 +77,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             for i in range(t + 1, rows):
                 if A[i][t]:
                     x, y, p, q = _clearing_step(A[t][t], A[i][t])
-                    for M in (A, U):
+                    for M in row_mats:
                         rt, ri = M[t], M[i]
                         if y:  # a Bezout step; a subtraction leaves row t as it is
                             M[t] = [x * u + y * w for u, w in zip(rt, ri)]
@@ -134,7 +139,8 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank torsion")):
             return cls(num_generators)
         if any(len(row) != num_generators for row in relations):
             raise ValueError("relation rows must have num_generators entries")
-        d, _, _ = smith_normal_form(relations)
+        # an all-zero row presents nothing (a bundle's [x, t] commutators)
+        d, _, _ = smith_normal_form([row for row in relations if any(row)], transforms=False)
         diag = diagonal(d)
         nonzero = [x for x in diag if x != 0]
         return cls(

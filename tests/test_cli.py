@@ -242,6 +242,28 @@ GENERATOR = {"word": "a", "weight": 1, "sites": [[0, 0, 1]]}
 
 
 @pytest.mark.parametrize(
+    "generator",
+    [
+        {**GENERATOR, "weight": 1.5},
+        {**GENERATOR, "weight": True},
+        {**GENERATOR, "sites": [[0.9, 0, 1]]},
+        {**GENERATOR, "sites": [[0, "0", 1]]},
+        {**GENERATOR, "sites": [[0, 0, True]]},
+    ],
+    ids=["weight-float", "weight-bool", "site-float", "site-str", "sign-bool"],
+)
+def test_equiv_transvections_accept_only_integers(tmp_path, capsys, generator):
+    # the circle and the circle with one kink differ by exactly this generator
+    # at weight 1: a non-integer must not be rounded into it
+    p1 = write(tmp_path, "d1.txt", CIRCLE)
+    p2 = write(tmp_path, "d2.txt", "surface genus=2 boundary=0\nbundle UT\ncomp: L+ Q+ Q+ Q+ Q+\n")
+    gens = write(tmp_path, "gens.json", json.dumps([generator]))
+    assert main(["equiv", p1, p2, "--transvections", gens]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be integers" in err
+
+
+@pytest.mark.parametrize(
     "argv, content, named",
     [
         (["group", "powersum", "--genus", "2", "ab", "--factor", "c:x"], None, "'c:x'"),
@@ -295,11 +317,16 @@ def test_h1_runs_one_smith_normal_form(monkeypatch, capsys):
 
     calls = []
     inner = snf.smith_normal_form
-    monkeypatch.setattr(snf, "smith_normal_form", lambda m: calls.append(m) or inner(m))
+    monkeypatch.setattr(
+        snf, "smith_normal_form", lambda m, **kw: calls.append((m, kw)) or inner(m, **kw)
+    )
     for sigma in ([], ["--sigma", "0,0,0,0,1"]):
         calls.clear()
         code, _ = run(capsys, "h1", "--genus", "2", *sigma)
         assert code == 0 and len(calls) == 1
+        # the invariants path builds no transforms and sees no zero relator row
+        ((m, kw),) = calls
+        assert kw == {"transforms": False} and all(any(row) for row in m)
 
 
 def test_h1_malformed_sigma(capsys):

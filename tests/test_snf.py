@@ -85,7 +85,14 @@ def small_matrices(draw):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(small_matrices())
 def test_snf_matches_determinantal_divisors(m):
-    assert check_snf(m) == determinantal_invariant_factors(m)
+    factors = determinantal_invariant_factors(m)
+    d, u, v = smith_normal_form(m)
+    assert check_snf(m, (d, u, v)) == factors
+    assert smith_normal_form(m, transforms=False) == (d, [], [])
+    nonzero = [x for x in factors if x]
+    assert AbelianGroup.from_relation_matrix(m, len(m[0])) == AbelianGroup(
+        len(m[0]) - len(nonzero), tuple(x for x in nonzero if x > 1)
+    )
 
 
 def test_snf_has_no_cliff_at_ten():
