@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import CurveLiftError, DiagramSyntaxError, InapplicableMove, ModeMismatch
+from .errors import CurveLiftError, DiagramSyntaxError, ModeMismatch
 
 # Each verb imports what it calls, so a process loads only the modules its verb uses.
 
@@ -63,6 +63,13 @@ def _surface_from_args(args):
     return Surface(args.genus, args.boundary)
 
 
+def _letter_error(surface, words) -> str | None:
+    """Why a word has a letter outside the surface's generators, or None."""
+    letters = surface.generator_chars + surface.generator_chars.upper()
+    bad = next((ch for word in words for ch in word if ch not in letters), None)
+    return None if bad is None else f"{bad!r} is not a generator letter of {surface} ({letters})"
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -84,9 +91,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    from .diagrams import parse, shadow_word, validate
+    from .diagrams import fiber_degree, parse, raw_turning, shadow_word, validate
     from .homology import bundle_h1
-    from .lifting import fiber_degree, lift_class, raw_turning
+    from .lifting import lift_class
 
     diagram, bundle = parse(_read_text(args.path))
     violations = validate(diagram)
@@ -103,8 +110,8 @@ def cmd_invariants(args) -> int:
     for ci in range(len(diagram.components)):
         word = shadow_word(diagram, ci)
         turning = raw_turning(diagram, ci)
-        lc = lift_class(diagram, bundle, ci, turning)
-        fiber = fiber_degree(diagram, ci, turning)
+        lc = lift_class(diagram, bundle, ci)
+        fiber = fiber_degree(diagram, ci)
         components.append(
             {
                 "shadow": word,
@@ -196,6 +203,9 @@ def cmd_equiv(args) -> int:
         return _usage_error(f"--transvections: a generator has no {exc}")
     except (TypeError, ValueError) as exc:
         return _usage_error(f"--transvections: {exc}")
+    why = _letter_error(d1.surface, [word for gen in generators for word, _, _ in gen.data])
+    if why is not None:
+        return _usage_error(f"--transvections: {why}")
     budget = SearchBudget(
         max_moves=args.budget_moves,
         max_states=args.budget_states,
@@ -240,12 +250,10 @@ def cmd_group(args) -> int:
     from .words import exponent_sum, is_trivial, powersum_check
 
     surface = _surface_from_args(args)
-    letters = surface.generator_chars + surface.generator_chars.upper()
     factors = [item.rpartition(":")[::2] for item in getattr(args, "factor", ())]
-    words = [args.word, getattr(args, "word2", "")] + [g for g, _ in factors]
-    bad = next((ch for word in words for ch in word if ch not in letters), None)
-    if bad is not None:
-        return _usage_error(f"{bad!r} is not a generator letter of {surface} ({letters})")
+    why = _letter_error(surface, [args.word, getattr(args, "word2", "")] + [g for g, _ in factors])
+    if why is not None:
+        return _usage_error(why)
     bad = next((f"{g}:{eps}" for g, eps in factors if eps not in ("1", "+1", "-1")), None)
     if bad is not None:
         return _usage_error(f"--factor {bad!r}: the exponent must be 1 or -1")
@@ -304,7 +312,10 @@ def cmd_replay(args) -> int:
     from .moves import move_from_json, replay
 
     diagram, bundle = parse(_read_text(args.path))
-    certificate = [move_from_json(obj) for obj in _read_json(args.certificate)]
+    try:
+        certificate = [move_from_json(obj) for obj in _read_json(args.certificate)]
+    except (KeyError, TypeError, ValueError) as exc:  # a missing field, or a mistyped one
+        return _usage_error(f"{args.certificate}: unreadable move: {exc}")
     _write_diagram(args, serialize(replay(diagram, certificate), bundle), {}, [])
     return 0
 
@@ -398,7 +409,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, json.JSONDecodeError, DiagramSyntaxError) as exc:
         return _usage_error(str(exc))
-    except (ModeMismatch, InapplicableMove, CurveLiftError, ValueError, KeyError) as exc:
+    except (CurveLiftError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

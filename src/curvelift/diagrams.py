@@ -26,8 +26,9 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter, namedtuple
+from fractions import Fraction
 
-from .errors import DiagramSyntaxError
+from .errors import DiagramSyntaxError, NonIntegralTurning
 from .surfaces import BundleKind, CircleBundle, Surface, bundle_for_token
 from .words import cyclic_reduce
 
@@ -64,6 +65,20 @@ def qturn(sign: int) -> Event:
     return ("qturn", sign)
 
 
+# The turning model (docs/turning_model.md): each fixed event's token and quarter
+# turns; a crossing turns by 0, a polygon side by Surface.edge_turning_offset.
+FIXED_EVENTS = (
+    ("L+", kink(1), 4), ("L-", kink(-1), -4),
+    ("C^", cusp(1), 2), ("Cv", cusp(-1), -2),
+    ("Q+", qturn(1), 1), ("Q-", qturn(-1), -1),
+)
+_QUARTER_TURNS = {ev: quarters for _, ev, quarters in FIXED_EVENTS}
+
+# Each mode's fiber unit: the loop that turns the fiber once, and the fiber turns
+# per tangent turn (2 in PT, where a tangent line comes back after half a turn).
+FIBER_UNIT = {SMOOTH: (kink, 1), CUSP_SMOOTH: (cusp, 2)}
+
+
 class Diagram(namedtuple("Diagram", "surface mode components")):
     """Components (tuples of events) in mode SMOOTH or CUSP_SMOOTH; no
     __slots__, since fresh_crossing_ids caches itself in the instance dict."""
@@ -72,7 +87,7 @@ class Diagram(namedtuple("Diagram", "surface mode components")):
 
     def __new__(cls, surface: Surface, mode: str, components: tuple[tuple[Event, ...], ...]):
         self = tuple.__new__(cls, (surface, mode, components))
-        if self.mode not in (SMOOTH, CUSP_SMOOTH):
+        if self.mode not in FIBER_UNIT:
             raise ValueError(f"unknown mode {self.mode!r}")
         return self
 
@@ -131,14 +146,35 @@ def validate(diagram: Diagram) -> list[Violation]:
             out.append(
                 Violation("UnpairedCrossing", None, f"crossing {cid}: slots {dict(counter)}")
             )
-    if diagram.mode == SMOOTH:
-        from .lifting import raw_turning  # local import to avoid a cycle
-
-        for ci in range(len(diagram.components)):
-            turning = raw_turning(diagram, ci)
-            if turning.denominator != 1:
-                out.append(Violation("NonIntegralTurning", ci, f"turning {turning}"))
+    for ci in range(len(diagram.components)):
+        try:
+            fiber_degree(diagram, ci)
+        except NonIntegralTurning:
+            out.append(Violation("NonIntegralTurning", ci, f"turning {raw_turning(diagram, ci)}"))
     return out
+
+
+# ----------------------------------------------------------------------
+# turning and fiber degree
+
+
+def raw_turning(diagram: Diagram, component: int) -> Fraction:
+    """The component's turning number: its fixed events' quarter turns plus
+    the surface's offset per polygon side."""
+    comp = diagram.components[component]
+    quarters = sum(_QUARTER_TURNS.get(ev, 0) for ev in comp)
+    sides = sum(1 for ev in comp if ev[0] == "edge")
+    return Fraction(quarters, 4) + sides * diagram.surface.edge_turning_offset()
+
+
+def fiber_degree(diagram: Diagram, component: int) -> int:
+    """Unreduced fiber degree of the component's lift: its turning number
+    times the mode's fiber turns per tangent turn.  Raises NonIntegralTurning
+    unless that is an integer: the one integrality rule, in both modes."""
+    fiber = FIBER_UNIT[diagram.mode][1] * raw_turning(diagram, component)
+    if fiber.denominator != 1:
+        raise NonIntegralTurning(f"component {component}: fiber degree {fiber} is not an integer")
+    return int(fiber)
 
 
 # ----------------------------------------------------------------------
@@ -160,15 +196,8 @@ _TOKEN_RES = {
     "edge": re.compile(r"^([abd][0-9]+)('?)$"),
 }
 
-_FIXED_TOKENS = {
-    "L+": kink(1),
-    "L-": kink(-1),
-    "C^": cusp(1),
-    "Cv": cusp(-1),
-    "Q+": qturn(1),
-    "Q-": qturn(-1),
-}
-_TOKEN_OF_FIXED = {ev: tok for tok, ev in _FIXED_TOKENS.items()}
+_FIXED_TOKENS = {tok: ev for tok, ev, _ in FIXED_EVENTS}
+_TOKEN_OF_FIXED = {ev: tok for tok, ev, _ in FIXED_EVENTS}
 
 
 def event_token(ev: Event) -> str:

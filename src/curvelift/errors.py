@@ -11,8 +11,8 @@ class UnsupportedSurface(CurveLiftError):
 
 
 class NonIntegralTurning(CurveLiftError):
-    """Raised when a smooth-mode component has a non-integer turning number,
-    i.e. the combinatorial data cannot close up in the unit tangent bundle."""
+    """Raised when a component's fiber degree is not an integer (turning not
+    integral in smooth mode, not half-integral in cusp-smooth): no lift closes up."""
 
 
 class ModeMismatch(CurveLiftError):

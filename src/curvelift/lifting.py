@@ -1,11 +1,9 @@
 """Canonical-lift invariants and canonicalization of twisted shadows.
 
-The turning number of a component is computed in the flat structure of the
-fundamental polygon: quarter turns contribute +-1/4, kinks +-1, cusps +-1/2,
-and each polygon-side crossing picks up the frozen per-surface share of the
-cone-point angle defect (see Surface.edge_turning_offset and
-docs/turning_model.md).  The homology class of the lift in H1 of the circle
-bundle is the abelianized shadow plus the fiber degree reduced mod |e|.
+The turning model (each event's turning and each mode's fiber unit) lives in
+diagrams: raw_turning and fiber_degree.  The homology class of the lift in H1
+of the circle bundle is the abelianized shadow plus the fiber degree reduced
+mod |e|.
 """
 
 from __future__ import annotations
@@ -14,52 +12,24 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .diagrams import (
-    CUSP_SMOOTH,
+    FIBER_UNIT,
     MODE_FOR_KIND,
     Diagram,
     DiagramSyntaxError,
     _parse_with_annotations,
-    cusp,
     edge,
-    kink,
+    fiber_degree,
     serialize,
 )
-from .errors import ModeMismatch, NonIntegralTurning
+from .errors import ModeMismatch
 from .surfaces import CircleBundle, Surface, surface_pi1_presentation
 from .words import eliminate_last_boundary
 
 
-def raw_turning(diagram: Diagram, component: int) -> Fraction:
-    surface = diagram.surface
-    offset = surface.edge_turning_offset()
-    total = Fraction(0)
-    for ev in diagram.components[component]:
-        tag = ev[0]
-        if tag == "qturn":
-            total += Fraction(ev[1], 4)
-        elif tag == "kink":
-            total += ev[1]
-        elif tag == "cusp":
-            total += Fraction(ev[1], 2)
-        elif tag == "edge":
-            total += offset
-    return total
-
-
 def turning_number(diagram: Diagram, component: int):
     """Integer (smooth mode) or half-integer (cusp-smooth) turning number."""
-    total = raw_turning(diagram, component)
-    if diagram.mode == CUSP_SMOOTH:
-        if (2 * total).denominator != 1:
-            raise NonIntegralTurning(
-                f"component {component}: cusp-smooth turning {total} is not a half-integer"
-            )
-        return int(total) if total.denominator == 1 else total
-    if total.denominator != 1:
-        raise NonIntegralTurning(
-            f"component {component}: smooth turning {total} is not an integer"
-        )
-    return int(total)
+    turning = Fraction(fiber_degree(diagram, component), FIBER_UNIT[diagram.mode][1])
+    return int(turning) if turning.denominator == 1 else turning
 
 
 class LiftClass(namedtuple("LiftClass", "base_part fiber_part euler_number")):
@@ -104,25 +74,10 @@ def _check_mode(diagram: Diagram, bundle: CircleBundle) -> None:
         )
 
 
-def fiber_degree(diagram: Diagram, component: int, turning: Fraction | None = None) -> int:
-    """Unreduced fiber degree of the component's lift: its turning number
-    (``raw_turning``, unless the caller has it), doubled in cusp-smooth mode."""
-    if turning is None:
-        turning = raw_turning(diagram, component)
-    fiber = 2 * turning if diagram.mode == CUSP_SMOOTH else turning
-    if fiber.denominator != 1:
-        raise NonIntegralTurning(
-            f"component {component}: fiber degree {fiber} is not an integer"
-        )
-    return int(fiber)
-
-
-def lift_class(
-    diagram: Diagram, bundle: CircleBundle, component: int, turning: Fraction | None = None
-) -> LiftClass:
+def lift_class(diagram: Diagram, bundle: CircleBundle, component: int) -> LiftClass:
     _check_mode(diagram, bundle)
     base = shadow_homology_vector(diagram, component)
-    m = fiber_degree(diagram, component, turning)
+    m = fiber_degree(diagram, component)
     e = bundle.euler_number
     return LiftClass(base, m % abs(e) if e != 0 else m, e)
 
@@ -189,13 +144,10 @@ class TwistedShadow(namedtuple("TwistedShadow", "diagram twists crossing_fixes c
 
 
 def _loops(mode: str, n: int) -> list:
-    """n signed fiber loops: n kinks in smooth mode, |n| same-side cusp pairs
-    in cusp-smooth mode (each pair is one full fiber twist)."""
-    if n == 0:
-        return []
-    if mode == CUSP_SMOOTH:
-        return [cusp(1 if n > 0 else -1)] * (2 * abs(n))
-    return [kink(1 if n > 0 else -1)] * abs(n)
+    """Same-side loops of the mode's fiber unit that turn the tangent n times:
+    |n| kinks in smooth mode, |n| cusp pairs in cusp-smooth mode."""
+    loop, per_turn = FIBER_UNIT[mode]
+    return [loop(1 if n > 0 else -1)] * (per_turn * abs(n))
 
 
 def turning_delta(shadow: TwistedShadow) -> int:

@@ -39,7 +39,8 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Callable
 
-from .diagrams import CUSP_SMOOTH, SMOOTH, Diagram, cusp, edge, kink, qturn, shadow_word
+from .diagrams import CUSP_SMOOTH, FIBER_UNIT, FIXED_EVENTS, SMOOTH, Diagram, cusp, edge, kink
+from .diagrams import shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
 from .lifting import lift_class
 from .surfaces import CircleBundle, Surface
@@ -78,11 +79,13 @@ def transvection(curves) -> MoveInstance:
     """Transvection datum: curves is a list of (word, weight, sites) with
     sites a list of (component, gap, sign) intersection records."""
     data = tuple(
-        (str(word), _integer(weight),
+        (word, _integer(weight),
          tuple((_integer(c), _integer(p), _integer(s)) for c, p, s in sites))
         for word, weight, sites in curves
     )
-    for _, weight, sites in data:
+    for word, weight, sites in data:
+        if type(word) is not str:
+            raise TypeError(f"transvection words must be strings, not {word!r}")
         if weight == 0:
             raise ValueError("transvection weights must be nonzero")
         if any(s not in (1, -1) for _, _, s in sites):
@@ -122,15 +125,14 @@ def _positions(diagram: Diagram) -> list:
 def _no_gaps(diagram: Diagram, gaps) -> str | None:
     comps = diagram.components
     for ci, p in gaps:
-        if not (0 <= ci < len(comps) and 0 <= p <= len(comps[ci])):
+        if not (type(ci) is type(p) is int and 0 <= ci < len(comps) and 0 <= p <= len(comps[ci])):
             return "no such gap"
     return None
 
 
 def _no_pair(diagram: Diagram, site) -> str | None:
     ci, p = site
-    comps = diagram.components
-    ok = 0 <= ci < len(comps) and len(comps[ci]) >= 2 and 0 <= p < len(comps[ci])
+    ok = _no_gaps(diagram, [site]) is None and len(diagram.components[ci]) > max(p, 1)
     return None if ok else "no pair of events at this site"
 
 
@@ -284,9 +286,9 @@ def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
 
 
 def _transvection_rewrite(diagram: Diagram, move: MoveInstance):
-    """Insert |weight| loops at each intersection site: kinks in smooth mode,
-    single cusps (one per fiber unit of PT) in cusp-smooth mode."""
-    loop = kink if diagram.mode == SMOOTH else cusp
+    """Insert |weight| loops of the mode's fiber unit at each intersection
+    site: kinks in smooth mode, single cusps in cusp-smooth mode."""
+    loop = FIBER_UNIT[diagram.mode][0]
     comps = [list(c) for c in diagram.components]
     loops = [(ci, p, weight * sign) for _, weight, sites in move.data for ci, p, sign in sites]
     for ci, p, n in sorted(loops, reverse=True):
@@ -361,10 +363,13 @@ def applicable_moves(diagram: Diagram) -> list[MoveInstance]:
 
 def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance | None]:
     """Apply and return (new diagram, inverse move or None for transvections)."""
-    kind = _KINDS.get(move.kind)
+    kind = _KINDS.get(move.kind) if type(move.kind) is str else None
     if kind is None:
         raise InapplicableMove(f"unknown move kind {move.kind!r}")
-    why = kind.match(diagram, move)
+    try:
+        why = kind.match(diagram, move)
+    except (TypeError, ValueError):  # a site of the wrong shape
+        why = "malformed site"
     if why is not None:
         raise InapplicableMove(f"{move.kind} at {move.site}: {why}")
     return kind.rewrite(diagram, move)
@@ -372,7 +377,8 @@ def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance 
 
 def apply_move(diagram: Diagram, move: MoveInstance) -> Diagram:
     """Apply a catalogue move or transvection, checked: raises InapplicableMove
-    for an unknown kind or a site that does not match the kind's pattern."""
+    for an unknown kind, a malformed site or a site that does not match the
+    kind's pattern."""
     return _apply(diagram, move)[0]
 
 
@@ -399,7 +405,7 @@ class _Codes(dict):
 
     def __init__(self, surface: Surface):
         events = [edge(name + prime) for name in surface.generator_names for prime in ("", "'")]
-        events += [f(s) for f in (cusp, kink, qturn) for s in (1, -1)]
+        events += [ev for _, ev, _ in FIXED_EVENTS]
         super().__init__((ev, chr(2 + i)) for i, ev in enumerate(sorted(events)))
         self.surface = surface
 

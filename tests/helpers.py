@@ -127,6 +127,7 @@ def reference_cyclic_dehn_reduce(word: str, surface: Surface) -> str:
 
 
 def _event_turning(surface: Surface, ev) -> Fraction:
+    """One event's row of the table in docs/turning_model.md."""
     if ev[0] == "qturn":
         return Fraction(ev[1], 4)
     if ev[0] == "kink":
@@ -136,6 +137,11 @@ def _event_turning(surface: Surface, ev) -> Fraction:
     if ev[0] == "edge":
         return surface.edge_turning_offset()
     return Fraction(0)
+
+
+def reference_turning(surface: Surface, comp) -> Fraction:
+    """A component's turning number, added up event by event in Fractions."""
+    return sum((_event_turning(surface, ev) for ev in comp), Fraction(0))
 
 
 def random_diagram(
@@ -172,7 +178,7 @@ def random_diagram(
     # pad each component's turning onto the integrality grid
     grid = 4 if mode == SMOOTH else 2
     for comp in comps:
-        total = sum(_event_turning(surface, ev) for ev in comp)
+        total = reference_turning(surface, comp)
         deficit = int((-total * 4)) % grid
         for _ in range(deficit):
             comp.insert(rng.randint(0, len(comp)), qturn(1))

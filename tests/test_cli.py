@@ -83,6 +83,14 @@ def test_invariants_invalid_diagram(tmp_path, capsys):
     assert code == 1
 
 
+def test_validate_and_invariants_agree_on_half_turns_in_pt(tmp_path, capsys):
+    # a quarter turn is no half-integer: no lift into PT, so both reject it
+    p = write(tmp_path, "d.txt", "surface genus=2 boundary=0\nbundle PT\ncomp: Q+\n")
+    for verb in ("validate", "invariants"):
+        code, out = run(capsys, verb, p)
+        assert code == 1 and "NonIntegralTurning (component 0)" in out, verb
+
+
 def test_invariants_pt_integer_fiber(tmp_path, capsys):
     path = write(tmp_path, "d.txt", "surface genus=2 boundary=0\nbundle PT\ncomp: C^ C^\n")
     code, out = run(capsys, "--format", "json", "invariants", path)
@@ -275,8 +283,13 @@ def test_equiv_transvections_accept_only_integers(tmp_path, capsys, generator):
             for field in GENERATOR
         ),
         (["equiv", "{d}", "{d}", "--transvections", "{f}"], [{**GENERATOR, "weight": "x"}], "'x'"),
+        (["equiv", "{d}", "{d}", "--transvections", "{f}"], [{**GENERATOR, "word": 5}],
+         "--transvections: transvection words must be strings"),
+        (["equiv", "{d}", "{d}", "--transvections", "{f}"], [{**GENERATOR, "word": "zz"}],
+         "--transvections: 'z' is not a generator letter"),
     ],
-    ids=["factor-x", "factor-2", "factor-bare", "no-word", "no-weight", "no-sites", "weight-x"],
+    ids=["factor-x", "factor-2", "factor-bare", "no-word", "no-weight", "no-sites", "weight-x",
+         "word-int", "word-zz"],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv, content, named):
     d = write(tmp_path, "d.txt", CIRCLE)
@@ -402,6 +415,31 @@ def test_replay_inapplicable_move(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "move, code",
+    [
+        ({"kind": "transvection", "curves": [{**GENERATOR, "weight": 1.5}]}, 2),
+        ({"site": [0, 0, "lr"]}, 2),
+        ({"kind": "stab", "site": [0, "x", "lr"]}, 1),
+        ({"kind": "stab", "site": [0, 1.0, "lr"]}, 1),
+        ({"kind": "r2_remove", "site": [0, 1]}, 1),
+    ],
+    ids=["weight-float", "no-kind", "stab-site-str", "stab-site-float", "r2-remove-flat-site"],
+)
+def test_replay_rejects_malformed_moves_without_a_traceback(tmp_path, move, code):
+    # exit 2 for a move the certificate reader cannot read, 1 for one that
+    # does not apply: never an uncaught exception
+    p = write(tmp_path, "d.txt", CIRCLE)
+    cert = write(tmp_path, "c.json", json.dumps([move]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvelift.cli", "replay", p, cert],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert (cert in proc.stderr) == (code == 2)
+
+
 HNN = {"generators": "ab", "a_letters": "a", "b_letters": "b", "phi": {"a": "b"}, "word": [1, -1]}
 
 
@@ -477,7 +515,7 @@ def test_cli_import_loads_no_library_module():
 @pytest.mark.parametrize(
     "argv, code, absent",  # absent: curvelift modules by short name, and stdlib modules
     [
-        (["validate", "{d}"], 0, {"moves", "snf", "homology", "hnn", *RECORDS}),
+        (["validate", "{d}"], 0, {"moves", "lifting", "snf", "homology", "hnn", *RECORDS}),
         (["invariants", "{d}"], 0, {"moves", "hnn", *RECORDS}),
         (["group", "trivial", "--genus", "2", "abAB"], 1,
          {"diagrams", "moves", "lifting", "snf", *RECORDS, *FRACTIONS}),

@@ -1,19 +1,25 @@
 """Diagram data model, validation, shadow words, and the text format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelift import (
     CircleBundle,
     Diagram,
     DiagramSyntaxError,
+    NonIntegralTurning,
     Surface,
     parse,
+    raw_turning,
     serialize,
     shadow_word,
     validate,
 )
-from curvelift.diagrams import cross, cusp, edge, qturn
+from curvelift.diagrams import cross, cusp, edge, fiber_degree, kink, qturn
 from curvelift.words import least_rotation
+
+from helpers import random_diagram, reference_turning
 
 S2 = Surface(2)
 UT = CircleBundle.unit_tangent(S2)
@@ -62,6 +68,36 @@ def test_non_integral_turning_flagged():
     assert any(v.rule == "NonIntegralTurning" for v in validate(d))
     ok = smooth(qturn(1), qturn(1), qturn(1), qturn(1))
     assert validate(ok) == []
+    # in cusp-smooth mode the turning must be a half-integer
+    d = Diagram(S2, "cusp", ((qturn(1),),))
+    assert [v.rule for v in validate(d)] == ["NonIntegralTurning"]
+    assert validate(Diagram(S2, "cusp", ((qturn(1), qturn(1)),))) == []
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_turning_and_fiber_degree_follow_the_model_table(rng):
+    # a valid diagram, then a few fixed events anywhere: its components'
+    # turning may leave the mode's grid
+    surface, mode = Surface(rng.choice((2, 3))), rng.choice(("smooth", "cusp"))
+    d = random_diagram(rng, surface, mode, n_components=rng.randint(1, 3))
+    comps = [list(comp) for comp in d.components]
+    loose = [kink(1), kink(-1), cusp(1), cusp(-1), qturn(1), qturn(-1)]
+    for comp in comps:
+        for _ in range(rng.randint(0, 3)):
+            comp.insert(rng.randint(0, len(comp)), rng.choice(loose))
+    d = d.with_components(comps)
+    flagged = {v.component for v in validate(d) if v.rule == "NonIntegralTurning"}
+    for ci, comp in enumerate(d.components):
+        turning = reference_turning(surface, comp)
+        assert raw_turning(d, ci) == turning
+        fiber = turning * (2 if mode == "cusp" else 1)
+        if fiber.denominator == 1:
+            assert fiber_degree(d, ci) == fiber and ci not in flagged
+        else:
+            with pytest.raises(NonIntegralTurning):
+                fiber_degree(d, ci)
+            assert ci in flagged
 
 
 def test_shadow_word_reduction():

@@ -282,6 +282,8 @@ def test_transvection_validation():
         transvection([("a", 0, [(0, 0, 1)])])
     with pytest.raises(ValueError):
         transvection([("a", 1, [(0, 0, 2)])])
+    with pytest.raises(TypeError):
+        transvection([(5, 1, [(0, 0, 1)])])
     with pytest.raises(InapplicableMove):
         invert_move(circle(), transvection([("a", 1, [(0, 0, 1)])]))
 

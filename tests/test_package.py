@@ -20,9 +20,9 @@ EXPORTS = {
     "cyclic_dehn_reduce cyclic_reduce dehn_reduce exponent_sum free_reduce inverse_word "
     "is_trivial powersum_check",
     "hnn": "HNNExtension HNNWord britton_reduce is_trivial_hnn",
-    "diagrams": "Diagram Violation cross cusp edge kink parse qturn serialize shadow_word "
-    "validate",
-    "lifting": "LiftClass TwistedShadow canonicalize lift_class parse_twisted_shadow raw_turning "
+    "diagrams": "Diagram Violation cross cusp edge kink parse qturn raw_turning serialize "
+    "shadow_word validate",
+    "lifting": "LiftClass TwistedShadow canonicalize lift_class parse_twisted_shadow "
     "serialize_twisted_shadow shadow_homology_vector turning_delta turning_number "
     "vertex_link_curve",
     "moves": "EquivalenceVerdict MoveInstance SearchBudget applicable_moves apply_move "
