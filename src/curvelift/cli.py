@@ -316,6 +316,9 @@ def cmd_replay(args) -> int:
         certificate = [move_from_json(obj) for obj in _read_json(args.certificate)]
     except (KeyError, TypeError, ValueError) as exc:  # a missing field, or a mistyped one
         return _usage_error(f"{args.certificate}: unreadable move: {exc}")
+    why = _letter_error(diagram.surface, [word for move in certificate for word, _, _ in move.data])
+    if why is not None:
+        return _usage_error(f"{args.certificate}: {why}")
     _write_diagram(args, serialize(replay(diagram, certificate), bundle), {}, [])
     return 0
 

@@ -66,7 +66,7 @@ def qturn(sign: int) -> Event:
 
 
 # The turning model (docs/turning_model.md): each fixed event's token and quarter
-# turns; a crossing turns by 0, a polygon side by Surface.edge_turning_offset.
+# turns; a crossing turns by 0, a polygon side by Surface.edge_turning.
 FIXED_EVENTS = (
     ("L+", kink(1), 4), ("L-", kink(-1), -4),
     ("C^", cusp(1), 2), ("Cv", cusp(-1), -2),
@@ -135,6 +135,8 @@ def validate(diagram: Diagram) -> list[Violation]:
                     out.append(Violation("UnknownGenerator", ci, f"letter {ev[1]!r}"))
             elif tag == "cross":
                 slots.setdefault(ev[1], Counter())[ev[2]] += 1
+            elif ev not in _QUARTER_TURNS:
+                out.append(Violation("UnknownEvent", ci, f"event {ev!r}"))
             elif tag == "cusp":
                 cusps += 1
                 if diagram.mode == SMOOTH:
@@ -158,23 +160,33 @@ def validate(diagram: Diagram) -> list[Violation]:
 # turning and fiber degree
 
 
-def raw_turning(diagram: Diagram, component: int) -> Fraction:
-    """The component's turning number: its fixed events' quarter turns plus
-    the surface's offset per polygon side."""
+def _turning(diagram: Diagram, component: int) -> tuple[int, int]:
+    """The component's turning number as an integer numerator over the
+    denominator of Surface.edge_turning (4g, or 4): its fixed events' quarter
+    turns plus the surface's offset per polygon side."""
     comp = diagram.components[component]
+    side, denominator = diagram.surface.edge_turning()
     quarters = sum(_QUARTER_TURNS.get(ev, 0) for ev in comp)
     sides = sum(1 for ev in comp if ev[0] == "edge")
-    return Fraction(quarters, 4) + sides * diagram.surface.edge_turning_offset()
+    return quarters * (denominator // 4) + sides * side, denominator
+
+
+def raw_turning(diagram: Diagram, component: int) -> Fraction:
+    """The component's turning number."""
+    return Fraction(*_turning(diagram, component))
 
 
 def fiber_degree(diagram: Diagram, component: int) -> int:
     """Unreduced fiber degree of the component's lift: its turning number
     times the mode's fiber turns per tangent turn.  Raises NonIntegralTurning
     unless that is an integer: the one integrality rule, in both modes."""
-    fiber = FIBER_UNIT[diagram.mode][1] * raw_turning(diagram, component)
-    if fiber.denominator != 1:
+    numerator, denominator = _turning(diagram, component)
+    numerator *= FIBER_UNIT[diagram.mode][1]
+    fiber, rest = divmod(numerator, denominator)
+    if rest:
+        fiber = Fraction(numerator, denominator)
         raise NonIntegralTurning(f"component {component}: fiber degree {fiber} is not an integer")
-    return int(fiber)
+    return fiber
 
 
 # ----------------------------------------------------------------------

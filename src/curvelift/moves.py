@@ -21,10 +21,11 @@ transport.  An ``r2_insert`` site may end with its first strand's slot pair
 ("12", "21" or "22"; absent means "11"); only the inverse of an
 ``r2_remove`` emits it.
 
-The search rewrites only the moves ``applicable_moves`` lists and, forward,
-the transvection generators whose gaps fit, by growth and then by move, each
-matched once (or skipped unrewritten when its exact growth passes the size
-cap); ``apply_move`` is the checked entry point for every other move.
+The search expands a diagram kind by kind, by growth and then by name,
+listing a kind's sites only on reaching it and skipping a kind whose growth
+passes the size cap; forward, it tries the transvection generators whose gaps
+fit at growth 1, each unless its exact growth passes the cap.  ``apply_move``
+is the checked entry point for every other move.
 
 A canonical key holds one str per component, one character per event from a
 per-surface table built on first use; each block of components joined by
@@ -346,6 +347,10 @@ _KINDS = {
 }
 
 
+# the search's expansion order: shrinking kinds first, so that the frontiers meet early
+_SEARCH_ORDER = tuple(sorted(_KINDS, key=lambda name: (_KINDS[name].growth, name)))
+
+
 # ----------------------------------------------------------------------
 # catalogue enumeration and application
 
@@ -646,33 +651,31 @@ def equivalent_bounded(
         next_frontier = []
         for diag, path in frontiers[side]:
             size = sum(map(len, diag.components))
-            moves = applicable_moves(diag)
-            if side == 0:
-                moves += [t for t in flips if _transvection_match(diag, t) is None]
-            # shrinking moves first, so that the frontiers meet before the
-            # budget goes on the wider growing branches; the moves are
-            # sorted, so this stable sort gives (growth, move) order
-            moves.sort(key=lambda m: _KINDS[m.kind].growth)
-            for move in moves:
-                kind = _KINDS[move.kind]
-                growth = flip_growth[move] if move.kind == "transvection" else kind.growth
-                if size + growth > size_cap:
+            for name in _SEARCH_ORDER:
+                kind = _KINDS[name]
+                if name == "transvection":
+                    moves = [t for t in flips if side == 0 and size + flip_growth[t] <= size_cap
+                             and _transvection_match(diag, t) is None]
+                elif size + kind.growth > size_cap:
                     continue
-                new = kind.rewrite(diag, move)[0]
-                key = canonical_key(new)
-                if key in here:
-                    continue
-                new_path = path + (move,)
-                if key in there:
-                    paths = (new_path, there[key])
-                    try:
-                        return finish(*(paths if side == 0 else paths[::-1]))
-                    except InapplicableMove:
-                        pass
-                here[key] = new_path
-                next_frontier.append((new, new_path))
-                if len(seen[0]) + len(seen[1]) > budget.max_states:
-                    return EquivalenceVerdict("unknown")
+                else:
+                    moves = (MoveInstance(name, site) for site in kind.sites(diag))
+                for move in moves:
+                    new = kind.rewrite(diag, move)[0]
+                    key = canonical_key(new)
+                    if key in here:
+                        continue
+                    new_path = path + (move,)
+                    if key in there:
+                        paths = (new_path, there[key])
+                        try:
+                            return finish(*(paths if side == 0 else paths[::-1]))
+                        except InapplicableMove:
+                            pass
+                    here[key] = new_path
+                    next_frontier.append((new, new_path))
+                    if len(seen[0]) + len(seen[1]) > budget.max_states:
+                        return EquivalenceVerdict("unknown")
         frontiers[side] = next_frontier
     return EquivalenceVerdict("unknown")
 

@@ -10,6 +10,7 @@ draw from the remaining alphabet.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from enum import Enum
 
@@ -74,14 +75,7 @@ class Surface(namedtuple("Surface", "genus boundary")):
 
     def char_of(self, name: str) -> str:
         """One-char encoding of a generator token, prime suffix = inverse."""
-        inverse = name.endswith("'")
-        base = name[:-1] if inverse else name
-        try:
-            idx = self.generator_names.index(base)
-        except ValueError:
-            raise KeyError(f"unknown generator {base!r} for {self}") from None
-        ch = self.generator_chars[idx]
-        return ch.upper() if inverse else ch
+        return _codec(self)[name]
 
     def name_of(self, ch: str) -> str:
         idx = self.generator_chars.index(ch.lower())
@@ -92,7 +86,7 @@ class Surface(namedtuple("Surface", "genus boundary")):
         """Token sequence (or space-separated string) -> compact word."""
         if isinstance(tokens, str):
             tokens = tokens.split()
-        return "".join(self.char_of(tok) for tok in tokens)
+        return "".join(map(_codec(self).__getitem__, tokens))
 
     def decode(self, word: str) -> tuple[str, ...]:
         return tuple(self.name_of(ch) for ch in word)
@@ -116,8 +110,9 @@ class Surface(namedtuple("Surface", "genus boundary")):
             return None
         return self.boundary_word()
 
-    def edge_turning_offset(self) -> Fraction:
-        """Turning-number contribution of one polygon-side crossing.
+    def edge_turning(self) -> tuple[int, int]:
+        """Turning-number contribution of one polygon-side crossing, as an
+        integer numerator over 4g (over 4 when it is 0).
 
         The flat cone metric on the 4g-gon concentrates all curvature at the
         single vertex, with angle defect 2*pi*chi.  The frozen convention here
@@ -126,16 +121,34 @@ class Surface(namedtuple("Surface", "genus boundary")):
         exactly chi.  Bounded surfaces are genuinely flat-trivializable and
         get offset 0.  See docs/turning_model.md.
         """
+        return (self.euler_char, 4 * self.genus) if self.is_closed and self.genus else (0, 4)
+
+    def edge_turning_offset(self) -> Fraction:
+        """edge_turning as a Fraction."""
         from fractions import Fraction  # here, so that h1 and group load no fractions
 
-        if self.is_closed and self.genus >= 1:
-            return Fraction(self.euler_char, 4 * self.genus)
-        return Fraction(0)
+        return Fraction(*self.edge_turning())
 
     def __str__(self) -> str:
         if self.is_closed:
             return f"Sigma_{self.genus}"
         return f"Sigma_{{{self.genus},{self.boundary}}}"
+
+
+class _Codec(dict):
+    """A surface's generator tokens, primed or not, to their one-char codes."""
+
+    def __init__(self, surface: Surface):
+        pairs = zip(surface.generator_names, surface.generator_chars)
+        super().__init__((n + p, ch.upper() if p else ch) for n, ch in pairs for p in ("", "'"))
+        self.surface = surface
+
+    def __missing__(self, name):
+        base = name[:-1] if name.endswith("'") else name
+        raise KeyError(f"unknown generator {base!r} for {self.surface}")
+
+
+_codec = functools.cache(_Codec)  # one codec per surface, built on first use
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +179,7 @@ class GroupPresentation(namedtuple("GroupPresentation", "generators relators nam
         return " ".join(self.display_name(ch) for ch in word) or "1"
 
 
+@functools.cache
 def surface_pi1_presentation(surface: Surface) -> GroupPresentation:
     """Standard presentation of pi_1: one-relator for closed genus >= 1,
     free of rank 2g + k - 1 for bounded (last boundary generator eliminated)."""

@@ -161,7 +161,7 @@ def random_diagram(
     for comp in comps:
         for _ in range(rng.randint(0, max_loose_events)):
             roll = rng.random()
-            if roll < 0.45:
+            if roll < 0.45 and names:
                 name = rng.choice(names)
                 comp.append(edge(name + ("'" if rng.random() < 0.5 else "")))
             elif roll < 0.75 or not allow_loops:

@@ -440,6 +440,19 @@ def test_replay_rejects_malformed_moves_without_a_traceback(tmp_path, move, code
     assert (cert in proc.stderr) == (code == 2)
 
 
+def test_replay_rejects_transvection_letters_outside_the_surface(tmp_path):
+    p = write(tmp_path, "d.txt", CIRCLE)
+    cert = write(tmp_path, "c.json", json.dumps(
+        [{"kind": "transvection", "curves": [{**GENERATOR, "word": "zz"}]}]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvelift.cli", "replay", p, cert],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {cert}: 'z' is not a generator letter")
+
+
 HNN = {"generators": "ab", "a_letters": "a", "b_letters": "b", "phi": {"a": "b"}, "word": [1, -1]}
 
 

@@ -63,6 +63,16 @@ def test_odd_cusp_count_flagged():
     assert validate(ok) == []
 
 
+@pytest.mark.parametrize("event", [kink(2), ("qturn", 5), cusp(0), ("loop", 1)])
+def test_unknown_event_flagged(event):
+    # an event outside the fixed-event alphabet, built through the API; the
+    # canonical key has no code for it
+    for mode in ("smooth", "cusp"):
+        circle = (qturn(1),) * 4
+        d = Diagram(S2, mode, ((event, *circle), circle))
+        assert [(v.rule, v.component) for v in validate(d)] == [("UnknownEvent", 0)]
+
+
 def test_non_integral_turning_flagged():
     d = smooth(qturn(1))
     assert any(v.rule == "NonIntegralTurning" for v in validate(d))
@@ -77,9 +87,12 @@ def test_non_integral_turning_flagged():
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_turning_and_fiber_degree_follow_the_model_table(rng):
-    # a valid diagram, then a few fixed events anywhere: its components'
-    # turning may leave the mode's grid
-    surface, mode = Surface(rng.choice((2, 3))), rng.choice(("smooth", "cusp"))
+    # a diagram on a closed or a bounded surface (valid except where a
+    # genus-3 side turns by a third), then a few fixed events anywhere: its
+    # components' turning may leave the mode's grid
+    surface = rng.choice((Surface(0), Surface(1), Surface(2), Surface(3), Surface(0, 2),
+                          Surface(2, 1)))
+    mode = rng.choice(("smooth", "cusp"))
     d = random_diagram(rng, surface, mode, n_components=rng.randint(1, 3))
     comps = [list(comp) for comp in d.components]
     loose = [kink(1), kink(-1), cusp(1), cusp(-1), qturn(1), qturn(-1)]

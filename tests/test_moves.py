@@ -609,16 +609,27 @@ EXHAUSTION_D2 = (
 )
 
 
+def counting_sites(monkeypatch, name):
+    """The argument of every later call to the sites of move kind <name>, in
+    call order."""
+    calls = []
+    kind = moves_module._KINDS[name]
+    monkeypatch.setitem(moves_module._KINDS, name,
+                        kind._replace(sites=lambda d: calls.append(d) or kind.sites(d)))
+    return calls
+
+
 def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
     # the benchmark's budget-exhaustion pair: no catalogue path connects them
     (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
     keys = counting(monkeypatch, "canonical_key")
-    listings = counting(monkeypatch, "applicable_moves")
+    # r2_remove shrinks most, so every expansion lists its sites first
+    expansions = counting_sites(monkeypatch, "r2_remove")
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
     assert v.status == "unknown"
-    assert (len(keys), len(listings)) == (2100, 13)
+    assert (len(keys), len(expansions)) == (2100, 13)
     # the search expands d1 first; its children's keys are the reference's
-    assert listings[0] is d1
+    assert expansions[0] is d1
     children = [apply_move(d1, move) for move in applicable_moves(d1)]
     pairs = set()
     for child in children:
@@ -628,6 +639,84 @@ def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
         pairs.add((key, ref_key))
     # two children share a key exactly when they share the reference's
     assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
+
+
+def recording_rewrites(monkeypatch):
+    """(diagram, move) of every later rewrite the search makes, in order; the
+    recording stops when the search first replays a certificate."""
+    calls, replaying = [], []
+    for name, kind in list(moves_module._KINDS.items()):
+        def rewrite(d, m, inner=kind.rewrite):
+            if not replaying:
+                calls.append((d, m))
+            return inner(d, m)
+        monkeypatch.setitem(moves_module._KINDS, name, kind._replace(rewrite=rewrite))
+    inner_replay = moves_module.replay
+    monkeypatch.setattr(moves_module, "replay", lambda *a: replaying.append(1) or inner_replay(*a))
+    return calls
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_search_moves_come_in_growth_order(rng):
+    # each expansion rewrites the moves applicable_moves lists, with the
+    # generator flips that fit on the forward side, sorted stably by growth
+    # and without those whose growth passes the size cap
+    surface = Surface(rng.choice((2, 3)))
+    mode, bundle = rng.choice([("smooth", CircleBundle.unit_tangent(surface)),
+                               ("cusp", CircleBundle.projective_tangent(surface))])
+    d1 = None
+    while d1 is None or validate(d1):  # on genus 3 a side turns by a third
+        d1 = random_diagram(rng, surface, mode, n_components=rng.randint(1, 3),
+                            max_loose_events=3, max_crossings=1)
+    gens = []
+    for _ in range(rng.randint(0, 2)):
+        ci = rng.randrange(len(d1.components))
+        site = (ci, rng.randint(0, len(d1.components[ci])), rng.choice((1, -1)))
+        gens.append(transvection([("a", rng.choice((1, -1, 2)), [site])]))
+    d2 = random_walk(rng, d1, rng.randint(1, 2))
+    max_moves = rng.randint(1, 3)
+    size_cap = max(sum(map(len, d.components)) for d in (d1, d2)) + 2 * max_moves
+    flips = sorted(
+        MoveInstance("transvection", (), tuple((w, n * f, sites) for w, n, sites in gen.data))
+        for gen in gens for f in (1, -1)
+    )
+
+    def growth(move):
+        if move.kind == "transvection":
+            return sum(abs(n) * len(sites) for _, n, sites in move.data)
+        return moves_module._KINDS[move.kind].growth
+
+    def expected(d, forward):
+        fitting = [t for t in flips if forward and moves_module._transvection_match(d, t) is None]
+        moves = sorted(applicable_moves(d) + fitting, key=lambda m: moves_module._KINDS[m.kind].growth)
+        size = sum(map(len, d.components))
+        return [m for m in moves if size + growth(m) <= size_cap]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = recording_rewrites(monkeypatch)
+        equivalent_bounded(d1, d2, bundle, budget(max_moves=max_moves, max_states=400,
+                                                  transvection_generators=tuple(gens)))
+    runs = [list(group) for _, group in itertools.groupby(calls, lambda c: id(c[0]))]
+    for i, run in enumerate(runs):
+        d, got = run[0][0], [m for _, m in run]
+        options = [expected(d, True), expected(d, False)]
+        if i == len(runs) - 1:  # the search may stop inside its last expansion
+            options = [ref[:len(got)] for ref in options]
+        assert got in options, (d, got)
+
+
+def test_equiv_lists_growing_sites_only_where_the_search_reaches_them(monkeypatch):
+    # d2 is d1 after a stab and an r2_insert: the backward side's first
+    # r2_remove child meets the forward side, before any of d2's r2_insert
+    # sites are listed
+    d1 = smooth(edge("a1"), qturn(1), qturn(1), qturn(1), qturn(1), qturn(1))
+    d2 = apply_move(apply_move(d1, MoveInstance("stab", (0, 1, "lr"))),
+                    MoveInstance("r2_insert", (0, 0, 0, 4)))
+    inserts = counting_sites(monkeypatch, "r2_insert")
+    v = equivalent_bounded(d1, d2, UT, budget())
+    assert v.equivalent and len(v.certificate) == 2
+    assert inserts == [d1]
 
 
 def test_equiv_unknown_under_tiny_budget():

@@ -31,6 +31,32 @@ def test_generator_names_and_codec():
         s.char_of("d2")
 
 
+@pytest.mark.parametrize("surface", [Surface(0), Surface(1), Surface(2), Surface(3), Surface(0, 2),
+                                     Surface(2, 1)])
+def test_codec_encodes_each_token_and_names_an_unknown_one(surface):
+    tokens = []
+    for i, name in enumerate(surface.generator_names):
+        ch = surface.generator_chars[i]
+        assert (surface.char_of(name), surface.char_of(name + "'")) == (ch, ch.upper())
+        tokens += [name, name + "'"]
+    word = surface.encode(tokens)
+    assert surface.encode(" ".join(tokens)) == word and surface.decode(word) == tuple(tokens)
+    for token, base in [("d3", "d3"), ("a4'", "a4"), ("a1''", "a1'"), ("t", "t"), ("", "")]:
+        message = f"unknown generator {base!r} for {surface}"
+        for call in (surface.char_of, lambda tok: surface.encode([tok])):
+            with pytest.raises(KeyError) as exc:
+                call(token)
+            assert exc.value.args == (message,)
+
+
+def test_surface_presentation_is_shared_and_immutable():
+    pres = surface_pi1_presentation(Surface(2, 1))
+    assert surface_pi1_presentation(Surface(2, 1)) is pres
+    assert all(type(field) is tuple for field in pres)
+    with pytest.raises(AttributeError):
+        pres.relators = ("a",)
+
+
 def test_fiber_char_not_a_generator():
     # 't' is reserved for the bundle fiber on every supported surface
     big = Surface(9, 7)
