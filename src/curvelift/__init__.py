@@ -35,13 +35,12 @@ _EXPORTS = {
     ),
     "hnn": ("HNNExtension", "HNNWord", "britton_reduce", "is_trivial_hnn"),
     "diagrams": (
-        "Diagram", "Violation", "cross", "cusp", "edge", "kink", "parse", "qturn", "raw_turning",
-        "serialize", "shadow_word", "validate",
+        "Diagram", "Violation", "cross", "cusp", "edge", "fiber_degree", "kink", "parse", "qturn",
+        "raw_turning", "serialize", "shadow_word", "validate",
     ),
     "lifting": (
         "LiftClass", "TwistedShadow", "canonicalize", "lift_class", "parse_twisted_shadow",
-        "serialize_twisted_shadow", "shadow_homology_vector", "turning_delta", "turning_number",
-        "vertex_link_curve",
+        "serialize_twisted_shadow", "shadow_homology_vector", "turning_delta", "vertex_link_curve",
     ),
     "moves": (
         "EquivalenceVerdict", "MoveInstance", "SearchBudget", "applicable_moves", "apply_move",

@@ -66,7 +66,7 @@ def qturn(sign: int) -> Event:
 
 
 # The turning model (docs/turning_model.md): each fixed event's token and quarter
-# turns; a crossing turns by 0, a polygon side by Surface.edge_turning.
+# turns; a crossing turns by 0, a polygon side by the offset in _turning.
 FIXED_EVENTS = (
     ("L+", kink(1), 4), ("L-", kink(-1), -4),
     ("C^", cusp(1), 2), ("Cv", cusp(-1), -2),
@@ -77,6 +77,11 @@ _QUARTER_TURNS = {ev: quarters for _, ev, quarters in FIXED_EVENTS}
 # Each mode's fiber unit: the loop that turns the fiber once, and the fiber turns
 # per tangent turn (2 in PT, where a tangent line comes back after half a turn).
 FIBER_UNIT = {SMOOTH: (kink, 1), CUSP_SMOOTH: (cusp, 2)}
+
+
+def fiber_loops(mode: str, n: int) -> list:
+    """|n| loops of the mode's fiber unit, signed as n: they turn the fiber n times."""
+    return [FIBER_UNIT[mode][0](1 if n > 0 else -1)] * abs(n)
 
 
 class Diagram(namedtuple("Diagram", "surface mode components")):
@@ -161,14 +166,16 @@ def validate(diagram: Diagram) -> list[Violation]:
 
 
 def _turning(diagram: Diagram, component: int) -> tuple[int, int]:
-    """The component's turning number as an integer numerator over the
-    denominator of Surface.edge_turning (4g, or 4): its fixed events' quarter
-    turns plus the surface's offset per polygon side."""
+    """The component's turning number as an integer numerator over 4g on a
+    closed surface of genus g >= 1, over 4 elsewhere: its fixed events'
+    quarter turns plus, on such a closed surface, chi/4g per polygon side."""
     comp = diagram.components[component]
-    side, denominator = diagram.surface.edge_turning()
+    surface = diagram.surface
     quarters = sum(_QUARTER_TURNS.get(ev, 0) for ev in comp)
+    if not (surface.is_closed and surface.genus):
+        return quarters, 4
     sides = sum(1 for ev in comp if ev[0] == "edge")
-    return quarters * (denominator // 4) + sides * side, denominator
+    return quarters * surface.genus + sides * surface.euler_char, 4 * surface.genus
 
 
 def raw_turning(diagram: Diagram, component: int) -> Fraction:

@@ -1,15 +1,14 @@
 """Canonical-lift invariants and canonicalization of twisted shadows.
 
 The turning model (each event's turning and each mode's fiber unit) lives in
-diagrams: raw_turning and fiber_degree.  The homology class of the lift in H1
-of the circle bundle is the abelianized shadow plus the fiber degree reduced
-mod |e|.
+diagrams: raw_turning, fiber_degree and fiber_loops.  The homology class of
+the lift in H1 of the circle bundle is the abelianized shadow plus the fiber
+degree reduced mod |e|.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .diagrams import (
     FIBER_UNIT,
@@ -19,17 +18,12 @@ from .diagrams import (
     _parse_with_annotations,
     edge,
     fiber_degree,
+    fiber_loops,
     serialize,
 )
 from .errors import ModeMismatch
 from .surfaces import CircleBundle, Surface, surface_pi1_presentation
 from .words import eliminate_last_boundary
-
-
-def turning_number(diagram: Diagram, component: int):
-    """Integer (smooth mode) or half-integer (cusp-smooth) turning number."""
-    turning = Fraction(fiber_degree(diagram, component), FIBER_UNIT[diagram.mode][1])
-    return int(turning) if turning.denominator == 1 else turning
 
 
 class LiftClass(namedtuple("LiftClass", "base_part fiber_part euler_number")):
@@ -143,17 +137,11 @@ class TwistedShadow(namedtuple("TwistedShadow", "diagram twists crossing_fixes c
         return self
 
 
-def _loops(mode: str, n: int) -> list:
-    """Same-side loops of the mode's fiber unit that turn the tangent n times:
-    |n| kinks in smooth mode, |n| cusp pairs in cusp-smooth mode."""
-    loop, per_turn = FIBER_UNIT[mode]
-    return [loop(1 if n > 0 else -1)] * (per_turn * abs(n))
-
-
 def turning_delta(shadow: TwistedShadow) -> int:
-    """Documented bookkeeping: canonicalization changes each component's total
-    turning by sum of twists plus -s per through_loop corner (fixes are net
-    zero)."""
+    """The change canonicalize makes to the turning, summed over all
+    components (not per component): every twist m adds m, every through_loop
+    corner of sign s adds -s, and a fix adds a loop and its opposite.  Twists
+    +2 and -3 on two components give -1."""
     total = sum(m for _, m in shadow.twists)
     comps = shadow.diagram.components
     for (ci, pos), mode in shadow.corner_modes:
@@ -172,17 +160,18 @@ def canonicalize(shadow: TwistedShadow, bundle: CircleBundle) -> Diagram:
     fixes = dict(shadow.crossing_fixes)
     corners = dict(shadow.corner_modes)
     mode = diagram.mode
+    per_turn = FIBER_UNIT[mode][1]  # loops of the fiber unit per tangent turn
 
     new_components = []
     for ci, comp in enumerate(diagram.components):
         events: list = []
         for pos, ev in enumerate(comp):
-            events += _loops(mode, twists.get((ci, pos), 0))
+            events += fiber_loops(mode, per_turn * twists.get((ci, pos), 0))
             if ev[0] == "cross" and ev[2] == 1 and ev[1] in fixes:
-                sign = 1 if fixes[ev[1]] == "left" else -1
-                events += _loops(mode, sign) + [ev] + _loops(mode, -sign)
+                n = per_turn if fixes[ev[1]] == "left" else -per_turn
+                events += fiber_loops(mode, n) + [ev] + fiber_loops(mode, -n)
             elif ev[0] == "qturn" and corners.get((ci, pos)) == "through_loop":
-                events += [ev] + _loops(mode, -ev[1])
+                events += [ev] + fiber_loops(mode, -per_turn * ev[1])
             else:
                 events.append(ev)
         # twists keyed at len(comp) would be out of range; segments are keyed

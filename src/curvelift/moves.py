@@ -40,7 +40,7 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Callable
 
-from .diagrams import CUSP_SMOOTH, FIBER_UNIT, FIXED_EVENTS, SMOOTH, Diagram, cusp, edge, kink
+from .diagrams import CUSP_SMOOTH, FIXED_EVENTS, SMOOTH, Diagram, cusp, edge, fiber_loops, kink
 from .diagrams import shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
 from .lifting import lift_class
@@ -289,11 +289,10 @@ def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
 def _transvection_rewrite(diagram: Diagram, move: MoveInstance):
     """Insert |weight| loops of the mode's fiber unit at each intersection
     site: kinks in smooth mode, single cusps in cusp-smooth mode."""
-    loop = FIBER_UNIT[diagram.mode][0]
     comps = [list(c) for c in diagram.components]
     loops = [(ci, p, weight * sign) for _, weight, sites in move.data for ci, p, sign in sites]
     for ci, p, n in sorted(loops, reverse=True):
-        comps[ci][p:p] = [loop(1 if n > 0 else -1)] * abs(n)
+        comps[ci][p:p] = fiber_loops(diagram.mode, n)
     return diagram.with_components(comps), None
 
 

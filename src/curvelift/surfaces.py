@@ -14,8 +14,6 @@ import functools
 from collections import namedtuple
 from enum import Enum
 
-from .errors import UnsupportedSurface
-
 # Alphabet for surface generators; 't' is reserved for the bundle fiber.
 _LETTER_POOL = "abcdefghijklmnopqrsuvwxyz"
 FIBER_CHAR = "t"
@@ -45,16 +43,6 @@ class Surface(namedtuple("Surface", "genus boundary")):
     @property
     def is_closed(self) -> bool:
         return self.boundary == 0
-
-    def require_hyperbolic(self, strict: bool = False) -> None:
-        """Enforce chi < 0 (or chi < -1 when ``strict``)."""
-        bound = -1 if strict else 0
-        if self.euler_char >= bound:
-            raise UnsupportedSurface(
-                f"operation requires euler characteristic < {bound}, "
-                f"got {self.euler_char} for genus {self.genus}, "
-                f"boundary {self.boundary}"
-            )
 
     # ------------------------------------------------------------------
     # generators and the one-char word codec
@@ -109,25 +97,6 @@ class Surface(namedtuple("Surface", "genus boundary")):
         if not self.is_closed or self.genus == 0:
             return None
         return self.boundary_word()
-
-    def edge_turning(self) -> tuple[int, int]:
-        """Turning-number contribution of one polygon-side crossing, as an
-        integer numerator over 4g (over 4 when it is 0).
-
-        The flat cone metric on the 4g-gon concentrates all curvature at the
-        single vertex, with angle defect 2*pi*chi.  The frozen convention here
-        apportions that defect equally over the 4g side crossings, so the
-        vertex-link curve (one crossing per side, no quarter turns) picks up
-        exactly chi.  Bounded surfaces are genuinely flat-trivializable and
-        get offset 0.  See docs/turning_model.md.
-        """
-        return (self.euler_char, 4 * self.genus) if self.is_closed and self.genus else (0, 4)
-
-    def edge_turning_offset(self) -> Fraction:
-        """edge_turning as a Fraction."""
-        from fractions import Fraction  # here, so that h1 and group load no fractions
-
-        return Fraction(*self.edge_turning())
 
     def __str__(self) -> str:
         if self.is_closed:

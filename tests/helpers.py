@@ -134,8 +134,9 @@ def _event_turning(surface: Surface, ev) -> Fraction:
         return Fraction(ev[1])
     if ev[0] == "cusp":
         return Fraction(ev[1], 2)
-    if ev[0] == "edge":
-        return surface.edge_turning_offset()
+    if ev[0] == "edge":  # chi/4g on a closed surface of genus g >= 1, else 0
+        g = surface.genus
+        return Fraction(surface.euler_char, 4 * g) if surface.is_closed and g else Fraction(0)
     return Fraction(0)
 
 
@@ -154,8 +155,11 @@ def random_diagram(
     allow_loops: bool = True,
 ) -> Diagram:
     """Random valid diagram: paired crossings, even cusp counts per component
-    (cusp-smooth mode), turning padded to the mode's integrality grid with
-    extra quarter turns."""
+    (cusp-smooth mode), turning padded to the mode's integrality grid, first
+    with polygon sides until it is quarter-integral (a side turns by a third
+    on closed genus 3, for one), then with quarter turns.  Where every side
+    turns by a quarter turn multiple (closed genus <= 2, bounded surfaces)
+    no side is added and no random number is drawn for it."""
     comps: list[list] = [[] for _ in range(n_components)]
     names = surface.generator_names
     for comp in comps:
@@ -178,6 +182,9 @@ def random_diagram(
     # pad each component's turning onto the integrality grid
     grid = 4 if mode == SMOOTH else 2
     for comp in comps:
+        while (reference_turning(surface, comp) * 4).denominator != 1:
+            name = rng.choice(names) + ("'" if rng.random() < 0.5 else "")
+            comp.insert(rng.randint(0, len(comp)), edge(name))
         total = reference_turning(surface, comp)
         deficit = int((-total * 4)) % grid
         for _ in range(deficit):

@@ -1,5 +1,8 @@
 """Diagram data model, validation, shadow words, and the text format."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,22 +87,28 @@ def test_non_integral_turning_flagged():
     assert validate(Diagram(S2, "cusp", ((qturn(1), qturn(1)),))) == []
 
 
+def test_side_offset_of_one_side_components():
+    # chi/4g per polygon side on a closed surface of genus g >= 1, 0 elsewhere
+    for surface, offset in [(Surface(2), Fraction(-1, 4)), (Surface(3), Fraction(-1, 3)),
+                            (Surface(1), 0), (Surface(2, 1), 0)]:
+        for mode in ("smooth", "cusp"):
+            assert raw_turning(Diagram(surface, mode, ((edge("a1"),),)), 0) == offset
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_turning_and_fiber_degree_follow_the_model_table(rng):
-    # a diagram on a closed or a bounded surface (valid except where a
-    # genus-3 side turns by a third), then a few fixed events anywhere: its
-    # components' turning may leave the mode's grid
+    # components drawn event by event on a closed or a bounded surface, so
+    # their turning may leave the mode's grid by a quarter, a half or (a side
+    # on closed genus 3) a third
     surface = rng.choice((Surface(0), Surface(1), Surface(2), Surface(3), Surface(0, 2),
                           Surface(2, 1)))
     mode = rng.choice(("smooth", "cusp"))
-    d = random_diagram(rng, surface, mode, n_components=rng.randint(1, 3))
-    comps = [list(comp) for comp in d.components]
-    loose = [kink(1), kink(-1), cusp(1), cusp(-1), qturn(1), qturn(-1)]
-    for comp in comps:
-        for _ in range(rng.randint(0, 3)):
-            comp.insert(rng.randint(0, len(comp)), rng.choice(loose))
-    d = d.with_components(comps)
+    events = [kink(1), kink(-1), cusp(1), cusp(-1), qturn(1), qturn(-1), cross("1", 1)]
+    events += [edge(name + prime) for name in surface.generator_names for prime in ("", "'")]
+    comps = [[rng.choice(events) for _ in range(rng.randint(0, 8))]
+             for _ in range(rng.randint(1, 3))]
+    d = Diagram(surface, mode, tuple(map(tuple, comps)))
     flagged = {v.component for v in validate(d) if v.rule == "NonIntegralTurning"}
     for ci, comp in enumerate(d.components):
         turning = reference_turning(surface, comp)
@@ -111,6 +120,15 @@ def test_turning_and_fiber_degree_follow_the_model_table(rng):
             with pytest.raises(NonIntegralTurning):
                 fiber_degree(d, ci)
             assert ci in flagged
+
+
+@pytest.mark.parametrize("surface", [Surface(g) for g in range(6)] + [Surface(0, 2), Surface(2, 1)])
+def test_random_diagrams_are_valid(surface):
+    rng = random.Random(1)
+    for mode in ("smooth", "cusp"):
+        for _ in range(100):
+            d = random_diagram(rng, surface, mode, n_components=rng.randint(1, 3))
+            assert validate(d) == []
 
 
 def test_shadow_word_reduction():

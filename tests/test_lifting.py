@@ -19,8 +19,8 @@ from curvelift import (
     raw_turning,
     serialize_twisted_shadow,
     shadow_homology_vector,
+    fiber_degree,
     turning_delta,
-    turning_number,
     vertex_link_curve,
 )
 from curvelift.diagrams import cross, cusp, edge, kink, qturn
@@ -40,21 +40,24 @@ def test_raw_turning_contributions():
     assert raw_turning(d, 0) == 1
 
 
-def test_turning_number_smooth_requires_integer():
+def test_fiber_degree_smooth_requires_integer_turning():
     d = smooth(qturn(1))
+    assert raw_turning(d, 0) == Fraction(1, 4)
     with pytest.raises(NonIntegralTurning):
-        turning_number(d, 0)
-    assert turning_number(smooth(kink(1)), 0) == 1
+        fiber_degree(d, 0)
+    d = smooth(kink(1))
+    assert raw_turning(d, 0) == 1 and fiber_degree(d, 0) == 1
 
 
-def test_turning_number_cusp_half_integers():
+def test_fiber_degree_cusp_is_twice_half_integer_turning():
     d = Diagram(S2, "cusp", ((cusp(1),),))
-    assert turning_number(d, 0) == Fraction(1, 2)
+    assert raw_turning(d, 0) == Fraction(1, 2) and fiber_degree(d, 0) == 1
     d = Diagram(S2, "cusp", ((cusp(1), cusp(1)),))
-    assert turning_number(d, 0) == 1
+    assert raw_turning(d, 0) == 1 and fiber_degree(d, 0) == 2
     bad = Diagram(S2, "cusp", ((qturn(1),),))
+    assert raw_turning(bad, 0) == Fraction(1, 4)
     with pytest.raises(NonIntegralTurning):
-        turning_number(bad, 0)
+        fiber_degree(bad, 0)
 
 
 def test_contractible_circle_lift_class():
@@ -106,7 +109,7 @@ def test_vertex_link_turning_is_euler_characteristic(g):
     s = Surface(g)
     d = vertex_link_curve(s)
     assert raw_turning(d, 0) == 2 - 2 * g
-    assert turning_number(d, 0) == 2 - 2 * g
+    assert fiber_degree(d, 0) == 2 - 2 * g
 
 
 def test_vertex_link_is_nullhomologous():
@@ -177,6 +180,16 @@ def test_canonicalize_through_loop_corner():
     assert events[2] == ("kink", -1)
     assert raw_turning(out, 0) - raw_turning(d, 0) == -1
     assert turning_delta(shadow) == -1
+
+
+def test_turning_delta_is_the_total_over_components():
+    # the two components' turnings change by +2 and -3; turning_delta is their sum
+    d = Diagram(S2, "smooth", base_shadow().components * 2)
+    shadow = TwistedShadow(d, twists=(((0, 1), 2), ((1, 3), -3)))
+    out = canonicalize(shadow, UT)
+    changes = [raw_turning(out, ci) - raw_turning(d, ci) for ci in (0, 1)]
+    assert changes == [2, -3]
+    assert turning_delta(shadow) == sum(changes) == -1
 
 
 def test_canonicalize_pt_uses_cusp_pairs():

@@ -277,6 +277,19 @@ def test_transvection_pt_inserts_single_cusps():
     assert len(d2.components[0]) == 3
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a PT transvection inserts single cusps, and validate wants an even "
+                   "cusp count per component (OddCuspCount) beside the fiber-degree rule; "
+                   "ROADMAP item 14 decides which of the two is wrong")
+def test_pt_transvection_keeps_a_valid_diagram_valid():
+    d, _ = parse("surface genus=2 boundary=0\nbundle PT\n"
+                 "comp: a1 Q+ Q+ b1 Q+ Q+ a1' Q+ Q+ b1' Q+ Q+\n")
+    assert validate(d) == []
+    d2 = apply_move(d, transvection([("a", 1, [(0, 0, 1)])]))
+    assert d2.components[0][0] == cusp(1)
+    assert validate(d2) == []
+
+
 def test_transvection_validation():
     with pytest.raises(ValueError):
         transvection([("a", 0, [(0, 0, 1)])])
@@ -665,10 +678,8 @@ def test_search_moves_come_in_growth_order(rng):
     surface = Surface(rng.choice((2, 3)))
     mode, bundle = rng.choice([("smooth", CircleBundle.unit_tangent(surface)),
                                ("cusp", CircleBundle.projective_tangent(surface))])
-    d1 = None
-    while d1 is None or validate(d1):  # on genus 3 a side turns by a third
-        d1 = random_diagram(rng, surface, mode, n_components=rng.randint(1, 3),
-                            max_loose_events=3, max_crossings=1)
+    d1 = random_diagram(rng, surface, mode, n_components=rng.randint(1, 3),
+                        max_loose_events=3, max_crossings=1)
     gens = []
     for _ in range(rng.randint(0, 2)):
         ci = rng.randrange(len(d1.components))

@@ -20,11 +20,10 @@ EXPORTS = {
     "cyclic_dehn_reduce cyclic_reduce dehn_reduce exponent_sum free_reduce inverse_word "
     "is_trivial powersum_check",
     "hnn": "HNNExtension HNNWord britton_reduce is_trivial_hnn",
-    "diagrams": "Diagram Violation cross cusp edge kink parse qturn raw_turning serialize "
-    "shadow_word validate",
+    "diagrams": "Diagram Violation cross cusp edge fiber_degree kink parse qturn raw_turning "
+    "serialize shadow_word validate",
     "lifting": "LiftClass TwistedShadow canonicalize lift_class parse_twisted_shadow "
-    "serialize_twisted_shadow shadow_homology_vector turning_delta turning_number "
-    "vertex_link_curve",
+    "serialize_twisted_shadow shadow_homology_vector turning_delta vertex_link_curve",
     "moves": "EquivalenceVerdict MoveInstance SearchBudget applicable_moves apply_move "
     "canonical_key diagrams_equal equivalent_bounded invert_move move_from_json move_to_json "
     "replay transvection transvection_fiber_shift",

@@ -1,14 +1,11 @@
 """Surfaces, word codec, presentations, and circle-bundle bookkeeping."""
 
-from fractions import Fraction
-
 import pytest
 
 from curvelift import (
     BundleKind,
     CircleBundle,
     Surface,
-    UnsupportedSurface,
     bundle_pi1_presentation,
     surface_pi1_presentation,
 )
@@ -73,22 +70,6 @@ def test_relator_only_for_closed_positive_genus():
     assert Surface(2).relator() == "abABcdCD"
     assert Surface(0).relator() is None
     assert Surface(2, 1).relator() is None
-
-
-def test_require_hyperbolic():
-    Surface(2).require_hyperbolic()
-    Surface(1, 1).require_hyperbolic()
-    with pytest.raises(UnsupportedSurface):
-        Surface(1).require_hyperbolic()
-    with pytest.raises(UnsupportedSurface):
-        Surface(1, 1).require_hyperbolic(strict=True)
-
-
-def test_edge_turning_offset():
-    assert Surface(2).edge_turning_offset() == Fraction(-1, 4)
-    assert Surface(3).edge_turning_offset() == Fraction(-1, 3)
-    assert Surface(1).edge_turning_offset() == 0
-    assert Surface(2, 1).edge_turning_offset() == 0
 
 
 def test_surface_presentation_closed():
