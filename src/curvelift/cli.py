@@ -206,11 +206,10 @@ def cmd_equiv(args) -> int:
     why = _letter_error(d1.surface, [word for gen in generators for word, _, _ in gen.data])
     if why is not None:
         return _usage_error(f"--transvections: {why}")
-    budget = SearchBudget(
-        max_moves=args.budget_moves,
-        max_states=args.budget_states,
-        transvection_generators=generators,
-    )
+    try:
+        budget = SearchBudget(args.budget_moves, args.budget_states, generators)
+    except ValueError as exc:  # a limit out of its range
+        return _usage_error(str(exc))
     verdict = equivalent_bounded(d1, d2, b1, budget)
     payload: dict = {"status": verdict.status}
     lines = [verdict.status]

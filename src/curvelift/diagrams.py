@@ -86,7 +86,7 @@ def fiber_loops(mode: str, n: int) -> list:
 
 class Diagram(namedtuple("Diagram", "surface mode components")):
     """Components (tuples of events) in mode SMOOTH or CUSP_SMOOTH; no
-    __slots__, since fresh_crossing_ids caches itself in the instance dict."""
+    __slots__, since fresh_crossings caches itself in the instance dict."""
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
@@ -103,11 +103,15 @@ class Diagram(namedtuple("Diagram", "surface mode components")):
         return {ev[1] for comp in self.components for ev in comp if ev[0] == "cross"}
 
     @functools.cached_property
-    def fresh_crossing_ids(self) -> tuple[str, str]:
-        """The two least unused positive ids; k ids leave two of 1..k+2 free."""
+    def fresh_crossings(self) -> dict:
+        """Slot pair (s, t) -> the events an R2 insertion puts on its first strand,
+        (x.s, y.t), and its second, (y.3-t, x.3-s), for the two least unused ids
+        x < y (k ids leave two of 1..k+2 free); made once for all insertions."""
         used = self.crossing_ids()
-        free = [str(n) for n in range(1, len(used) + 3) if str(n) not in used]
-        return free[0], free[1]
+        x, y = [str(n) for n in range(1, len(used) + 3) if str(n) not in used][:2]
+        ev = {(c, s): cross(c, s) for c in (x, y) for s in (1, 2)}
+        return {(s, t): ((ev[x, s], ev[y, t]), (ev[y, 3 - t], ev[x, 3 - s]))
+                for s in (1, 2) for t in (1, 2)}
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,13 @@ the wrap-around gap).
 
 Each move kind is written once, in the table ``_KINDS``: its growth in
 events, the sites where it fits, its match (the check ``apply_move`` makes),
-rewrite (with the inverse move) and site transport (the same move on a
-reordered, rotated copy of the diagram); a local pattern is one test, which
-the sites and the match both run.  Transvections have no sites, inverse or
-transport.  An ``r2_insert`` site may end with its first strand's slot pair
-("12", "21" or "22"; absent means "11"); only the inverse of an
-``r2_remove`` emits it.
+rewrite (the new diagram alone: all the search builds), inverse (the move
+that undoes it, read off the diagram it applies to) and site transport (the
+same move on a reordered, rotated copy of the diagram); a local pattern is
+one test, which the sites and the match both run.  Transvections have no
+sites, inverse or transport.  An ``r2_insert`` site may end with its first
+strand's slot pair ("12", "21" or "22"; absent means "11"); only the inverse
+of an ``r2_remove`` emits it.
 
 The search expands a diagram kind by kind, by growth and then by name,
 listing a kind's sites only on reaching it and skipping a kind whose growth
@@ -106,8 +107,8 @@ def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
 
 # ----------------------------------------------------------------------
 # the move table.  match(diagram, move) returns None or why the move does not
-# fit; rewrite(diagram, move) runs on a fitting move only and returns the new
-# diagram and the inverse move.
+# fit; rewrite(diagram, move) and inverse(diagram, move) run on a fitting move
+# only and return the new diagram and the inverse move.
 
 
 _LOOP_TAGS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
@@ -173,18 +174,23 @@ def _crossing_pairs(diagram: Diagram, k: int) -> list:
     return [s for s in itertools.combinations(pairs, k) if len(_spots(diagram, s)) == 2 * k]
 
 
-def _remove_pairs(diagram: Diagram, sites):
-    """The diagram without the events of the pair sites, and the gap each
-    pair leaves; a pair across the wrap leaves its gap at the end."""
+def _remove_pairs(diagram: Diagram, sites) -> Diagram:
+    """The diagram without the events of the pair sites."""
     removed = _spots(diagram, sites)
     comps = list(diagram.components)
     for ci in {ci for ci, _ in sites}:
         comps[ci] = tuple(ev for pos, ev in enumerate(comps[ci]) if (ci, pos) not in removed)
-    gaps = []
+    return Diagram(diagram.surface, diagram.mode, tuple(comps))
+
+
+def _removed_gaps(diagram: Diagram, sites) -> list:
+    """The gap each pair site leaves in _remove_pairs' diagram; a pair across
+    the wrap leaves its gap at the end."""
+    removed, gaps = _spots(diagram, sites), []
     for ci, p in sites:
         n = len(diagram.components[ci])
         gaps.append(sum(1 for pos in range(p if p + 1 < n else n) if (ci, pos) not in removed))
-    return Diagram(diagram.surface, diagram.mode, tuple(comps)), gaps
+    return gaps
 
 
 def _swap_pairs(diagram: Diagram, sites) -> Diagram:
@@ -204,21 +210,20 @@ def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, [(ci, p)])
 
 
-def _stab_rewrite(diagram: Diagram, move: MoveInstance):
+def _stab_rewrite(diagram: Diagram, move: MoveInstance) -> Diagram:
     ci, p, variant = move.site
     comps = list(diagram.components)
     comps[ci] = comps[ci][:p] + STAB_VARIANTS[variant] + comps[ci][p:]
-    return Diagram(diagram.surface, diagram.mode, tuple(comps)), MoveInstance("destab", (ci, p))
+    return Diagram(diagram.surface, diagram.mode, tuple(comps))
 
 
 def _is_stab_pair(diagram: Diagram, site) -> bool:
     return _VARIANT_OF.get(_pair(diagram, site)) in _STABS[diagram.mode]
 
 
-def _destab_rewrite(diagram: Diagram, move: MoveInstance):
-    variant = _VARIANT_OF[_pair(diagram, move.site)]
-    new, [gap] = _remove_pairs(diagram, [move.site])
-    return new, MoveInstance("stab", (move.site[0], gap, variant))
+def _destab_inverse(diagram: Diagram, move: MoveInstance) -> MoveInstance:
+    [gap] = _removed_gaps(diagram, [move.site])
+    return MoveInstance("stab", (move.site[0], gap, _VARIANT_OF[_pair(diagram, move.site)]))
 
 
 def _is_slidable(diagram: Diagram, site) -> bool:
@@ -239,20 +244,22 @@ def _r2_insert_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, ((c1, p1), (c2, p2)))
 
 
-def _r2_insert_rewrite(diagram: Diagram, move: MoveInstance):
+def _r2_insert_rewrite(diagram: Diagram, move: MoveInstance) -> Diagram:
     c1, p1, c2, p2 = move.site[:4]
-    s, t = _R2_SLOTS[move.site[4:]]
-    x, y = diagram.fresh_crossing_ids
-    first = (("cross", x, s), ("cross", y, t))
-    second = (("cross", y, 3 - t), ("cross", x, 3 - s))
+    first, second = diagram.fresh_crossings[_R2_SLOTS[move.site[4:]]]
     # in one gap the first strand goes in front of the second
     q1 = p1 + 2 * (c1 == c2 and p2 < p1)
-    q2 = p2 + 2 * (c1 == c2 and p1 <= p2)
     comps = list(diagram.components)
     comps[c2] = comps[c2][:p2] + second + comps[c2][p2:]
     comps[c1] = comps[c1][:q1] + first + comps[c1][q1:]
-    new = Diagram(diagram.surface, diagram.mode, tuple(comps))
-    return new, MoveInstance("r2_remove", ((c1, q1), (c2, q2)))
+    return Diagram(diagram.surface, diagram.mode, tuple(comps))
+
+
+def _r2_insert_inverse(diagram: Diagram, move: MoveInstance) -> MoveInstance:
+    c1, p1, c2, p2 = move.site[:4]
+    same = c1 == c2  # the pairs sit where _r2_insert_rewrite puts them
+    return MoveInstance("r2_remove", ((c1, p1 + 2 * (same and p2 < p1)),
+                                      (c2, p2 + 2 * (same and p1 <= p2))))
 
 
 def _is_bigon(diagram: Diagram, sites) -> bool:
@@ -261,7 +268,7 @@ def _is_bigon(diagram: Diagram, sites) -> bool:
     return a[1] == d[1] and b[1] == c[1] and a[2] != d[2] and b[2] != c[2]
 
 
-def _r2_remove_rewrite(diagram: Diagram, move: MoveInstance):
+def _r2_remove_inverse(diagram: Diagram, move: MoveInstance) -> MoveInstance:
     (c1, p1), (c2, p2) = move.site
     n = len(diagram.components[c1])
     if c1 == c2 and n > 4 and (p2 + 2) % n == p1:
@@ -269,10 +276,9 @@ def _r2_remove_rewrite(diagram: Diagram, move: MoveInstance):
         # inverse keeps their order in one gap when transported to a rotation
         (c1, p1), (c2, p2) = (c2, p2), (c1, p1)
     a, b = _pair(diagram, (c1, p1))
-    new, [gap1, gap2] = _remove_pairs(diagram, [(c1, p1), (c2, p2)])
+    gap1, gap2 = _removed_gaps(diagram, [(c1, p1), (c2, p2)])
     slots = f"{a[2]}{b[2]}"
-    inv = (c1, gap1, c2, gap2) + ((slots,) if slots != "11" else ())
-    return new, MoveInstance("r2_insert", inv)
+    return MoveInstance("r2_insert", (c1, gap1, c2, gap2) + ((slots,) if slots != "11" else ()))
 
 
 def _is_triangle(diagram: Diagram, sites) -> bool:
@@ -286,22 +292,23 @@ def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, [(ci, p) for _, _, sites in move.data for ci, p, _ in sites])
 
 
-def _transvection_rewrite(diagram: Diagram, move: MoveInstance):
+def _transvection_rewrite(diagram: Diagram, move: MoveInstance) -> Diagram:
     """Insert |weight| loops of the mode's fiber unit at each intersection
     site: kinks in smooth mode, single cusps in cusp-smooth mode."""
     comps = [list(c) for c in diagram.components]
     loops = [(ci, p, weight * sign) for _, weight, sites in move.data for ci, p, sign in sites]
     for ci, p, n in sorted(loops, reverse=True):
         comps[ci][p:p] = fiber_loops(diagram.mode, n)
-    return diagram.with_components(comps), None
+    return diagram.with_components(comps)
 
 
-class _Kind(namedtuple("_Kind", "growth sites match rewrite transport")):
+class _Kind(namedtuple("_Kind", "growth sites match rewrite inverse transport")):
     """growth: events added (the search tries shrinking kinds first); sites:
     diagram -> every site where the kind fits, in order; match: the check
-    apply_move makes; rewrite: the new diagram and the inverse move, which is
-    None for a transvection; transport: (site, site_map) -> the site in an
-    equal diagram, or None."""
+    apply_move makes; rewrite: (diagram, move) -> the new diagram; inverse:
+    (diagram, move) -> the move that undoes it on the new diagram, None for a
+    transvection; transport: (site, site_map) -> the site in an equal
+    diagram, or None."""
 
     __slots__ = ()
 
@@ -317,32 +324,34 @@ def _local(candidates: Callable, check: Callable, fits: Callable, why: str) -> t
 
 _KINDS = {
     "stab": _Kind(
-        2, lambda d: [(*gap, _STABS[d.mode][0]) for gap in _gaps(d)],
-        _stab_match, _stab_rewrite, lambda s, f: (*f(s[:2]), s[2]),
+        2, lambda d: [(*gap, _STABS[d.mode][0]) for gap in _gaps(d)], _stab_match, _stab_rewrite,
+        lambda d, m: MoveInstance("destab", m.site[:2]), lambda s, f: (*f(s[:2]), s[2]),
     ),
     "destab": _Kind(
         -2, *_local(_positions, _no_pair, _is_stab_pair, "no stabilization pair of this mode"),
-        _destab_rewrite, lambda s, f: f(s),
+        lambda d, m: _remove_pairs(d, [m.site]), _destab_inverse, lambda s, f: f(s),
     ),
     "kink_slide": _Kind(
         0, *_local(_positions, _no_pair, _is_slidable, "no kink/cusp next to a crossing or edge"),
-        lambda d, m: (_swap_pairs(d, [m.site]), m), lambda s, f: f(s),
+        lambda d, m: _swap_pairs(d, [m.site]), lambda d, m: m, lambda s, f: f(s),
     ),
     "r2_insert": _Kind(
         4, lambda d: [(*gap1, *gap2) for gap1, gap2 in itertools.product(_gaps(d), repeat=2)],
-        _r2_insert_match, _r2_insert_rewrite, lambda s, f: (*f(s[:2]), *f(s[2:4]), *s[4:]),
+        _r2_insert_match, _r2_insert_rewrite, _r2_insert_inverse,
+        lambda s, f: (*f(s[:2]), *f(s[2:4]), *s[4:]),
     ),
     "r2_remove": _Kind(
         -4, *_local(lambda d: _crossing_pairs(d, 2), _no_crossing_pairs, _is_bigon, "not a bigon"),
-        _r2_remove_rewrite, lambda s, f: tuple(map(f, s)),
+        lambda d, m: _remove_pairs(d, m.site), _r2_remove_inverse, lambda s, f: tuple(map(f, s)),
     ),
     "r3": _Kind(
         0, *_local(
             lambda d: _crossing_pairs(d, 3), _no_crossing_pairs, _is_triangle, "not a triangle",
         ),
-        lambda d, m: (_swap_pairs(d, m.site), m), lambda s, f: tuple(sorted(map(f, s))),
+        lambda d, m: _swap_pairs(d, m.site), lambda d, m: m, lambda s, f: tuple(sorted(map(f, s))),
     ),
-    "transvection": _Kind(1, lambda d: (), _transvection_match, _transvection_rewrite, None),
+    "transvection": _Kind(1, lambda d: (), _transvection_match, _transvection_rewrite,
+                          lambda d, m: None, None),
 }
 
 
@@ -365,8 +374,8 @@ def applicable_moves(diagram: Diagram) -> list[MoveInstance]:
     ]
 
 
-def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance | None]:
-    """Apply and return (new diagram, inverse move or None for transvections)."""
+def _fitting(diagram: Diagram, move: MoveInstance) -> _Kind:
+    """The move's kind, once its match passes; raises InapplicableMove."""
     kind = _KINDS.get(move.kind) if type(move.kind) is str else None
     if kind is None:
         raise InapplicableMove(f"unknown move kind {move.kind!r}")
@@ -376,20 +385,26 @@ def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance 
         why = "malformed site"
     if why is not None:
         raise InapplicableMove(f"{move.kind} at {move.site}: {why}")
-    return kind.rewrite(diagram, move)
+    return kind
+
+
+def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance | None]:
+    """Apply and return (new diagram, inverse move or None for transvections)."""
+    kind = _fitting(diagram, move)
+    return kind.rewrite(diagram, move), kind.inverse(diagram, move)
 
 
 def apply_move(diagram: Diagram, move: MoveInstance) -> Diagram:
     """Apply a catalogue move or transvection, checked: raises InapplicableMove
     for an unknown kind, a malformed site or a site that does not match the
     kind's pattern."""
-    return _apply(diagram, move)[0]
+    return _fitting(diagram, move).rewrite(diagram, move)
 
 
 def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
     """Inverse move in the context of the diagram the move applies to.
     Transvections only add loops and have no catalogue inverse."""
-    inv = _apply(diagram, move)[1]
+    inv = _fitting(diagram, move).inverse(diagram, move)
     if inv is None:
         raise InapplicableMove("transvections are not invertible as moves")
     return inv
@@ -434,6 +449,18 @@ def _relabel(comp, blind, r, ids: dict) -> str:
     ])
 
 
+def _one_reading(diagram: Diagram):
+    """(key, r) for one component with one least id-blind rotation, r: the
+    route that canonical_key and canonical_transform share; else None."""
+    comps = diagram.components
+    if len(comps) == 1:
+        code = _code_table(diagram.surface).__getitem__
+        blind, starts = least_rotation("".join(map(code, comps[0])))
+        if len(starts) == 1:
+            return (_relabel(comps[0], blind, starts[0], {}),), starts[0]
+    return None
+
+
 def canonical_transform(diagram: Diagram):
     """(key, perm, rots): canonical component i is component perm[i] rotated
     left by rots[i]; keys are equal exactly when the diagrams are equal up to
@@ -444,13 +471,10 @@ def canonical_transform(diagram: Diagram):
     block takes its least (strs, perm, rots) reading; the key is one block's
     strs, or the blocks' strs in order.  Raises ValueError on an unknown event
     and, unless one component has one least rotation, on a slot visited twice."""
-    comps = diagram.components
-    code = _code_table(diagram.surface).__getitem__
-    if len(comps) == 1:
-        blind, starts = least_rotation("".join(map(code, comps[0])))
-        if len(starts) == 1:
-            return (_relabel(comps[0], blind, starts[0], {}),), (0,), (starts[0],)
-
+    one = _one_reading(diagram)
+    if one is not None:
+        return one[0], (0,), (one[1],)
+    comps, code = diagram.components, _code_table(diagram.surface).__getitem__
     blinds = ["".join(map(code, comp)) for comp in comps]
     visits = {}  # (crossing id, slot) -> (component, position)
     for ci, comp in enumerate(comps):
@@ -486,7 +510,8 @@ def canonical_transform(diagram: Diagram):
 
 
 def canonical_key(diagram: Diagram):
-    return canonical_transform(diagram)[0]
+    one = _one_reading(diagram)
+    return one[0] if one is not None else canonical_transform(diagram)[0]
 
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
@@ -533,8 +558,9 @@ class SearchBudget(namedtuple("SearchBudget", "max_moves max_states transvection
     def __new__(cls, max_moves: int = 6, max_states: int = 100000,
                 transvection_generators: tuple[MoveInstance, ...] = ()):
         self = tuple.__new__(cls, (max_moves, max_states, transvection_generators))
-        if self.max_moves < 0 or self.max_states < 1:
-            raise ValueError("budgets must be positive")
+        for name, least in (("max_moves", 0), ("max_states", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)}")
         return self
 
 
@@ -551,23 +577,18 @@ class EquivalenceVerdict(namedtuple("EquivalenceVerdict", "status certificate in
         return self.status == "equivalent"
 
 
-def _shadow_class_multiset(diagram: Diagram):
-    try:
-        return sorted(
-            conjugacy_class_key(shadow_word(diagram, ci), diagram.surface)
-            for ci in range(len(diagram.components))
-        )
-    except UnsupportedSurface:
-        return None
-
-
 def _distinguish(d1, d2, bundle, generators):
     if len(d1.components) != len(d2.components):
         return ("component_count", len(d1.components), len(d2.components))
-    s1 = _shadow_class_multiset(d1)
-    s2 = _shadow_class_multiset(d2)
-    if s1 is not None and s1 != s2:
-        return ("shadow_classes", s1, s2)
+    # equal shadow words have equal classes; only differing ones need keys
+    w1, w2 = (sorted(shadow_word(d, ci) for ci in range(len(d.components))) for d in (d1, d2))
+    if w1 != w2:
+        try:
+            s1, s2 = (sorted(conjugacy_class_key(w, d1.surface) for w in ws) for ws in (w1, w2))
+        except UnsupportedSurface:
+            s1 = s2 = None
+        if s1 != s2:
+            return ("shadow_classes", s1, s2)
     l1 = [lift_class(d1, bundle, ci) for ci in range(len(d1.components))]
     l2 = [lift_class(d2, bundle, ci) for ci in range(len(d2.components))]
     b1 = sorted(lc.base_part for lc in l1)
@@ -660,7 +681,7 @@ def equivalent_bounded(
                 else:
                     moves = (MoveInstance(name, site) for site in kind.sites(diag))
                 for move in moves:
-                    new = kind.rewrite(diag, move)[0]
+                    new = kind.rewrite(diag, move)
                     key = canonical_key(new)
                     if key in here:
                         continue

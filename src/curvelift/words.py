@@ -141,20 +141,19 @@ def cyclic_dehn_reduce(word: str, surface: Surface) -> str:
 
 def least_rotation(w: str) -> tuple[str, list[int]]:
     """The least rotation of w and every start r with w[r:] + w[:r] equal to
-    it; only rotations starting at the least letter are built, one at a time."""
+    it, in one pass: only rotations starting at the least letter are built,
+    one at a time, and each start is kept while its rotation is the least."""
     if not w:
         return "", [0]
     n, ww, least = len(w), w + w, min(w)
-    best, r = w, w.find(least)
-    while r != -1:
+    r = w.find(least)
+    best, starts = ww[r : r + n], [r]
+    while (r := w.find(least, r + 1)) != -1:
         rotation = ww[r : r + n]
         if rotation < best:
-            best = rotation
-        r = w.find(least, r + 1)
-    starts, r = [], ww.find(best)
-    while 0 <= r < n:
-        starts.append(r)
-        r = ww.find(best, r + 1)
+            best, starts = rotation, [r]
+        elif rotation == best:
+            starts.append(r)
     return best, starts
 
 

@@ -157,6 +157,17 @@ def test_equiv_unknown_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_equiv_out_of_range_budget_is_a_usage_error(tmp_path, capsys):
+    # max_moves may be 0, max_states must be at least 1
+    p = write(tmp_path, "d.txt", VERTEX_LINK)
+    for flag, value, message in [("--budget-moves", "-1", "max_moves must be >= 0, not -1"),
+                                 ("--budget-states", "0", "max_states must be >= 1, not 0")]:
+        assert main(["equiv", p, p, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    code, out = run(capsys, "equiv", p, p, "--budget-moves", "0")
+    assert code == 0 and out == "equivalent\ncertificate: 0 moves\n"
+
+
 def test_equiv_relabel(tmp_path, capsys):
     p1 = write(
         tmp_path, "d1.txt",

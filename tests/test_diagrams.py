@@ -232,4 +232,9 @@ def test_empty_component_serializes_without_trailing_space():
 
 def test_fresh_crossing_id():
     d = smooth(cross("1", 1), cross("1", 2), cross("3", 1), cross("3", 2))
-    assert d.fresh_crossing_ids == ("2", "4")
+    # the two least unused ids, 2 and 4, in every slot pair, made once
+    fresh = d.fresh_crossings
+    assert fresh[1, 1] == ((cross("2", 1), cross("4", 1)), (cross("4", 2), cross("2", 2)))
+    assert fresh[2, 1] == ((cross("2", 2), cross("4", 1)), (cross("4", 2), cross("2", 1)))
+    assert {ev[1] for pair in fresh.values() for strand in pair for ev in strand} == {"2", "4"}
+    assert d.fresh_crossings is fresh

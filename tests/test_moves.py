@@ -34,7 +34,7 @@ from curvelift import (
     vertex_link_curve,
 )
 from curvelift import moves as moves_module
-from curvelift.diagrams import cross, cusp, edge, kink, qturn
+from curvelift.diagrams import cross, cusp, edge, kink, qturn, shadow_word
 from curvelift.moves import canonical_transform
 
 from helpers import random_diagram, reference_canonical_transform, reference_distance
@@ -221,7 +221,7 @@ def test_applicable_moves_come_out_sorted(rng):
                 pass
     assert moves == sorted(accepted)
     for move in moves:
-        assert moves_module._KINDS[move.kind].rewrite(d, move)[0] == accepted[move]
+        assert moves_module._KINDS[move.kind].rewrite(d, move) == accepted[move]
 
 
 def test_r2_remove_then_insert_recreates_canonically():
@@ -415,6 +415,28 @@ def test_canonical_transform_matches_reference(rng):
     assert (canonical_key(d3) == key) == (reference_canonical_transform(d3)[0] == ref_key)
 
 
+def test_one_component_key_route_agrees_with_the_transform_and_reference():
+    # one least id-blind rotation takes the short route; a component followed
+    # by a renamed copy of itself has several, and takes the general one
+    rng = random.Random(22)
+    routes = set()
+    for _ in range(300):
+        d = random_diagram(rng, Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"]),
+                           n_components=1, max_loose_events=5, max_crossings=3)
+        comp = d.components[0]
+        if rng.random() < 0.3:
+            d = Diagram(d.surface, d.mode, (comp + renamed(comp, lambda x: x + "r"),))
+        key, perm, rots = canonical_transform(d)
+        ref_key, ref_perm, ref_rots = reference_canonical_transform(d)
+        assert canonical_key(d) == key
+        assert (perm, rots) == (ref_perm, ref_rots) and rebuilt_key(d, perm, rots, key) == key
+        assert canonical_key(rearranged(rng, d)) == key
+        one = moves_module._one_reading(d)
+        assert one is None or one == (key, rots[0])
+        routes.add((one is not None, bool(d.crossing_ids())))
+    assert routes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 Q4 = (qturn(1),) * 4
 
 
@@ -561,6 +583,21 @@ def test_equiv_distinguishes_shadow_class():
     assert v.invariant[0] == "shadow_classes"
 
 
+def test_distinguish_keys_shadow_classes_only_when_words_differ(monkeypatch):
+    calls = []
+    inner = moves_module.conjugacy_class_key
+    monkeypatch.setattr(moves_module, "conjugacy_class_key",
+                        lambda w, s: calls.append(w) or inner(w, s))
+    # a stabilization keeps the shadow word: no conjugacy key is computed
+    d1 = smooth(edge("a1"), qturn(1), qturn(1), qturn(1), edge("b1"), qturn(1), qturn(1), qturn(1))
+    d2 = apply_move(d1, MoveInstance("stab", (0, 2, "lr")))
+    assert moves_module._distinguish(d1, d2, UT, ()) is None and calls == []
+    # a rotation changes the word's string, not its class: keyed, not told apart
+    d3 = Diagram(S2, "smooth", (d1.components[0][4:] + d1.components[0][:4],))
+    assert shadow_word(d1, 0) != shadow_word(d3, 0)
+    assert moves_module._distinguish(d1, d3, UT, ()) is None and len(calls) == 2
+
+
 def test_equiv_distinguishes_fiber():
     d1 = circle()  # turning 1
     d2 = smooth(kink(1), kink(1))  # turning 2; same contractible shadow
@@ -652,6 +689,36 @@ def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
         pairs.add((key, ref_key))
     # two children share a key exactly when they share the reference's
     assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
+
+
+def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
+    # a search that ends unknown assembles no certificate, so it asks no kind
+    # for an inverse; the r2_insert children of one parent hold the same four
+    # fresh crossing events, made once for that parent
+    (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
+    inverses = []
+    for name, kind in list(moves_module._KINDS.items()):
+        def inverse(d, m, inner=kind.inverse):
+            inverses.append(m)
+            return inner(d, m)
+        monkeypatch.setitem(moves_module._KINDS, name, kind._replace(inverse=inverse))
+    inserts = []
+    kind = moves_module._KINDS["r2_insert"]
+    monkeypatch.setitem(moves_module._KINDS, "r2_insert", kind._replace(
+        rewrite=lambda d, m: inserts.append((d, kind.rewrite(d, m))) or inserts[-1][1]))
+    v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
+    assert v.status == "unknown" and inverses == []
+    fresh = {}  # parent -> the ids of the objects its children add
+    for parent, child in inserts:
+        old = parent.crossing_ids()
+        added = {id(ev) for comp in child.components for ev in comp
+                 if ev[0] == "cross" and ev[1] not in old}
+        assert len(added) == 4
+        fresh.setdefault(id(parent), set()).update(added)
+    assert len(fresh) > 1 and all(len(ids) == 4 for ids in fresh.values())
+    # the hook sees the inverses that invert_move asks for
+    invert_move(d1, MoveInstance("stab", (0, 0, "lr")))
+    assert inverses == [MoveInstance("stab", (0, 0, "lr"))]
 
 
 def recording_rewrites(monkeypatch):
