@@ -79,13 +79,8 @@ def cmd_validate(args) -> int:
 
     diagram, _ = parse(_read_text(args.path))
     violations = validate(diagram)
-    payload = {
-        "valid": not violations,
-        "violations": [
-            {"rule": v.rule, "component": v.component, "detail": v.detail}
-            for v in violations
-        ],
-    }
+    payload = {"valid": not violations, "violations": [
+        {"rule": v.rule, "component": v.component, "detail": v.detail} for v in violations]}
     _emit(args, payload, ["valid"] if not violations else [str(v) for v in violations])
     return 0 if not violations else 1
 
@@ -98,11 +93,8 @@ def cmd_invariants(args) -> int:
     diagram, bundle = parse(_read_text(args.path))
     violations = validate(diagram)
     if violations:
-        _emit(
-            args,
-            {"error": "invalid diagram", "violations": [str(v) for v in violations]},
-            [str(v) for v in violations],
-        )
+        lines = [str(v) for v in violations]
+        _emit(args, {"error": "invalid diagram", "violations": lines}, lines)
         return 1
     h1 = bundle_h1(bundle)
     components = []
@@ -112,15 +104,8 @@ def cmd_invariants(args) -> int:
         turning = raw_turning(diagram, ci)
         lc = lift_class(diagram, bundle, ci)
         fiber = fiber_degree(diagram, ci)
-        components.append(
-            {
-                "shadow": word,
-                "turning": str(turning),
-                "fiber": fiber,
-                "fiber_mod_e": lc.fiber_part,
-                "base": list(lc.base_part),
-            }
-        )
+        components.append({"shadow": word, "turning": str(turning), "fiber": fiber,
+                           "fiber_mod_e": lc.fiber_part, "base": list(lc.base_part)})
         lines.append(
             f"component {ci}: shadow={word or '1'} turning={turning} "
             f"fiber={fiber} fiber_mod_e={lc.fiber_part} base={list(lc.base_part)}"
@@ -182,13 +167,18 @@ def _relabel(diagram, table: dict[str, str]):
 
 
 def cmd_equiv(args) -> int:
-    from .diagrams import parse
+    from .diagrams import parse, validate
     from .moves import SearchBudget, equivalent_bounded, move_from_json, move_to_json
 
     d1, b1 = parse(_read_text(args.path1))
     d2, b2 = parse(_read_text(args.path2))
     if b1 != b2:
         raise ModeMismatch(f"bundle mismatch: {b1} vs {b2}")
+    violations = [f"{path}: {v}" for path, d in ((args.path1, d1), (args.path2, d2))
+                  for v in validate(d)]
+    if violations:
+        _emit(args, {"error": "invalid diagram", "violations": violations}, violations)
+        return 1
     if args.relabel:
         try:
             d2 = _relabel(d2, _read_json(args.relabel))
@@ -276,33 +266,32 @@ def cmd_group(args) -> int:
     return 0 if result == CONSISTENT else 1
 
 
+# each field of a group britton spec: its check, and what it must be
+_LETTERS = (lambda v: isinstance(v, (str, list)) and all(type(x) is str for x in v), "letters")
+_BRITTON_FIELDS = {
+    "generators": _LETTERS, "a_letters": _LETTERS, "b_letters": _LETTERS,
+    "phi": (lambda v: type(v) is dict and _LETTERS[0](list(v.values())), "an object of letters"),
+    "word": (lambda v: type(v) is list and all(type(x) in (str, int) for x in v),
+             "a list of base words and integer t-exponents"),
+}
+
+
 def cmd_britton(args) -> int:
     from .hnn import HNNExtension, HNNWord, britton_reduce, is_trivial_hnn
 
     spec = _read_json(args.spec)
-    ext = HNNExtension(
-        generators=tuple(spec["generators"]),
-        a_letters=frozenset(spec["a_letters"]),
-        b_letters=frozenset(spec["b_letters"]),
-        phi=tuple(sorted(spec["phi"].items())),
-    )
+    for field, (ok, what) in _BRITTON_FIELDS.items():
+        if not (isinstance(spec, dict) and field in spec and ok(spec[field])):
+            return _usage_error(f"{args.spec}: {field!r} is missing or not {what}")
+    ext = HNNExtension(tuple(spec["generators"]), frozenset(spec["a_letters"]),
+                       frozenset(spec["b_letters"]), tuple(sorted(spec["phi"].items())))
     hw = HNNWord.from_items(ext, spec["word"])
     reduced = britton_reduce(hw)
     trivial = is_trivial_hnn(hw)
-    payload = {
-        "trivial": trivial,
-        "t_length": reduced.t_length,
-        "base_words": list(reduced.base_words),
-        "signs": list(reduced.signs),
-    }
-    _emit(
-        args,
-        payload,
-        [
-            "trivial" if trivial else "nontrivial",
-            f"reduced t-length {reduced.t_length}",
-        ],
-    )
+    payload = {"trivial": trivial, "t_length": reduced.t_length,
+               "base_words": list(reduced.base_words), "signs": list(reduced.signs)}
+    _emit(args, payload, ["trivial" if trivial else "nontrivial",
+                          f"reduced t-length {reduced.t_length}"])
     return 0 if trivial else 1
 
 
@@ -336,9 +325,7 @@ def _add_surface_flags(p, bundle_flags=False):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="curvelift",
-        description="Diagrams of curve lifts in circle bundles over surfaces.",
-    )
+        prog="curvelift", description="Diagrams of curve lifts in circle bundles over surfaces.")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -384,13 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     gp = gsub.add_parser("powersum")
     _add_surface_flags(gp)
     gp.add_argument("word", help="the conjugated word w")
-    gp.add_argument(
-        "--factor",
-        action="append",
-        default=[],
-        metavar="G:EPS",
-        help="conjugator and exponent, e.g. ab:1 (repeatable)",
-    )
+    gp.add_argument("--factor", action="append", default=[], metavar="G:EPS",
+                    help="conjugator and exponent, e.g. ab:1 (repeatable)")
     gp.set_defaults(func=cmd_group)
     gp = gsub.add_parser("britton")
     gp.add_argument("spec", help="JSON HNN datum with generators/a_letters/b_letters/phi/word")

@@ -40,11 +40,8 @@ class LiftClass(namedtuple("LiftClass", "base_part fiber_part euler_number")):
         return self
 
     def to_json(self) -> dict:
-        return {
-            "base": list(self.base_part),
-            "fiber": self.fiber_part,
-            "euler_number": self.euler_number,
-        }
+        return {"base": list(self.base_part), "fiber": self.fiber_part,
+                "euler_number": self.euler_number}
 
 
 def shadow_homology_vector(diagram: Diagram, component: int) -> tuple[int, ...]:
@@ -59,13 +56,9 @@ def shadow_homology_vector(diagram: Diagram, component: int) -> tuple[int, ...]:
 
 def _check_mode(diagram: Diagram, bundle: CircleBundle) -> None:
     if diagram.surface != bundle.base:
-        raise ModeMismatch(
-            f"diagram surface {diagram.surface} != bundle base {bundle.base}"
-        )
+        raise ModeMismatch(f"diagram surface {diagram.surface} != bundle base {bundle.base}")
     if diagram.mode != MODE_FOR_KIND[bundle.kind]:
-        raise ModeMismatch(
-            f"{diagram.mode} diagram cannot live in {bundle.kind.value} bundle"
-        )
+        raise ModeMismatch(f"{diagram.mode} diagram cannot live in {bundle.kind.value} bundle")
 
 
 def lift_class(diagram: Diagram, bundle: CircleBundle, component: int) -> LiftClass:
@@ -125,11 +118,7 @@ class TwistedShadow(namedtuple("TwistedShadow", "diagram twists crossing_fixes c
             if side not in ("left", "right"):
                 raise ValueError(f"bad fix side {side!r}")
         for (ci, pos), mode in self.corner_modes:
-            ok = (
-                0 <= ci < len(comps)
-                and 0 <= pos < len(comps[ci])
-                and comps[ci][pos][0] == "qturn"
-            )
+            ok = 0 <= ci < len(comps) and 0 <= pos < len(comps[ci]) and comps[ci][pos][0] == "qturn"
             if not ok:
                 raise ValueError(f"corner references missing quarter turn ({ci}, {pos})")
             if mode not in ("smooth", "through_loop"):

@@ -14,23 +14,25 @@ the wrap-around gap).
 
 Each move kind is written once, in the table ``_KINDS``: its growth in
 events, the sites where it fits, its match (the check ``apply_move`` makes),
-rewrite (the new diagram alone: all the search builds), inverse (the move
-that undoes it, read off the diagram it applies to) and site transport (the
-same move on a reordered, rotated copy of the diagram); a local pattern is
-one test, which the sites and the match both run.  Transvections have no
-sites, inverse or transport.  An ``r2_insert`` site may end with its first
-strand's slot pair ("12", "21" or "22"; absent means "11"); only the inverse
-of an ``r2_remove`` emits it.
+rewrite (the new components, by slicing and concatenation alone, so that it
+splices event tuples and bytes alike), inverse (the move that undoes it, read
+off the diagram it applies to) and site transport (the same move on a
+reordered, rotated copy); a local pattern is one test, which the sites and
+the match both run.  Transvections have no sites, inverse or transport.  An
+``r2_insert`` site may end with its first strand's slot pair ("12", "21" or
+"22"; absent means "11"); only the inverse of an ``r2_remove`` emits it.
 
 The search expands a diagram kind by kind, by growth and then by name,
 listing a kind's sites only on reaching it and skipping a kind whose growth
 passes the size cap; forward, it tries the transvection generators whose gaps
-fit at growth 1, each unless its exact growth passes the cap.  ``apply_move``
-is the checked entry point for every other move.
+fit at growth 1, each unless its exact growth passes the cap.  It encodes each
+diagram it expands once as bytes and keys each child off the bytes its rewrite
+splices, and builds a child only when it expands it.
 
 A canonical key holds one str per component, one character per event from a
 per-surface table built on first use; each block of components joined by
 crossings is keyed by its least reading, so keys are exact at polynomial cost.
+One component with one least rotation is read off its bytes with translates.
 """
 
 from __future__ import annotations
@@ -107,11 +109,24 @@ def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
 
 # ----------------------------------------------------------------------
 # the move table.  match(diagram, move) returns None or why the move does not
-# fit; rewrite(diagram, move) and inverse(diagram, move) run on a fitting move
-# only and return the new diagram and the inverse move.
+# fit; rewrite(form, move) and inverse(diagram, move) run on a fitting move
+# only and return the new components and the inverse move.
 
 
 _LOOP_TAGS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
+
+
+class _Form(namedtuple("_Form", "components stab fresh loops")):
+    """A diagram's components and what rewrites insert, in the form they splice
+    (_child's event tuples, _byte_form's bytes): stab: variant -> its pair; fresh:
+    slot pair -> Diagram.fresh_crossings' pairs; loops: n -> fiber_loops(mode, n)."""
+
+    __slots__ = ()
+
+
+def _replaced(comps: tuple, ci: int, comp) -> tuple:
+    """comps with component ci replaced by comp."""
+    return comps[:ci] + (comp,) + comps[ci + 1:]
 
 
 def _gaps(diagram: Diagram) -> list:
@@ -174,13 +189,14 @@ def _crossing_pairs(diagram: Diagram, k: int) -> list:
     return [s for s in itertools.combinations(pairs, k) if len(_spots(diagram, s)) == 2 * k]
 
 
-def _remove_pairs(diagram: Diagram, sites) -> Diagram:
-    """The diagram without the events of the pair sites."""
-    removed = _spots(diagram, sites)
-    comps = list(diagram.components)
+def _remove_pairs(comps: tuple, sites) -> tuple:
+    """comps without the events of the pair sites."""
     for ci in {ci for ci, _ in sites}:
-        comps[ci] = tuple(ev for pos, ev in enumerate(comps[ci]) if (ci, pos) not in removed)
-    return Diagram(diagram.surface, diagram.mode, tuple(comps))
+        comp, out, last = comps[ci], comps[ci][:0], 0
+        for q in sorted(q for c, p in sites if c == ci for q in (p, (p + 1) % len(comp))):
+            out, last = out + comp[last:q], q + 1
+        comps = _replaced(comps, ci, out + comp[last:])
+    return comps
 
 
 def _removed_gaps(diagram: Diagram, sites) -> list:
@@ -193,14 +209,15 @@ def _removed_gaps(diagram: Diagram, sites) -> list:
     return gaps
 
 
-def _swap_pairs(diagram: Diagram, sites) -> Diagram:
-    comps = list(diagram.components)
+def _swap_pairs(comps: tuple, sites) -> tuple:
     for ci, p in sites:
-        comp = list(comps[ci])
-        q = (p + 1) % len(comp)
-        comp[p], comp[q] = comp[q], comp[p]
-        comps[ci] = tuple(comp)
-    return Diagram(diagram.surface, diagram.mode, tuple(comps))
+        comp = comps[ci]
+        if p + 1 < len(comp):
+            comp = comp[:p] + comp[p + 1:p + 2] + comp[p:p + 1] + comp[p + 2:]
+        else:  # the pair across the wrap
+            comp = comp[p:] + comp[1:p] + comp[:1]
+        comps = _replaced(comps, ci, comp)
+    return comps
 
 
 def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
@@ -210,11 +227,10 @@ def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, [(ci, p)])
 
 
-def _stab_rewrite(diagram: Diagram, move: MoveInstance) -> Diagram:
+def _stab_rewrite(form: _Form, move: MoveInstance) -> tuple:
     ci, p, variant = move.site
-    comps = list(diagram.components)
-    comps[ci] = comps[ci][:p] + STAB_VARIANTS[variant] + comps[ci][p:]
-    return Diagram(diagram.surface, diagram.mode, tuple(comps))
+    comp = form.components[ci]
+    return _replaced(form.components, ci, comp[:p] + form.stab(variant) + comp[p:])
 
 
 def _is_stab_pair(diagram: Diagram, site) -> bool:
@@ -244,15 +260,17 @@ def _r2_insert_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, ((c1, p1), (c2, p2)))
 
 
-def _r2_insert_rewrite(diagram: Diagram, move: MoveInstance) -> Diagram:
+def _r2_insert_rewrite(form: _Form, move: MoveInstance) -> tuple:
     c1, p1, c2, p2 = move.site[:4]
-    first, second = diagram.fresh_crossings[_R2_SLOTS[move.site[4:]]]
-    # in one gap the first strand goes in front of the second
-    q1 = p1 + 2 * (c1 == c2 and p2 < p1)
-    comps = list(diagram.components)
-    comps[c2] = comps[c2][:p2] + second + comps[c2][p2:]
-    comps[c1] = comps[c1][:q1] + first + comps[c1][q1:]
-    return Diagram(diagram.surface, diagram.mode, tuple(comps))
+    first, second = form.fresh(_R2_SLOTS[move.site[4:]])
+    comps = form.components
+    if c1 != c2:
+        comps = _replaced(comps, c2, comps[c2][:p2] + second + comps[c2][p2:])
+        return _replaced(comps, c1, comps[c1][:p1] + first + comps[c1][p1:])
+    comp = comps[c1]  # in one gap the first strand goes in front of the second
+    if p1 <= p2:
+        return _replaced(comps, c1, comp[:p1] + first + comp[p1:p2] + second + comp[p2:])
+    return _replaced(comps, c1, comp[:p2] + second + comp[p2:p1] + first + comp[p1:])
 
 
 def _r2_insert_inverse(diagram: Diagram, move: MoveInstance) -> MoveInstance:
@@ -292,20 +310,21 @@ def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, [(ci, p) for _, _, sites in move.data for ci, p, _ in sites])
 
 
-def _transvection_rewrite(diagram: Diagram, move: MoveInstance) -> Diagram:
+def _transvection_rewrite(form: _Form, move: MoveInstance) -> tuple:
     """Insert |weight| loops of the mode's fiber unit at each intersection
     site: kinks in smooth mode, single cusps in cusp-smooth mode."""
-    comps = [list(c) for c in diagram.components]
+    comps = form.components
     loops = [(ci, p, weight * sign) for _, weight, sites in move.data for ci, p, sign in sites]
     for ci, p, n in sorted(loops, reverse=True):
-        comps[ci][p:p] = fiber_loops(diagram.mode, n)
-    return diagram.with_components(comps)
+        comps = _replaced(comps, ci, comps[ci][:p] + form.loops(n) + comps[ci][p:])
+    return comps
 
 
 class _Kind(namedtuple("_Kind", "growth sites match rewrite inverse transport")):
     """growth: events added (the search tries shrinking kinds first); sites:
     diagram -> every site where the kind fits, in order; match: the check
-    apply_move makes; rewrite: (diagram, move) -> the new diagram; inverse:
+    apply_move makes; rewrite: (form, move) -> the new components, by slicing
+    and concatenation only, so that one rewrite serves both forms; inverse:
     (diagram, move) -> the move that undoes it on the new diagram, None for a
     transvection; transport: (site, site_map) -> the site in an equal
     diagram, or None."""
@@ -329,11 +348,11 @@ _KINDS = {
     ),
     "destab": _Kind(
         -2, *_local(_positions, _no_pair, _is_stab_pair, "no stabilization pair of this mode"),
-        lambda d, m: _remove_pairs(d, [m.site]), _destab_inverse, lambda s, f: f(s),
+        lambda f, m: _remove_pairs(f.components, [m.site]), _destab_inverse, lambda s, f: f(s),
     ),
     "kink_slide": _Kind(
         0, *_local(_positions, _no_pair, _is_slidable, "no kink/cusp next to a crossing or edge"),
-        lambda d, m: _swap_pairs(d, [m.site]), lambda d, m: m, lambda s, f: f(s),
+        lambda f, m: _swap_pairs(f.components, [m.site]), lambda d, m: m, lambda s, f: f(s),
     ),
     "r2_insert": _Kind(
         4, lambda d: [(*gap1, *gap2) for gap1, gap2 in itertools.product(_gaps(d), repeat=2)],
@@ -342,13 +361,15 @@ _KINDS = {
     ),
     "r2_remove": _Kind(
         -4, *_local(lambda d: _crossing_pairs(d, 2), _no_crossing_pairs, _is_bigon, "not a bigon"),
-        lambda d, m: _remove_pairs(d, m.site), _r2_remove_inverse, lambda s, f: tuple(map(f, s)),
+        lambda f, m: _remove_pairs(f.components, m.site), _r2_remove_inverse,
+        lambda s, f: tuple(map(f, s)),
     ),
     "r3": _Kind(
         0, *_local(
             lambda d: _crossing_pairs(d, 3), _no_crossing_pairs, _is_triangle, "not a triangle",
         ),
-        lambda d, m: _swap_pairs(d, m.site), lambda d, m: m, lambda s, f: tuple(sorted(map(f, s))),
+        lambda f, m: _swap_pairs(f.components, m.site), lambda d, m: m,
+        lambda s, f: tuple(sorted(map(f, s))),
     ),
     "transvection": _Kind(1, lambda d: (), _transvection_match, _transvection_rewrite,
                           lambda d, m: None, None),
@@ -388,17 +409,26 @@ def _fitting(diagram: Diagram, move: MoveInstance) -> _Kind:
     return kind
 
 
+def _child(diagram: Diagram, move: MoveInstance) -> Diagram:
+    """The diagram after a fitting move, rewritten on its event tuples."""
+    form = _Form(diagram.components, STAB_VARIANTS.__getitem__,
+                 lambda slots: diagram.fresh_crossings[slots],
+                 lambda n: tuple(fiber_loops(diagram.mode, n)))
+    return Diagram(diagram.surface, diagram.mode, _KINDS[move.kind].rewrite(form, move))
+
+
 def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance | None]:
     """Apply and return (new diagram, inverse move or None for transvections)."""
     kind = _fitting(diagram, move)
-    return kind.rewrite(diagram, move), kind.inverse(diagram, move)
+    return _child(diagram, move), kind.inverse(diagram, move)
 
 
 def apply_move(diagram: Diagram, move: MoveInstance) -> Diagram:
     """Apply a catalogue move or transvection, checked: raises InapplicableMove
     for an unknown kind, a malformed site or a site that does not match the
     kind's pattern."""
-    return _fitting(diagram, move).rewrite(diagram, move)
+    _fitting(diagram, move)
+    return _child(diagram, move)
 
 
 def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
@@ -416,6 +446,11 @@ def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
 
 # codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 relabeled crossings
 _CROSS0 = 64
+# _byte_form takes at most 64 crossing ids, so that a child's two fresh ids fit
+# in a byte too; the tables read a crossing byte's slot code, first and second slot
+_BYTE_IDS = 64
+_BLIND = bytes(b if b < _CROSS0 else b & 1 for b in range(256))
+_FIRST, _SECOND = bytes(b & 254 for b in range(256)), bytes(b | 1 for b in range(256))
 
 
 class _Codes(dict):
@@ -449,16 +484,61 @@ def _relabel(comp, blind, r, ids: dict) -> str:
     ])
 
 
+def _bytes(diagram: Diagram):
+    """(its component's bytes, put) for a diagram with one component and at
+    most _BYTE_IDS crossing ids, else None.  put(events) is one byte per event:
+    its code, or a crossing's _CROSS0 + 2 * (its id's number) + its slot code,
+    each id numbered on first sight."""
+    if len(diagram.components) != 1 or len(diagram.crossing_ids()) > _BYTE_IDS:
+        return None
+    code, ids = _code_table(diagram.surface).__getitem__, {}
+
+    def put(events) -> bytes:
+        return "".join([
+            code(ev) if ev[0] != "cross"
+            else chr(_CROSS0 + 2 * ids.setdefault(ev[1], len(ids)) + ord(code(ev)))
+            for ev in events
+        ]).encode("latin-1")
+
+    return put(diagram.components[0]), put
+
+
+def _byte_form(diagram: Diagram) -> _Form | None:
+    """The search's form of a diagram with _bytes: each piece that a rewrite
+    inserts is put once, fresh crossings numbered after the component's."""
+    got = _bytes(diagram)
+    if got is None:
+        return None
+    comp, put = got
+    stab = {variant: put(STAB_VARIANTS[variant]) for variant in _STABS[diagram.mode]}
+    fresh = {slots: tuple(map(put, pairs)) for slots, pairs in diagram.fresh_crossings.items()}
+    return _Form((comp,), stab.__getitem__, fresh.__getitem__,
+                 lambda n: put(fiber_loops(diagram.mode, n)))
+
+
+def _read(comp: bytes):
+    """((key,), r) for a component's bytes whose id-blind string has one least
+    rotation, r, else None: the key renumbers the rotation's crossing ids by
+    first occurrence, with one translate."""
+    blind, starts = least_rotation(comp.translate(_BLIND))
+    if len(starts) != 1:
+        return None
+    r = starts[0]
+    if blind[:1] > b"\x01":  # crossings code lowest: this rotation has none
+        return (blind.decode("latin-1"),), r
+    turned = comp[r:] + comp[:r]
+    firsts = bytearray(dict.fromkeys(turned.translate(_FIRST, _BLIND[:_CROSS0])))
+    end = _CROSS0 + 2 * len(firsts)
+    table = bytes.maketrans(firsts + firsts.translate(_SECOND),
+                            _FIRST[_CROSS0:end:2] + _SECOND[_CROSS0:end:2])
+    return (turned.translate(table).decode("latin-1"),), r
+
+
 def _one_reading(diagram: Diagram):
-    """(key, r) for one component with one least id-blind rotation, r: the
-    route that canonical_key and canonical_transform share; else None."""
-    comps = diagram.components
-    if len(comps) == 1:
-        code = _code_table(diagram.surface).__getitem__
-        blind, starts = least_rotation("".join(map(code, comps[0])))
-        if len(starts) == 1:
-            return (_relabel(comps[0], blind, starts[0], {}),), starts[0]
-    return None
+    """(key, r) by _read for a diagram with _bytes: the route that
+    canonical_key, canonical_transform and the search share; else None."""
+    got = _bytes(diagram)
+    return None if got is None else _read(got[0])
 
 
 def canonical_transform(diagram: Diagram):
@@ -470,7 +550,7 @@ def canonical_transform(diagram: Diagram):
     distinct) of the least-numbered crossing read so far and begins there.  A
     block takes its least (strs, perm, rots) reading; the key is one block's
     strs, or the blocks' strs in order.  Raises ValueError on an unknown event
-    and, unless one component has one least rotation, on a slot visited twice."""
+    and, unless _one_reading keys the diagram, on a slot visited twice."""
     one = _one_reading(diagram)
     if one is not None:
         return one[0], (0,), (one[1],)
@@ -514,14 +594,21 @@ def canonical_key(diagram: Diagram):
     return one[0] if one is not None else canonical_transform(diagram)[0]
 
 
+def _child_key(parent: Diagram, form: _Form | None, move: MoveInstance):
+    """canonical_key of the parent after a fitting move, read off the bytes
+    that the rewrite splices from the parent's _byte_form, if it has one and
+    the child has one least rotation; else off the built child."""
+    if form is not None:
+        one = _read(_KINDS[move.kind].rewrite(form, move)[0])
+        if one is not None:
+            return one[0]
+    return canonical_key(_child(parent, move))
+
+
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
     """Structural equality up to cyclic rotation, component permutation, and
     crossing-id renaming."""
-    return (
-        d1.surface == d2.surface
-        and d1.mode == d2.mode
-        and canonical_key(d1) == canonical_key(d2)
-    )
+    return (d1.surface, d1.mode) == (d2.surface, d2.mode) and canonical_key(d1) == canonical_key(d2)
 
 
 def _site_map(src: Diagram, dst: Diagram):
@@ -536,11 +623,8 @@ def _site_map(src: Diagram, dst: Diagram):
     def f(site):
         ci, pos = site
         i, r = to_canon[ci]
-        n = max(len(src.components[ci]), 1)
-        canon_pos = (pos - r) % n
-        ci2 = perm_d[i]
-        n2 = max(len(dst.components[ci2]), 1)
-        return ci2, (canon_pos + rots_d[i]) % n2
+        ci2, canon_pos = perm_d[i], (pos - r) % max(len(src.components[ci]), 1)
+        return ci2, (canon_pos + rots_d[i]) % max(len(dst.components[ci2]), 1)
 
     return f
 
@@ -636,10 +720,11 @@ def equivalent_bounded(
     flip_growth = {t: sum(abs(n) * len(sites) for _, n, sites in t.data) for t in flips}
 
     # side 0 searches forward from d1, side 1 backward from d2 (its paths are
-    # inverted on meet); each side maps key -> path, and diagrams live only in
-    # the frontiers
+    # inverted on meet); each side maps key -> path, and a frontier holds
+    # (parent, move, path): a child is keyed from its parent's bytes and built
+    # only when its layer is expanded
     seen = ({k1: ()}, {k2: ()})
-    frontiers = [[(d1, ())], [(d2, ())]]
+    frontiers = [[(d1, None, ())], [(d2, None, ())]]
     # any path of <= max_moves moves can overshoot the endpoint sizes by at
     # most 4 events per move round-trip; larger states cannot help
     size_cap = max(sum(map(len, d.components)) for d in (d1, d2)) + 2 * budget.max_moves
@@ -669,8 +754,9 @@ def equivalent_bounded(
         side = 0 if forward and (not backward or forward <= backward) else 1
         here, there = seen[side], seen[1 - side]
         next_frontier = []
-        for diag, path in frontiers[side]:
-            size = sum(map(len, diag.components))
+        for parent, last, path in frontiers[side]:
+            diag = parent if last is None else _child(parent, last)
+            form, size = _byte_form(diag), sum(map(len, diag.components))
             for name in _SEARCH_ORDER:
                 kind = _KINDS[name]
                 if name == "transvection":
@@ -681,8 +767,7 @@ def equivalent_bounded(
                 else:
                     moves = (MoveInstance(name, site) for site in kind.sites(diag))
                 for move in moves:
-                    new = kind.rewrite(diag, move)
-                    key = canonical_key(new)
+                    key = _child_key(diag, form, move)
                     if key in here:
                         continue
                     new_path = path + (move,)
@@ -693,7 +778,7 @@ def equivalent_bounded(
                         except InapplicableMove:
                             pass
                     here[key] = new_path
-                    next_frontier.append((new, new_path))
+                    next_frontier.append((diag, move, new_path))
                     if len(seen[0]) + len(seen[1]) > budget.max_states:
                         return EquivalenceVerdict("unknown")
         frontiers[side] = next_frontier

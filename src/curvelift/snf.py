@@ -20,10 +20,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if not a or not b:
         return [[] for _ in a]
     cols = len(b[0])
-    return [
-        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for row in a
-    ]
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)] for row in a]
 
 
 def _clearing_step(a: int, b: int) -> tuple[int, int, int, int]:
@@ -143,10 +140,7 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank torsion")):
         d, _, _ = smith_normal_form([row for row in relations if any(row)], transforms=False)
         diag = diagonal(d)
         nonzero = [x for x in diag if x != 0]
-        return cls(
-            rank=num_generators - len(nonzero),
-            torsion=tuple(x for x in nonzero if x >= 2),
-        )
+        return cls(rank=num_generators - len(nonzero), torsion=tuple(x for x in nonzero if x >= 2))
 
     def presentation_matrix(self) -> tuple[IntMatrix, int]:
         """Relation matrix (rows, num_generators) presenting this group:
@@ -176,9 +170,7 @@ def filling_quotient(relations: IntMatrix, num_generators: int, sigma: list[int]
     """Quotient of the presented group by the cyclic subgroup <sigma>:
     append sigma as one more relator row and rerun Smith normal form."""
     if len(sigma) != num_generators:
-        raise ValueError(
-            f"sigma has {len(sigma)} coordinates, expected {num_generators}"
-        )
+        raise ValueError(f"sigma has {len(sigma)} coordinates, expected {num_generators}")
     rows = [list(row) for row in relations] + [list(sigma)]
     return AbelianGroup.from_relation_matrix(rows, num_generators)
 

@@ -111,10 +111,8 @@ def eliminate_last_boundary(word: str, surface: Surface) -> str:
 
 def _dehn(word: str, surface: Surface, cyclic: bool) -> str:
     if surface.is_closed and surface.genus <= 1:
-        raise UnsupportedSurface(
-            "Dehn's algorithm needs a closed surface of genus >= 2 "
-            "(or a bounded surface, whose group is free)"
-        )
+        raise UnsupportedSurface("Dehn's algorithm needs a closed surface of genus >= 2 "
+                                 "(or a bounded surface, whose group is free)")
     rotations = _relator_rotations(surface) if surface.is_closed else []  # bounded: free
     word = eliminate_last_boundary(word, surface)
     w = cyclic_reduce(word) if cyclic else free_reduce(word)
@@ -144,7 +142,7 @@ def least_rotation(w: str) -> tuple[str, list[int]]:
     it, in one pass: only rotations starting at the least letter are built,
     one at a time, and each start is kept while its rotation is the least."""
     if not w:
-        return "", [0]
+        return w, [0]
     n, ww, least = len(w), w + w, min(w)
     r = w.find(least)
     best, starts = ww[r : r + n], [r]

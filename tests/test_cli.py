@@ -419,6 +419,37 @@ def test_group_britton(tmp_path, capsys):
     assert code == 1 and json.loads(out)["t_length"] == 2
 
 
+@pytest.mark.parametrize("field", ["generators", "a_letters", "b_letters", "phi", "word"])
+def test_group_britton_malformed_spec_is_a_usage_error(tmp_path, capsys, field):
+    # a missing or mistyped field exits 2 naming it, apart from the verdicts' 0 and 1
+    spec = {"generators": "abcde", "a_letters": "ab", "b_letters": "cd",
+            "phi": {"a": "c", "b": "d"}, "word": [1, "a", -1, "C"]}
+    for bad in ({k: v for k, v in spec.items() if k != field}, {**spec, field: 5}):
+        path = write(tmp_path, "hnn.json", json.dumps(bad))
+        assert main(["group", "britton", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{field!r}" in err
+    assert main(["group", "britton", write(tmp_path, "ok.json", json.dumps(spec))]) == 0
+    spec["word"] = [1, "e", -1]
+    assert main(["group", "britton", write(tmp_path, "ok.json", json.dumps(spec))]) == 1
+
+
+def test_equiv_rejects_invalid_diagrams_before_searching(tmp_path, capsys, monkeypatch):
+    from curvelift import moves
+
+    def no_search(*args):
+        raise AssertionError("searched an invalid diagram")
+
+    monkeypatch.setattr(moves, "equivalent_bounded", no_search)
+    bad = write(tmp_path, "bad.txt", "surface genus=2 boundary=0\nbundle UT\n"
+                                     "comp: a1 X1.1 Q+ b1 Q+ a1' Q+ b1' Q+\n")
+    good = write(tmp_path, "good.txt", VERTEX_LINK)
+    for pair in ((bad, good), (good, bad)):
+        code, out = run(capsys, "--format", "json", "equiv", *pair)
+        assert code == 1
+        assert json.loads(out)["violations"] == [f"{bad}: UnpairedCrossing: crossing 1: slots {{1: 1}}"]
+
+
 def test_replay_inapplicable_move(tmp_path, capsys):
     p = write(tmp_path, "d.txt", CIRCLE)
     cert = write(tmp_path, "c.json", json.dumps([{"kind": "destab", "site": [0, 0]}]))

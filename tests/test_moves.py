@@ -36,6 +36,7 @@ from curvelift import (
 from curvelift import moves as moves_module
 from curvelift.diagrams import cross, cusp, edge, kink, qturn, shadow_word
 from curvelift.moves import canonical_transform
+from curvelift.words import least_rotation
 
 from helpers import random_diagram, reference_canonical_transform, reference_distance
 
@@ -220,8 +221,25 @@ def test_applicable_moves_come_out_sorted(rng):
             except InapplicableMove:
                 pass
     assert moves == sorted(accepted)
+    # the unchecked rewrite builds apply_move's diagram, and the search keys it
+    form = moves_module._byte_form(d)
     for move in moves:
-        assert moves_module._KINDS[move.kind].rewrite(d, move) == accepted[move]
+        assert moves_module._child(d, move) == accepted[move]
+        assert moves_module._child_key(d, form, move) == canonical_key(accepted[move])
+
+
+def test_rewrites_across_the_wrap():
+    # a pair site at the last position holds the last event and the first
+    a1, b1, q = edge("a1"), edge("b1"), qturn(1)
+    x1, x2, y1, y2 = cross("1", 1), cross("1", 2), cross("2", 1), cross("2", 2)
+    for d, move, after in [
+        (smooth(kink(1), a1, q, q, b1), MoveInstance("kink_slide", (0, 4)), (b1, a1, q, q, kink(1))),
+        (smooth(kink(-1), q, q, q, q, kink(1)), MoveInstance("destab", (0, 5)), (q, q, q, q)),
+        (smooth(x2, q, q, x1, y1, q, q, y2), MoveInstance("r2_remove", ((0, 3), (0, 7))), (q,) * 4),
+    ]:
+        assert move in applicable_moves(d)
+        assert apply_move(d, move).components == (after,)
+        assert search_key(d, move) == canonical_key(smooth(*after))
 
 
 def test_r2_remove_then_insert_recreates_canonically():
@@ -437,6 +455,107 @@ def test_one_component_key_route_agrees_with_the_transform_and_reference():
     assert routes == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def reference_key(d, key):
+    """key if it is reference_canonical_transform's for one component: the
+    component read at the reference's rotation, ids numbered by first sight."""
+    _, perm, rots = reference_canonical_transform(d)
+    return rebuilt_key(d, perm, rots, key)
+
+
+def block_route(d):
+    """canonical_transform of d by its block route alone."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(moves_module, "_one_reading", lambda d: None)
+        return canonical_transform(d)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_byte_reading_agrees_with_the_block_route_and_reference(rng):
+    # one component on genus 2 or 3 in either mode, with crossings, without
+    # them, doubled with its ids renamed (tied least rotations) and empty
+    surface, mode = Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"])
+    comp = random_diagram(rng, surface, mode, n_components=1, max_loose_events=6,
+                          max_crossings=3).components[0]
+    bare = tuple(ev for ev in comp if ev[0] != "cross")
+    for events in (comp, bare, comp + renamed(comp, lambda x: x + "r"), ()):
+        d = Diagram(surface, mode, (events,))
+        block = block_route(d)
+        key = canonical_key(d)
+        assert key == canonical_transform(d)[0] == block[0] == reference_key(d, key)
+        one = moves_module._one_reading(d)
+        blind = "".join(map(moves_module._code_table(surface).__getitem__, events))
+        if len(least_rotation(blind)[1]) > 1:
+            assert one is None
+        else:
+            assert one == (block[0], block[2][0])
+
+
+def test_byte_reading_declines_past_64_crossing_ids():
+    # ids 1..k visited in order, then back in reverse: one least rotation
+    for k, route in ((64, True), (65, False)):
+        events = tuple(cross(str(i), 1) for i in range(1, k + 1)) + Q4
+        d = smooth(*events, *(cross(str(i), 2) for i in range(k, 0, -1)))
+        assert (moves_module._bytes(d) is not None) == route
+        assert (moves_module._one_reading(d) is not None) == route
+        key = canonical_key(d)
+        assert key == block_route(d)[0] == reference_key(d, key)
+        assert canonical_key(rearranged(random.Random(k), d)) == canonical_key(d)
+
+
+def test_byte_reading_rejects_what_the_alphabet_does_not_hold():
+    for ev in [edge("a3"), kink(2), cross("1", 3), cross("1", 0), ("bogus",)]:
+        d = smooth(qturn(1), ev)
+        for read in (moves_module._bytes, canonical_key):
+            with pytest.raises(ValueError, match="not in the alphabet"):
+                read(d)
+
+
+def search_key(d, move):
+    """The key the search gives the child of d by move."""
+    return moves_module._child_key(d, moves_module._byte_form(d), move)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_spliced_child_keys_equal_built_child_keys(rng):
+    surface, mode = Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"])
+    d = random_diagram(rng, surface, mode, n_components=rng.choice((1, 1, 1, 2)),
+                       max_loose_events=5, max_crossings=3)
+    for _ in range(rng.randint(0, 2)):  # bigons and triangles for r2_remove and r3
+        d = apply_move(d, rng.choice([m for m in applicable_moves(d) if m.kind == "r2_insert"]))
+    moves = applicable_moves(d) + [
+        MoveInstance("stab", (*move.site[:2], moves_module._STABS[mode][1]))
+        for move in applicable_moves(d) if move.kind == "stab"
+    ] + [MoveInstance("r2_insert", site + (slots,))
+         for site in rng.choices(moves_module._KINDS["r2_insert"].sites(d), k=5)
+         for slots in ("12", "21", "22")]
+    for _ in range(3):
+        sites = [(ci, rng.randint(0, len(d.components[ci])), rng.choice((1, -1)))
+                 for ci in rng.choices(range(len(d.components)), k=rng.randint(1, 3))]
+        moves.append(transvection([("a", rng.choice((1, -1, 2)), sites)]))
+    for move in moves:
+        assert search_key(d, move) == canonical_key(apply_move(d, move)), move
+
+
+def test_spliced_child_keys_agree_past_the_byte_limit():
+    # parents with 63 and 64 ids splice children with up to 66; one with 65
+    # ids has no byte form, and the search builds its children
+    rng = random.Random(5)
+    for k in (63, 64, 65):
+        events = [cross(str(i), 1) for i in range(1, k + 1)] + [edge("a1"), *Q4]
+        events += [cross(str(i), 2) for i in range(k, 0, -1)]
+        d = smooth(*events)
+        assert (moves_module._byte_form(d) is None) == (k > 64)
+        moves = [MoveInstance(name, site) for name in ("stab", "r2_insert", "r2_remove")
+                 for site in rng.sample(moves_module._KINDS[name].sites(d), 8)]
+        moves.append(transvection([("a", 2, [(0, 3, 1), (0, 70, -1)])]))
+        for move in moves:
+            child = apply_move(d, move)
+            key = canonical_key(child)
+            assert search_key(d, move) == key == reference_key(child, key)
+
+
 Q4 = (qturn(1),) * 4
 
 
@@ -632,10 +751,10 @@ def test_equiv_uses_transvection_only_where_its_gap_fits():
 
 
 def counting(monkeypatch, name):
-    """The argument of every later call to moves.<name>, in call order."""
+    """The arguments of every later call to moves.<name>, in call order."""
     calls = []
     inner = getattr(moves_module, name)
-    monkeypatch.setattr(moves_module, name, lambda d: calls.append(d) or inner(d))
+    monkeypatch.setattr(moves_module, name, lambda *a: calls.append(a) or inner(*a))
     return calls
 
 
@@ -644,12 +763,14 @@ def test_equiv_skips_transvection_past_size_cap_before_keying_it(monkeypatch):
     # 5 loops to the 4-event circle, so neither child gets a key (its growth
     # 1 in the move table only orders it)
     keys = counting(monkeypatch, "canonical_key")
+    children = counting(monkeypatch, "_child_key")
     gen = transvection([("a", 5, [(0, 0, 1)])])
     d2 = smooth(qturn(1), qturn(1), qturn(1), qturn(1), kink(1), kink(-1))
     v = equivalent_bounded(circle(), d2, UT, budget(max_moves=1, transvection_generators=(gen,)))
     assert v.certificate == (MoveInstance("stab", (0, 0, "lr")),)
-    # d1, d2, the stab child and the assembled certificate's end
-    assert len(keys) == 4
+    # d1, d2 and the assembled certificate's end; the one child keyed is the stab's
+    assert len(keys) == 3
+    assert [move for _, _, move in children] == [MoveInstance("stab", (0, 0, "lr"))]
 
 
 EXHAUSTION_D1 = "surface genus=2 boundary=0\nbundle UT\ncomp: a1 X1.1 Q+ b1' X1.2 Q+ Q+ Q+ Q+ Q+\n"
@@ -672,12 +793,14 @@ def counting_sites(monkeypatch, name):
 def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
     # the benchmark's budget-exhaustion pair: no catalogue path connects them
     (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
-    keys = counting(monkeypatch, "canonical_key")
+    roots = counting(monkeypatch, "canonical_key")
+    children = counting(monkeypatch, "_child_key")
     # r2_remove shrinks most, so every expansion lists its sites first
     expansions = counting_sites(monkeypatch, "r2_remove")
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
     assert v.status == "unknown"
-    assert (len(keys), len(expansions)) == (2100, 13)
+    # the two roots and 2,098 children are keyed, each child off its parent's bytes
+    assert (len(roots), len(children), len(expansions)) == (2, 2098, 13)
     # the search expands d1 first; its children's keys are the reference's
     assert expansions[0] is d1
     children = [apply_move(d1, move) for move in applicable_moves(d1)]
@@ -693,53 +816,45 @@ def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
 
 def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
     # a search that ends unknown assembles no certificate, so it asks no kind
-    # for an inverse; the r2_insert children of one parent hold the same four
-    # fresh crossing events, made once for that parent
+    # for an inverse; it splices every child it keys into its parent's bytes
+    # and builds only the 11 it expands; the r2_insert children of one parent
+    # splice the same two fresh crossing pairs, made once for that parent
     (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
-    inverses = []
+    inverses, spliced, built, fresh = [], [], [], {}
     for name, kind in list(moves_module._KINDS.items()):
         def inverse(d, m, inner=kind.inverse):
             inverses.append(m)
             return inner(d, m)
-        monkeypatch.setitem(moves_module._KINDS, name, kind._replace(inverse=inverse))
-    inserts = []
-    kind = moves_module._KINDS["r2_insert"]
-    monkeypatch.setitem(moves_module._KINDS, "r2_insert", kind._replace(
-        rewrite=lambda d, m: inserts.append((d, kind.rewrite(d, m))) or inserts[-1][1]))
+
+        def rewrite(form, m, inner=kind.rewrite):
+            is_bytes = type(form.components[0]) is bytes
+            (spliced if is_bytes else built).append(m)
+            if is_bytes and m.kind == "r2_insert":  # the form is kept, so its id stays its own
+                pieces = form.fresh((1, 1))
+                fresh.setdefault(id(form), (form, set()))[1].update(map(id, pieces))
+            return inner(form, m)
+        monkeypatch.setitem(moves_module._KINDS, name,
+                            kind._replace(inverse=inverse, rewrite=rewrite))
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
     assert v.status == "unknown" and inverses == []
-    fresh = {}  # parent -> the ids of the objects its children add
-    for parent, child in inserts:
-        old = parent.crossing_ids()
-        added = {id(ev) for comp in child.components for ev in comp
-                 if ev[0] == "cross" and ev[1] not in old}
-        assert len(added) == 4
-        fresh.setdefault(id(parent), set()).update(added)
-    assert len(fresh) > 1 and all(len(ids) == 4 for ids in fresh.values())
+    assert (len(spliced), len(built)) == (2098, 11)
+    assert len(fresh) > 1
+    for form, pieces in fresh.values():
+        first, second = form.fresh((1, 1))
+        assert len(pieces) == 2 and len(first) == len(second) == 2
+        # two crossing ids the parent does not use, each visited once per strand
+        old = {b & 254 for b in form.components[0] if b >= 64}
+        new = [b & 254 for b in first + second]
+        assert len(set(new)) == 2 and not old & set(new) and sorted(new) == sorted(new[:2] * 2)
     # the hook sees the inverses that invert_move asks for
     invert_move(d1, MoveInstance("stab", (0, 0, "lr")))
     assert inverses == [MoveInstance("stab", (0, 0, "lr"))]
 
 
-def recording_rewrites(monkeypatch):
-    """(diagram, move) of every later rewrite the search makes, in order; the
-    recording stops when the search first replays a certificate."""
-    calls, replaying = [], []
-    for name, kind in list(moves_module._KINDS.items()):
-        def rewrite(d, m, inner=kind.rewrite):
-            if not replaying:
-                calls.append((d, m))
-            return inner(d, m)
-        monkeypatch.setitem(moves_module._KINDS, name, kind._replace(rewrite=rewrite))
-    inner_replay = moves_module.replay
-    monkeypatch.setattr(moves_module, "replay", lambda *a: replaying.append(1) or inner_replay(*a))
-    return calls
-
-
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_search_moves_come_in_growth_order(rng):
-    # each expansion rewrites the moves applicable_moves lists, with the
+    # each expansion keys the children of the moves applicable_moves lists, with the
     # generator flips that fit on the forward side, sorted stably by growth
     # and without those whose growth passes the size cap
     surface = Surface(rng.choice((2, 3)))
@@ -772,12 +887,12 @@ def test_search_moves_come_in_growth_order(rng):
         return [m for m in moves if size + growth(m) <= size_cap]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = recording_rewrites(monkeypatch)
+        calls = counting(monkeypatch, "_child_key")  # (parent, its byte form, move)
         equivalent_bounded(d1, d2, bundle, budget(max_moves=max_moves, max_states=400,
                                                   transvection_generators=tuple(gens)))
     runs = [list(group) for _, group in itertools.groupby(calls, lambda c: id(c[0]))]
     for i, run in enumerate(runs):
-        d, got = run[0][0], [m for _, m in run]
+        d, got = run[0][0], [m for _, _, m in run]
         options = [expected(d, True), expected(d, False)]
         if i == len(runs) - 1:  # the search may stop inside its last expansion
             options = [ref[:len(got)] for ref in options]

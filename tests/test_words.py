@@ -155,6 +155,15 @@ def test_least_rotation_is_the_least_of_every_rotation():
         assert least_rotation(word) == (least, [r for r, w in enumerate(rotations) if w == least])
 
 
+
+def test_least_rotation_keeps_the_input_type():
+    # bytes read as the str of the same code points, empty input included
+    for word in ["", "a", "aaaa", "abAabAab", "BaBaBa", "\x00b\x01a\x00"]:
+        least, starts = least_rotation(word.encode("latin-1"))
+        assert type(least) is bytes
+        assert (least.decode("latin-1"), starts) == least_rotation(word)
+    assert least_rotation("") == ("", [0]) and least_rotation(b"") == (b"", [0])
+
 @st.composite
 def relator_pieces_in_noise(draw):
     """A genus 2-4 surface and a word of random noise with pieces of relator
