@@ -3,7 +3,8 @@
 Exit-code protocol (shared by all subcommands):
   0  success / affirmative verdict
   1  invalid input or negative boolean verdict
-  2  I/O, parse, or usage error
+  2  I/O, parse, or usage error, including a group britton spec with a word
+     letter outside its generators or inconsistent HNN data
   3  equivalence search: distinguished
   4  equivalence search: budget exhausted (unknown)
 
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import CurveLiftError, DiagramSyntaxError, ModeMismatch
+from .errors import CurveLiftError, DiagramSyntaxError, MalformedAssociatedSubgroup, ModeMismatch
 
 # Each verb imports what it calls, so a process loads only the modules its verb uses.
 
@@ -283,8 +284,16 @@ def cmd_britton(args) -> int:
     for field, (ok, what) in _BRITTON_FIELDS.items():
         if not (isinstance(spec, dict) and field in spec and ok(spec[field])):
             return _usage_error(f"{args.spec}: {field!r} is missing or not {what}")
-    ext = HNNExtension(tuple(spec["generators"]), frozenset(spec["a_letters"]),
-                       frozenset(spec["b_letters"]), tuple(sorted(spec["phi"].items())))
+    letters = "".join(spec["generators"])
+    letters += letters.upper()
+    bad = next((ch for w in spec["word"] if type(w) is str for ch in w if ch not in letters), None)
+    if bad is not None:
+        return _usage_error(f"{args.spec}: {bad!r} in 'word' is not a generator letter ({letters})")
+    try:
+        ext = HNNExtension(tuple(spec["generators"]), frozenset(spec["a_letters"]),
+                           frozenset(spec["b_letters"]), tuple(sorted(spec["phi"].items())))
+    except MalformedAssociatedSubgroup as exc:
+        return _usage_error(f"{args.spec}: {exc}")
     hw = HNNWord.from_items(ext, spec["word"])
     reduced = britton_reduce(hw)
     trivial = is_trivial_hnn(hw)

@@ -23,7 +23,6 @@ Comments start with '#'.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -85,9 +84,9 @@ def fiber_loops(mode: str, n: int) -> list:
 
 
 class Diagram(namedtuple("Diagram", "surface mode components")):
-    """Components (tuples of events) in mode SMOOTH or CUSP_SMOOTH; no
-    __slots__, since fresh_crossings caches itself in the instance dict."""
+    """Components (tuples of events) in mode SMOOTH or CUSP_SMOOTH."""
 
+    __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, surface: Surface, mode: str, components: tuple[tuple[Event, ...], ...]):
@@ -101,17 +100,6 @@ class Diagram(namedtuple("Diagram", "surface mode components")):
 
     def crossing_ids(self) -> set[str]:
         return {ev[1] for comp in self.components for ev in comp if ev[0] == "cross"}
-
-    @functools.cached_property
-    def fresh_crossings(self) -> dict:
-        """Slot pair (s, t) -> the events an R2 insertion puts on its first strand,
-        (x.s, y.t), and its second, (y.3-t, x.3-s), for the two least unused ids
-        x < y (k ids leave two of 1..k+2 free); made once for all insertions."""
-        used = self.crossing_ids()
-        x, y = [str(n) for n in range(1, len(used) + 3) if str(n) not in used][:2]
-        ev = {(c, s): cross(c, s) for c in (x, y) for s in (1, 2)}
-        return {(s, t): ((ev[x, s], ev[y, t]), (ev[y, 3 - t], ev[x, 3 - s]))
-                for s in (1, 2) for t in (1, 2)}
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +123,6 @@ def validate(diagram: Diagram) -> list[Violation]:
     letters = set(surface.generator_names)
     slots: dict[str, Counter] = {}
     for ci, comp in enumerate(diagram.components):
-        cusps = 0
         for ev in comp:
             tag = ev[0]
             if tag == "edge":
@@ -146,12 +133,8 @@ def validate(diagram: Diagram) -> list[Violation]:
                 slots.setdefault(ev[1], Counter())[ev[2]] += 1
             elif ev not in _QUARTER_TURNS:
                 out.append(Violation("UnknownEvent", ci, f"event {ev!r}"))
-            elif tag == "cusp":
-                cusps += 1
-                if diagram.mode == SMOOTH:
-                    out.append(Violation("CuspInSmoothMode", ci, "cusp event present"))
-        if diagram.mode == CUSP_SMOOTH and cusps % 2 != 0:
-            out.append(Violation("OddCuspCount", ci, f"{cusps} cusps"))
+            elif tag == "cusp" and diagram.mode == SMOOTH:
+                out.append(Violation("CuspInSmoothMode", ci, "cusp event present"))
     for cid, counter in sorted(slots.items()):
         if counter[1] != 1 or counter[2] != 1 or set(counter) - {1, 2}:
             out.append(

@@ -27,7 +27,7 @@ listing a kind's sites only on reaching it and skipping a kind whose growth
 passes the size cap; forward, it tries the transvection generators whose gaps
 fit at growth 1, each unless its exact growth passes the cap.  It encodes each
 diagram it expands once as bytes and keys each child off the bytes its rewrite
-splices, and builds a child only when it expands it.
+splices, each piece put on first use, and builds a child only on expanding it.
 
 A canonical key holds one str per component, one character per event from a
 per-surface table built on first use; each block of components joined by
@@ -43,8 +43,8 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Callable
 
-from .diagrams import CUSP_SMOOTH, FIXED_EVENTS, SMOOTH, Diagram, cusp, edge, fiber_loops, kink
-from .diagrams import shadow_word
+from .diagrams import CUSP_SMOOTH, FIXED_EVENTS, SMOOTH, Diagram, cross, cusp, edge, fiber_loops
+from .diagrams import kink, shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
 from .lifting import lift_class
 from .surfaces import CircleBundle, Surface
@@ -116,12 +116,32 @@ def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
 _LOOP_TAGS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
 
 
-class _Form(namedtuple("_Form", "components stab fresh loops")):
-    """A diagram's components and what rewrites insert, in the form they splice
-    (_child's event tuples, _byte_form's bytes): stab: variant -> its pair; fresh:
-    slot pair -> Diagram.fresh_crossings' pairs; loops: n -> fiber_loops(mode, n)."""
+class _Form(dict):
+    """A diagram's components in the form that rewrites splice (_child's event
+    tuples, _byte_form's bytes), with put, which turns events into that form.
+    Each piece a rewrite inserts is put the first time a rewrite asks for it
+    and kept: form[variant] a stabilization pair, form[s, t] an R2 insertion's
+    two strands for slot pair (s, t), form[n] a run of n fiber loops."""
 
-    __slots__ = ()
+    __slots__ = ("diagram", "components", "put")
+
+    def __init__(self, diagram: Diagram, components: tuple, put: Callable):
+        super().__init__()
+        self.diagram, self.components, self.put = diagram, components, put
+
+    def __missing__(self, piece):
+        if type(piece) is str:
+            got = self.put(STAB_VARIANTS[piece])
+        elif type(piece) is int:
+            got = self.put(fiber_loops(self.diagram.mode, piece))
+        else:  # (x.s, y.t) and (y.3-t, x.3-s) for the two least unused ids x < y
+            # (k ids leave two of 1..k+2 free)
+            (s, t), used = piece, self.diagram.crossing_ids()
+            x, y = [str(n) for n in range(1, len(used) + 3) if str(n) not in used][:2]
+            got = (self.put((cross(x, s), cross(y, t))),
+                   self.put((cross(y, 3 - t), cross(x, 3 - s))))
+        self[piece] = got
+        return got
 
 
 def _replaced(comps: tuple, ci: int, comp) -> tuple:
@@ -230,7 +250,7 @@ def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
 def _stab_rewrite(form: _Form, move: MoveInstance) -> tuple:
     ci, p, variant = move.site
     comp = form.components[ci]
-    return _replaced(form.components, ci, comp[:p] + form.stab(variant) + comp[p:])
+    return _replaced(form.components, ci, comp[:p] + form[variant] + comp[p:])
 
 
 def _is_stab_pair(diagram: Diagram, site) -> bool:
@@ -262,7 +282,7 @@ def _r2_insert_match(diagram: Diagram, move: MoveInstance) -> str | None:
 
 def _r2_insert_rewrite(form: _Form, move: MoveInstance) -> tuple:
     c1, p1, c2, p2 = move.site[:4]
-    first, second = form.fresh(_R2_SLOTS[move.site[4:]])
+    first, second = form[_R2_SLOTS[move.site[4:]]]
     comps = form.components
     if c1 != c2:
         comps = _replaced(comps, c2, comps[c2][:p2] + second + comps[c2][p2:])
@@ -316,7 +336,7 @@ def _transvection_rewrite(form: _Form, move: MoveInstance) -> tuple:
     comps = form.components
     loops = [(ci, p, weight * sign) for _, weight, sites in move.data for ci, p, sign in sites]
     for ci, p, n in sorted(loops, reverse=True):
-        comps = _replaced(comps, ci, comps[ci][:p] + form.loops(n) + comps[ci][p:])
+        comps = _replaced(comps, ci, comps[ci][:p] + form[n] + comps[ci][p:])
     return comps
 
 
@@ -411,9 +431,7 @@ def _fitting(diagram: Diagram, move: MoveInstance) -> _Kind:
 
 def _child(diagram: Diagram, move: MoveInstance) -> Diagram:
     """The diagram after a fitting move, rewritten on its event tuples."""
-    form = _Form(diagram.components, STAB_VARIANTS.__getitem__,
-                 lambda slots: diagram.fresh_crossings[slots],
-                 lambda n: tuple(fiber_loops(diagram.mode, n)))
+    form = _Form(diagram, diagram.components, tuple)
     return Diagram(diagram.surface, diagram.mode, _KINDS[move.kind].rewrite(form, move))
 
 
@@ -484,11 +502,11 @@ def _relabel(comp, blind, r, ids: dict) -> str:
     ])
 
 
-def _bytes(diagram: Diagram):
-    """(its component's bytes, put) for a diagram with one component and at
-    most _BYTE_IDS crossing ids, else None.  put(events) is one byte per event:
-    its code, or a crossing's _CROSS0 + 2 * (its id's number) + its slot code,
-    each id numbered on first sight."""
+def _byte_form(diagram: Diagram) -> _Form | None:
+    """The search's form of a diagram with one component and at most _BYTE_IDS
+    crossing ids, else None: one byte per event, its code, or a crossing's
+    _CROSS0 + 2 * (its id's number) + its slot code, each id numbered on first
+    sight, so that fresh crossings are numbered after the component's."""
     if len(diagram.components) != 1 or len(diagram.crossing_ids()) > _BYTE_IDS:
         return None
     code, ids = _code_table(diagram.surface).__getitem__, {}
@@ -500,20 +518,7 @@ def _bytes(diagram: Diagram):
             for ev in events
         ]).encode("latin-1")
 
-    return put(diagram.components[0]), put
-
-
-def _byte_form(diagram: Diagram) -> _Form | None:
-    """The search's form of a diagram with _bytes: each piece that a rewrite
-    inserts is put once, fresh crossings numbered after the component's."""
-    got = _bytes(diagram)
-    if got is None:
-        return None
-    comp, put = got
-    stab = {variant: put(STAB_VARIANTS[variant]) for variant in _STABS[diagram.mode]}
-    fresh = {slots: tuple(map(put, pairs)) for slots, pairs in diagram.fresh_crossings.items()}
-    return _Form((comp,), stab.__getitem__, fresh.__getitem__,
-                 lambda n: put(fiber_loops(diagram.mode, n)))
+    return _Form(diagram, (put(diagram.components[0]),), put)
 
 
 def _read(comp: bytes):
@@ -534,13 +539,6 @@ def _read(comp: bytes):
     return (turned.translate(table).decode("latin-1"),), r
 
 
-def _one_reading(diagram: Diagram):
-    """(key, r) by _read for a diagram with _bytes: the route that
-    canonical_key, canonical_transform and the search share; else None."""
-    got = _bytes(diagram)
-    return None if got is None else _read(got[0])
-
-
 def canonical_transform(diagram: Diagram):
     """(key, perm, rots): canonical component i is component perm[i] rotated
     left by rots[i]; keys are equal exactly when the diagrams are equal up to
@@ -549,11 +547,17 @@ def canonical_transform(diagram: Diagram):
     a least rotation; the next component holds the unread visit (slots are
     distinct) of the least-numbered crossing read so far and begins there.  A
     block takes its least (strs, perm, rots) reading; the key is one block's
-    strs, or the blocks' strs in order.  Raises ValueError on an unknown event
-    and, unless _one_reading keys the diagram, on a slot visited twice."""
-    one = _one_reading(diagram)
-    if one is not None:
-        return one[0], (0,), (one[1],)
+    strs, or the blocks' strs in order; a diagram with a _byte_form whose
+    id-blind string has one least rotation is read off its bytes by _read.
+    Raises ValueError on an unknown event and on a slot visited twice."""
+    form = _byte_form(diagram)
+    if form is not None:
+        comp = form.components[0]
+        slots = comp.translate(None, _BLIND[:_CROSS0])  # one byte per crossing slot
+        # a slot visited twice repeats a byte: the check below names it
+        one = _read(comp) if len(set(slots)) == len(slots) else None
+        if one is not None:
+            return one[0], (0,), (one[1],)
     comps, code = diagram.components, _code_table(diagram.surface).__getitem__
     blinds = ["".join(map(code, comp)) for comp in comps]
     visits = {}  # (crossing id, slot) -> (component, position)
@@ -590,8 +594,7 @@ def canonical_transform(diagram: Diagram):
 
 
 def canonical_key(diagram: Diagram):
-    one = _one_reading(diagram)
-    return one[0] if one is not None else canonical_transform(diagram)[0]
+    return canonical_transform(diagram)[0]
 
 
 def _child_key(parent: Diagram, form: _Form | None, move: MoveInstance):

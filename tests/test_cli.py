@@ -434,6 +434,37 @@ def test_group_britton_malformed_spec_is_a_usage_error(tmp_path, capsys, field):
     assert main(["group", "britton", write(tmp_path, "ok.json", json.dumps(spec))]) == 1
 
 
+def test_group_britton_word_letter_outside_generators_is_a_usage_error(tmp_path, capsys):
+    # it used to print nontrivial and exit 1, like a verdict
+    spec = {"generators": "abcde", "a_letters": "ab", "b_letters": "cd",
+            "phi": {"a": "c", "b": "d"}, "word": [1, "z", -1]}
+    assert main(["group", "britton", write(tmp_path, "hnn.json", json.dumps(spec))]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'z'" in err and "hnn.json" in err
+    spec["word"] = [1, "Z", -1]
+    assert main(["group", "britton", write(tmp_path, "hnn.json", json.dumps(spec))]) == 2
+    assert "'Z'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    {"phi": {"a": "c"}},  # no bijection from a_letters "ab"
+    {"phi": {"a": "c", "b": "c"}},  # not injective
+    {"a_letters": "ax", "phi": {"a": "c", "x": "d"}},  # an associated letter outside generators
+])
+def test_group_britton_inconsistent_hnn_data_is_a_usage_error(tmp_path, capsys, fields):
+    # it used to exit 1, the code of a nontrivial verdict
+    spec = {"generators": "abcde", "a_letters": "ab", "b_letters": "cd",
+            "phi": {"a": "c", "b": "d"}, "word": [1, "a", -1, "C"]}
+    path = write(tmp_path, "hnn.json", json.dumps({**spec, **fields}))
+    assert main(["group", "britton", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and path in err
+    # a valid spec still exits by its verdict
+    assert main(["group", "britton", write(tmp_path, "ok.json", json.dumps(spec))]) == 0
+    spec["word"] = [1, "e", -1]
+    assert main(["group", "britton", write(tmp_path, "ok.json", json.dumps(spec))]) == 1
+
+
 def test_equiv_rejects_invalid_diagrams_before_searching(tmp_path, capsys, monkeypatch):
     from curvelift import moves
 

@@ -59,11 +59,16 @@ def test_cusp_in_smooth_mode_flagged():
     assert any(v.rule == "CuspInSmoothMode" for v in validate(d))
 
 
-def test_odd_cusp_count_flagged():
-    d = Diagram(S2, "cusp", ((cusp(1),),))
-    assert any(v.rule == "OddCuspCount" for v in validate(d))
-    ok = Diagram(S2, "cusp", ((cusp(1), cusp(1)),))
-    assert validate(ok) == []
+def test_odd_cusp_counts_are_valid():
+    # PT's fiber unit is one cusp, so C^ turns 1/2 and lifts to fiber degree 1,
+    # like Q+ Q+; C^ Q+ Q+ Q+ Q+ turns 3/2, like a cardioid.  fiber_degree is
+    # the one integrality rule: no cusp parity rule stands beside it
+    for events, fiber in [((cusp(1),), 1), ((qturn(1), qturn(1)), 1),
+                          ((cusp(1),) + (qturn(1),) * 4, 3), ((cusp(1), cusp(-1), cusp(1)), 1)]:
+        d = Diagram(S2, "cusp", (events,))
+        assert validate(d) == [] and fiber_degree(d, 0) == fiber
+    half = Diagram(S2, "cusp", ((cusp(1), qturn(1)),))
+    assert [v.rule for v in validate(half)] == ["NonIntegralTurning"]
 
 
 @pytest.mark.parametrize("event", [kink(2), ("qturn", 5), cusp(0), ("loop", 1)])
@@ -229,12 +234,3 @@ def test_empty_component_serializes_without_trailing_space():
     d2, _ = parse(text)
     assert d2 == d
 
-
-def test_fresh_crossing_id():
-    d = smooth(cross("1", 1), cross("1", 2), cross("3", 1), cross("3", 2))
-    # the two least unused ids, 2 and 4, in every slot pair, made once
-    fresh = d.fresh_crossings
-    assert fresh[1, 1] == ((cross("2", 1), cross("4", 1)), (cross("4", 2), cross("2", 2)))
-    assert fresh[2, 1] == ((cross("2", 2), cross("4", 1)), (cross("4", 2), cross("2", 1)))
-    assert {ev[1] for pair in fresh.values() for strand in pair for ev in strand} == {"2", "4"}
-    assert d.fresh_crossings is fresh

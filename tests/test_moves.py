@@ -295,11 +295,8 @@ def test_transvection_pt_inserts_single_cusps():
     assert len(d2.components[0]) == 3
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a PT transvection inserts single cusps, and validate wants an even "
-                   "cusp count per component (OddCuspCount) beside the fiber-degree rule; "
-                   "ROADMAP item 14 decides which of the two is wrong")
 def test_pt_transvection_keeps_a_valid_diagram_valid():
+    # one cusp is PT's fiber unit: a single inserted cusp keeps the fiber degree integral
     d, _ = parse("surface genus=2 boundary=0\nbundle PT\n"
                  "comp: a1 Q+ Q+ b1 Q+ Q+ a1' Q+ Q+ b1' Q+ Q+\n")
     assert validate(d) == []
@@ -433,6 +430,12 @@ def test_canonical_transform_matches_reference(rng):
     assert (canonical_key(d3) == key) == (reference_canonical_transform(d3)[0] == ref_key)
 
 
+def byte_reading(d):
+    """_read of d's byte form, or None: d's key and rotation off its bytes."""
+    form = moves_module._byte_form(d)
+    return None if form is None else moves_module._read(form.components[0])
+
+
 def test_one_component_key_route_agrees_with_the_transform_and_reference():
     # one least id-blind rotation takes the short route; a component followed
     # by a renamed copy of itself has several, and takes the general one
@@ -449,7 +452,7 @@ def test_one_component_key_route_agrees_with_the_transform_and_reference():
         assert canonical_key(d) == key
         assert (perm, rots) == (ref_perm, ref_rots) and rebuilt_key(d, perm, rots, key) == key
         assert canonical_key(rearranged(rng, d)) == key
-        one = moves_module._one_reading(d)
+        one = byte_reading(d)
         assert one is None or one == (key, rots[0])
         routes.add((one is not None, bool(d.crossing_ids())))
     assert routes == {(True, True), (True, False), (False, True), (False, False)}
@@ -465,7 +468,7 @@ def reference_key(d, key):
 def block_route(d):
     """canonical_transform of d by its block route alone."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(moves_module, "_one_reading", lambda d: None)
+        monkeypatch.setattr(moves_module, "_byte_form", lambda d: None)
         return canonical_transform(d)
 
 
@@ -483,7 +486,7 @@ def test_byte_reading_agrees_with_the_block_route_and_reference(rng):
         block = block_route(d)
         key = canonical_key(d)
         assert key == canonical_transform(d)[0] == block[0] == reference_key(d, key)
-        one = moves_module._one_reading(d)
+        one = byte_reading(d)
         blind = "".join(map(moves_module._code_table(surface).__getitem__, events))
         if len(least_rotation(blind)[1]) > 1:
             assert one is None
@@ -496,8 +499,8 @@ def test_byte_reading_declines_past_64_crossing_ids():
     for k, route in ((64, True), (65, False)):
         events = tuple(cross(str(i), 1) for i in range(1, k + 1)) + Q4
         d = smooth(*events, *(cross(str(i), 2) for i in range(k, 0, -1)))
-        assert (moves_module._bytes(d) is not None) == route
-        assert (moves_module._one_reading(d) is not None) == route
+        assert (moves_module._byte_form(d) is not None) == route
+        assert (byte_reading(d) is not None) == route
         key = canonical_key(d)
         assert key == block_route(d)[0] == reference_key(d, key)
         assert canonical_key(rearranged(random.Random(k), d)) == canonical_key(d)
@@ -506,7 +509,7 @@ def test_byte_reading_declines_past_64_crossing_ids():
 def test_byte_reading_rejects_what_the_alphabet_does_not_hold():
     for ev in [edge("a3"), kink(2), cross("1", 3), cross("1", 0), ("bogus",)]:
         d = smooth(qturn(1), ev)
-        for read in (moves_module._bytes, canonical_key):
+        for read in (moves_module._byte_form, canonical_key):
             with pytest.raises(ValueError, match="not in the alphabet"):
                 read(d)
 
@@ -647,12 +650,17 @@ def test_canonical_key_symmetric_blocks_are_exact(monkeypatch, d):
 
 
 def test_canonical_key_rejects_a_slot_visited_twice():
+    # on every route: two components, one component with tied least rotations,
+    # and one component with one least rotation, which is read off its bytes
     for comps in [
         ((cross("x", 1), qturn(1)), (cross("x", 1), qturn(1))),
         ((cross("x", 1), cross("x", 2), cross("x", 1), cross("x", 2)),),
+        ((cross("x", 1), qturn(1), cross("x", 1), qturn(1)),),
+        ((cross("x", 1), qturn(1), cross("x", 1), qturn(1), qturn(1)),),
     ]:
-        with pytest.raises(ValueError, match="crossing x slot 1 is visited twice"):
-            canonical_key(Diagram(S2, "smooth", comps))
+        for key in (canonical_key, canonical_transform):
+            with pytest.raises(ValueError, match="crossing x slot 1 is visited twice"):
+                key(Diagram(S2, "smooth", comps))
 
 
 def test_canonical_key_rejects_event_outside_alphabet():
@@ -829,10 +837,11 @@ def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
         def rewrite(form, m, inner=kind.rewrite):
             is_bytes = type(form.components[0]) is bytes
             (spliced if is_bytes else built).append(m)
+            got = inner(form, m)
             if is_bytes and m.kind == "r2_insert":  # the form is kept, so its id stays its own
-                pieces = form.fresh((1, 1))
+                pieces = form[moves_module._R2_SLOTS[m.site[4:]]]
                 fresh.setdefault(id(form), (form, set()))[1].update(map(id, pieces))
-            return inner(form, m)
+            return got
         monkeypatch.setitem(moves_module._KINDS, name,
                             kind._replace(inverse=inverse, rewrite=rewrite))
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
@@ -840,7 +849,7 @@ def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
     assert (len(spliced), len(built)) == (2098, 11)
     assert len(fresh) > 1
     for form, pieces in fresh.values():
-        first, second = form.fresh((1, 1))
+        first, second = form[1, 1]
         assert len(pieces) == 2 and len(first) == len(second) == 2
         # two crossing ids the parent does not use, each visited once per strand
         old = {b & 254 for b in form.components[0] if b >= 64}
@@ -849,6 +858,61 @@ def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
     # the hook sees the inverses that invert_move asks for
     invert_move(d1, MoveInstance("stab", (0, 0, "lr")))
     assert inverses == [MoveInstance("stab", (0, 0, "lr"))]
+
+
+def test_fresh_crossing_id():
+    d = smooth(cross("1", 1), cross("1", 2), cross("3", 1), cross("3", 2))
+    # an R2 insertion's strands take the two least unused ids, 2 and 4, in
+    # every slot pair; a form makes each pair on first use and keeps it
+    form = moves_module._Form(d, d.components, tuple)
+    fresh = form[1, 1]
+    assert fresh == ((cross("2", 1), cross("4", 1)), (cross("4", 2), cross("2", 2)))
+    assert form[2, 1] == ((cross("2", 2), cross("4", 1)), (cross("4", 2), cross("2", 1)))
+    slots = [(s, t) for s in (1, 2) for t in (1, 2)]
+    assert {ev[1] for st in slots for strand in form[st] for ev in strand} == {"2", "4"}
+    assert form[1, 1] is fresh and set(form) == set(slots)
+
+
+def pieces_asked(move):
+    """The pieces of its form that the move's rewrite inserts."""
+    if move.kind == "stab":
+        return {move.site[2]}
+    if move.kind == "r2_insert":
+        return {moves_module._R2_SLOTS[move.site[4:]]}
+    return {weight * sign for _, weight, sites in move.data for _, _, sign in sites}
+
+
+def test_forms_put_only_the_pieces_their_rewrites_ask_for(monkeypatch):
+    # each byte form puts a piece the first time one of its rewrites asks for
+    # it, and keeps it: stabilization pairs, R2 strands and fiber-loop runs
+    (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
+    gen = transvection([("a", 1, [(0, 0, 1), (0, 2, 1)])])
+    puts, missing = [], moves_module._Form.__missing__
+    monkeypatch.setattr(moves_module._Form, "__missing__",
+                        lambda form, piece: puts.append((form, piece)) or missing(form, piece))
+    calls = counting(monkeypatch, "_child_key")  # (parent, its byte form, move)
+    v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000,
+                                                  transvection_generators=(gen,)))
+    assert v.status == "unknown"
+    asked = {}
+    for _, form, move in calls:
+        asked.setdefault(id(form), (form, set()))[1].update(pieces_asked(move))
+    put = sorted((id(form), repr(piece)) for form, piece in puts if id(form) in asked)
+    assert put == sorted((i, repr(piece)) for i, (_, pieces) in asked.items() for piece in pieces)
+    assert all(set(form) == pieces for form, pieces in asked.values())
+    assert {piece for _, piece in puts} == {"lr", (1, 1), 1, -1}
+
+
+def test_a_meet_among_the_shrinking_kinds_puts_no_piece(monkeypatch):
+    # d1 is d2 after a stab: d1's first shrinking child, its destab, meets d2
+    # before a growing kind's rewrite asks its form for a piece
+    d2 = smooth(edge("a1"), qturn(1), qturn(1), qturn(1), qturn(1), qturn(1))
+    d1 = apply_move(d2, MoveInstance("stab", (0, 3, "lr")))
+    calls = counting(monkeypatch, "_child_key")  # (parent, its byte form, move)
+    v = equivalent_bounded(d1, d2, UT, budget())
+    assert v.equivalent and v.certificate == (MoveInstance("destab", (0, 3)),)
+    [(parent, form, move)] = calls
+    assert parent is d1 and type(form) is moves_module._Form and len(form) == 0
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -24,7 +24,7 @@ RECORDS = [
     GroupPresentation(("a", "b"), ("abAB",), (("a", "a1"), ("b", "b1"))),
     CircleBundle.unit_tangent(S2),
     CIRCLE,
-    Violation("OddCuspCount", 0, "1 cusps"),
+    Violation("CuspInSmoothMode", 0, "cusp event present"),
     LiftClass((0, 0, 0, 0), 1, -2),
     TwistedShadow(CIRCLE, (((0, 1), 2),)),
     AbelianGroup(4, (2,)),
@@ -92,6 +92,12 @@ def test_records_are_immutable_tuples():
     assert SearchBudget()._asdict() == {
         "max_moves": 6, "max_states": 100000, "transvection_generators": ()
     }
+
+
+def test_records_have_no_instance_dict():
+    # __slots__ = () on every record type: a record holds its fields and nothing else
+    for record in RECORDS:
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_record_reprs():
