@@ -3,8 +3,8 @@
 Exit-code protocol (shared by all subcommands):
   0  success / affirmative verdict
   1  invalid input or negative boolean verdict
-  2  I/O, parse, or usage error, including a group britton spec with a word
-     letter outside its generators or inconsistent HNN data
+  2  I/O, parse, or usage error, including a flag value out of range and a group
+     britton spec with a word letter outside its generators or inconsistent HNN data
   3  equivalence search: distinguished
   4  equivalence search: budget exhausted (unknown)
 
@@ -61,7 +61,10 @@ def _write_diagram(args, text: str, payload: dict, lines) -> None:
 def _surface_from_args(args):
     from .surfaces import Surface
 
-    return Surface(args.genus, args.boundary)
+    try:
+        return Surface(args.genus, args.boundary)
+    except ValueError as exc:  # a flag value out of range
+        raise SystemExit(_usage_error(f"--genus {args.genus} --boundary {args.boundary}: {exc}"))
 
 
 def _letter_error(surface, words) -> str | None:
@@ -220,7 +223,9 @@ def cmd_h1(args) -> int:
     from .snf import filling_quotient
     from .surfaces import bundle_for_token, bundle_pi1_presentation
 
-    bundle = bundle_for_token(args.bundle.upper(), _surface_from_args(args), args.euler)
+    if args.euler is not None and args.bundle != "CUSTOM":
+        return _usage_error(f"--euler is for --bundle CUSTOM only, not {args.bundle}")
+    bundle = bundle_for_token(args.bundle, _surface_from_args(args), args.euler or 0)
     if not args.sigma:
         group = bundle_h1(bundle)
     else:
@@ -327,9 +332,10 @@ def cmd_replay(args) -> int:
 def _add_surface_flags(p, bundle_flags=False):
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--boundary", type=int, default=0)
-    if bundle_flags:
-        p.add_argument("--bundle", default="UT", help="UT | PT | TRIVIAL | CUSTOM")
-        p.add_argument("--euler", type=int, default=0, help="Euler number for CUSTOM")
+    if bundle_flags:  # bundle tokens in any case
+        p.add_argument("--bundle", type=str.upper, default="UT",
+                       choices=("UT", "PT", "TRIVIAL", "CUSTOM"))
+        p.add_argument("--euler", type=int, help="Euler number for CUSTOM (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,7 +32,8 @@ splices, each piece put on first use, and builds a child only on expanding it.
 A canonical key holds one str per component, one character per event from a
 per-surface table built on first use; each block of components joined by
 crossings is keyed by its least reading, so keys are exact at polynomial cost.
-One component with one least rotation is read off its bytes with translates.
+One component with one least rotation is read off its bytes: its rotation scan
+starts at code 0, and its ids are renumbered by a table memoised per sequence.
 """
 
 from __future__ import annotations
@@ -465,10 +466,11 @@ def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
 # codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 relabeled crossings
 _CROSS0 = 64
 # _byte_form takes at most 64 crossing ids, so that a child's two fresh ids fit
-# in a byte too; the tables read a crossing byte's slot code, first and second slot
+# in a byte too; _BLIND reads a crossing byte's slot code and _FIRST its first slot
 _BYTE_IDS = 64
 _BLIND = bytes(b if b < _CROSS0 else b & 1 for b in range(256))
-_FIRST, _SECOND = bytes(b & 254 for b in range(256)), bytes(b | 1 for b in range(256))
+_FIRST = bytes(b & 254 for b in range(256))
+_NONCROSS = _BLIND[:_CROSS0]  # every code below the crossings'
 
 
 class _Codes(dict):
@@ -521,21 +523,31 @@ def _byte_form(diagram: Diagram) -> _Form | None:
     return _Form(diagram, (put(diagram.components[0]),), put)
 
 
+_MEMO = 256  # a search reads a few hundred crossing sequences at a time; 256 cost < 150 kB
+_TABLES: dict[bytes, bytes] = {}  # crossing sequences and orders -> tables; emptied when full
+
+
+def _renumbering(crossings: bytes) -> bytes:
+    """The table numbering crossing ids by first occurrence in crossings, put
+    in _TABLES under crossings and under that order, which sequences share."""
+    firsts = bytes(dict.fromkeys(crossings))
+    table = _TABLES.get(firsts) or bytes.maketrans(  # the i-th id's slot s: _CROSS0 + 2 * i + s - 1
+        bytes(b | s for b in firsts for s in (0, 1)), bytes(range(_CROSS0, 256))[:2 * len(firsts)])
+    if len(_TABLES) >= _MEMO:
+        _TABLES.clear()
+    _TABLES[crossings] = _TABLES[firsts] = table
+    return table
+
+
 def _read(comp: bytes):
     """((key,), r) for a component's bytes whose id-blind string has one least
-    rotation, r, else None: the key renumbers the rotation's crossing ids by
-    first occurrence, with one translate."""
-    blind, starts = least_rotation(comp.translate(_BLIND))
-    if len(starts) != 1:
+    rotation, r, else None: the key renumbers its crossing ids with one translate."""
+    _, r, period = least_rotation(comp.translate(_BLIND), 0)  # crossings code lowest
+    if period < len(comp):
         return None
-    r = starts[0]
-    if blind[:1] > b"\x01":  # crossings code lowest: this rotation has none
-        return (blind.decode("latin-1"),), r
     turned = comp[r:] + comp[:r]
-    firsts = bytearray(dict.fromkeys(turned.translate(_FIRST, _BLIND[:_CROSS0])))
-    end = _CROSS0 + 2 * len(firsts)
-    table = bytes.maketrans(firsts + firsts.translate(_SECOND),
-                            _FIRST[_CROSS0:end:2] + _SECOND[_CROSS0:end:2])
+    crossings = turned.translate(_FIRST, _NONCROSS)  # its crossing bytes, slots cleared
+    table = _TABLES.get(crossings) or _renumbering(crossings)
     return (turned.translate(table).decode("latin-1"),), r
 
 
@@ -553,7 +565,7 @@ def canonical_transform(diagram: Diagram):
     form = _byte_form(diagram)
     if form is not None:
         comp = form.components[0]
-        slots = comp.translate(None, _BLIND[:_CROSS0])  # one byte per crossing slot
+        slots = comp.translate(None, _NONCROSS)  # one byte per crossing slot
         # a slot visited twice repeats a byte: the check below names it
         one = _read(comp) if len(set(slots)) == len(slots) else None
         if one is not None:
@@ -578,14 +590,14 @@ def canonical_transform(diagram: Diagram):
                 return tuple(zip(*reading))
             ci, r = unread[0]
 
-    lows = [least_rotation(blind) for blind in blinds]
+    lows = [least_rotation(blind) for blind in blinds]  # (least string, start, period)
     blocks, done = [], set()
     for ci in sorted(range(len(comps)), key=lambda c: lows[c][0]):
         if ci not in done:  # the least index with its block's least string: starts[0]
-            first = read(ci, lows[ci][1][0])
+            first = read(ci, lows[ci][1])
             done.update(first[1])
             starts = [(c, r) for c in sorted(first[1]) if lows[c][0] == lows[ci][0]
-                      for r in lows[c][1]]
+                      for r in range(lows[c][1], len(blinds[c]) or 1, lows[c][2])]
             blocks.append(min([first] + [read(c, r) for c, r in starts[1:]]))
     if len(blocks) == 1:
         return blocks[0]

@@ -137,22 +137,24 @@ def cyclic_dehn_reduce(word: str, surface: Surface) -> str:
     return _dehn(word, surface, cyclic=True)
 
 
-def least_rotation(w: str) -> tuple[str, list[int]]:
-    """The least rotation of w and every start r with w[r:] + w[:r] equal to
-    it, in one pass: only rotations starting at the least letter are built,
-    one at a time, and each start is kept while its rotation is the least."""
-    if not w:
-        return w, [0]
-    n, ww, least = len(w), w + w, min(w)
-    r = w.find(least)
-    best, starts = ww[r : r + n], [r]
+def least_rotation(w: str | bytes, least: str | int | None = None) -> tuple[str | bytes, int, int]:
+    """(best, r, p): the least rotation of w, its first start and the period of
+    its starts r, r + p, ... below len(w) (r = 0 and p = 1 for the empty word).
+    Only rotations starting at the least letter are built; a second start ends
+    the scan.  least, if given, is w's least letter, or a letter not in w."""
+    n, ww = len(w), w + w
+    if least is None or (r := w.find(least)) < 0:
+        if not w:
+            return w, 0, 1
+        r = w.find(least := min(w))
+    best, first = ww[r : r + n], r
     while (r := w.find(least, r + 1)) != -1:
         rotation = ww[r : r + n]
         if rotation < best:
-            best, starts = rotation, [r]
+            best, first = rotation, r
         elif rotation == best:
-            starts.append(r)
-    return best, starts
+            return best, first, r - first
+    return best, first, n
 
 
 def conjugate_classes_equal(w1: str, w2: str, surface: Surface) -> bool:

@@ -329,11 +329,37 @@ def test_h1_closed_and_filling(capsys):
         (["--bundle", "Trivial"], "Z^5"),
         (["--bundle", "custom", "--euler", "6"], "Z^4 + Z/6"),
         (["--bundle", "XX"], None),
+        (["--bundle", "custom"], "Z^5"),  # --euler defaults to 0
     ],
 )
 def test_h1_bundle_tokens(capsys, flags, group):
-    code, out = run(capsys, "h1", "--genus", "2", *flags)
-    assert (code, out.strip()) == ((0, group) if group else (1, ""))
+    code = exit_code(["h1", "--genus", "2", *flags])
+    assert (code, capsys.readouterr().out.strip()) == ((0, group) if group else (2, ""))
+
+
+def exit_code(argv):
+    """main's exit code, also where argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["h1", "--genus", "2", "--bundle", "XYZ"], "--bundle"),
+        (["h1", "--genus", "-1"], "--genus"),
+        (["h1", "--genus", "2", "--boundary", "-1"], "--boundary"),
+        (["group", "trivial", "--genus", "-1", "a"], "--genus"),
+        (["h1", "--genus", "30"], "--genus"),  # past the one-character letters
+        (["h1", "--genus", "2", "--bundle", "TRIVIAL", "--euler", "3"], "--euler"),
+    ],
+)
+def test_out_of_range_flag_values_are_usage_errors(capsys, argv, flag):
+    assert exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
 
 
 def test_h1_runs_one_smith_normal_form(monkeypatch, capsys):

@@ -472,26 +472,71 @@ def block_route(d):
         return canonical_transform(d)
 
 
+def memo_readings(comp: bytes) -> list:
+    """_read of comp with the renumbering memo cold, warm, and holding its
+    table under its order of first occurrences only, not under its sequence."""
+    tables = moves_module._TABLES
+    tables.clear()
+    readings = [moves_module._read(comp), moves_module._read(comp)]
+    for sequence in [key for key in tables if len(set(key)) < len(key)]:
+        del tables[sequence]
+    return readings + [moves_module._read(comp)]
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_byte_reading_agrees_with_the_block_route_and_reference(rng):
-    # one component on genus 2 or 3 in either mode, with crossings, without
-    # them, doubled with its ids renamed (tied least rotations) and empty
+    # one component on genus 2 or 3 in either mode, with 0-6 crossings,
+    # without them, doubled with its ids renamed (tied least rotations) and
+    # empty, read with the renumbering memo cold, warm and holding the table
+    # under its order of first occurrences only
     surface, mode = Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"])
     comp = random_diagram(rng, surface, mode, n_components=1, max_loose_events=6,
-                          max_crossings=3).components[0]
+                          max_crossings=6).components[0]
     bare = tuple(ev for ev in comp if ev[0] != "cross")
     for events in (comp, bare, comp + renamed(comp, lambda x: x + "r"), ()):
         d = Diagram(surface, mode, (events,))
         block = block_route(d)
         key = canonical_key(d)
         assert key == canonical_transform(d)[0] == block[0] == reference_key(d, key)
-        one = byte_reading(d)
         blind = "".join(map(moves_module._code_table(surface).__getitem__, events))
-        if len(least_rotation(blind)[1]) > 1:
-            assert one is None
-        else:
-            assert one == (block[0], block[2][0])
+        tied = least_rotation(blind)[2] < len(blind)
+        expected = None if tied else (block[0], block[2][0])
+        assert memo_readings(moves_module._byte_form(d).components[0]) == [expected] * 3
+
+
+def test_memoised_reading_edge_cases():
+    # the memo is bounded: more distinct sequences than _MEMO keep at most _MEMO + 1 entries
+    ids = itertools.permutations(range(64, 192, 2), 2)
+    for x, y in itertools.islice(ids, 3 * moves_module._MEMO):
+        moves_module._renumbering(bytes([x, y, x, y]))
+        assert len(moves_module._TABLES) <= moves_module._MEMO + 1
+    assert memo_readings(b"") == [(("",), 0)] * 3  # the empty component
+    # no crossing: the least letter is not code 0, and the key is the blind string
+    d = smooth(qturn(1), edge("b1"), qturn(1), edge("a1"), qturn(1), qturn(1))
+    comp = moves_module._byte_form(d).components[0]
+    assert min(comp) > 1
+    assert memo_readings(comp) == [(canonical_key(d), block_route(d)[2][0])] * 3
+    # tied least rotations: none
+    one = (cross("1", 1), qturn(1), cross("1", 2), qturn(1))
+    tied = smooth(*one, *renamed(one, lambda x: "2"))
+    assert memo_readings(moves_module._byte_form(tied).components[0]) == [None] * 3
+    # sequences with one order of first occurrences share one table
+    assert moves_module._renumbering(bytes([66, 64, 66, 64])) is moves_module._renumbering(
+        bytes([66, 66, 64, 64]))
+    # 64 crossing ids, and the 66 of an r2_insert child of theirs
+    events = tuple(cross(str(i), 1) for i in range(1, 65)) + Q4
+    d = smooth(*events, *(cross(str(i), 2) for i in range(64, 0, -1)))
+    form = moves_module._byte_form(d)
+    assert memo_readings(form.components[0]) == [(canonical_key(d), block_route(d)[2][0])] * 3
+    move = MoveInstance("r2_insert", (0, 64, 0, 66))
+    child = apply_move(d, move)
+    assert len(child.crossing_ids()) == 66 and moves_module._byte_form(child) is None
+    spliced = moves_module._KINDS["r2_insert"].rewrite(form, move)[0]
+    key = canonical_key(child)
+    assert key == reference_key(child, key)
+    assert [reading and reading[0] for reading in memo_readings(spliced)] == [key] * 3
+    assert search_key(d, move) == key
 
 
 def test_byte_reading_declines_past_64_crossing_ids():

@@ -143,6 +143,19 @@ def test_powersum_check_basic():
     assert powersum_check(expr, S2) == CONSISTENT
 
 
+def least_and_starts(word, *least):
+    """least_rotation's least rotation and its starts, listed."""
+    best, r, period = least_rotation(word, *least)
+    return best, list(range(r, len(word) or 1, period))
+
+
+def every_rotation(word):
+    """The least rotation of word and every start of it, by listing all."""
+    rotations = _rotations(word) or [word]
+    least = min(rotations)
+    return least, [r for r, w in enumerate(rotations) if w == least]
+
+
 def test_least_rotation_is_the_least_of_every_rotation():
     rng = random.Random(7)
     words = ["", "a", "aaaa", "abab", "abAabAab", "BaBaBa"]  # powers and periodic words
@@ -150,19 +163,34 @@ def test_least_rotation_is_the_least_of_every_rotation():
         word = random_word(rng, Surface(rng.choice((1, 2))), rng.randint(1, 12))
         words.append(word * rng.choice((1, 1, 2, 3)))
     for word in words:
-        rotations = _rotations(word) or [""]
-        least = min(rotations)
-        assert least_rotation(word) == (least, [r for r, w in enumerate(rotations) if w == least])
-
+        assert least_and_starts(word) == every_rotation(word)
+        best, r, period = least_rotation(word)
+        assert 0 <= r < period and len(word) % period == 0 or word == ""
 
 
 def test_least_rotation_keeps_the_input_type():
     # bytes read as the str of the same code points, empty input included
     for word in ["", "a", "aaaa", "abAabAab", "BaBaBa", "\x00b\x01a\x00"]:
-        least, starts = least_rotation(word.encode("latin-1"))
+        least, starts = least_and_starts(word.encode("latin-1"))
         assert type(least) is bytes
-        assert (least.decode("latin-1"), starts) == least_rotation(word)
-    assert least_rotation("") == ("", [0]) and least_rotation(b"") == (b"", [0])
+        assert (least.decode("latin-1"), starts) == least_and_starts(word)
+    assert least_rotation("") == ("", 0, 1) and least_rotation(b"") == (b"", 0, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(b"\x00\x01\x02\x05"), max_size=14), st.integers(1, 4),
+       st.integers(0, 6))
+def test_least_rotation_with_a_least_letter_lists_every_least_start(letters, power, hint):
+    # str and bytes, powers (tied starts) and the empty word; the least letter
+    # given is one that occurs, one below every letter, or none
+    word = bytes(letters) * power
+    for w, least in ((word, min(word, default=hint)), (word, 0), (word, None)):
+        expected = every_rotation(w)
+        assert least_and_starts(w, least) == expected
+        text = w.decode("latin-1")
+        hint_letter = None if least is None else chr(least)
+        assert least_and_starts(text, hint_letter) == (expected[0].decode("latin-1"), expected[1])
+
 
 @st.composite
 def relator_pieces_in_noise(draw):
