@@ -225,7 +225,10 @@ def cmd_h1(args) -> int:
 
     if args.euler is not None and args.bundle != "CUSTOM":
         return _usage_error(f"--euler is for --bundle CUSTOM only, not {args.bundle}")
-    bundle = bundle_for_token(args.bundle, _surface_from_args(args), args.euler or 0)
+    try:
+        bundle = bundle_for_token(args.bundle, _surface_from_args(args), args.euler or 0)
+    except ValueError as exc:  # an Euler number the base does not take
+        return _usage_error(f"--euler {args.euler}: {exc}")
     if not args.sigma:
         group = bundle_h1(bundle)
     else:

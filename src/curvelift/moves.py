@@ -26,14 +26,14 @@ The search expands a diagram kind by kind, by growth and then by name,
 listing a kind's sites only on reaching it and skipping a kind whose growth
 passes the size cap; forward, it tries the transvection generators whose gaps
 fit at growth 1, each unless its exact growth passes the cap.  It encodes each
-diagram it expands once as bytes and keys each child off the bytes its rewrite
+diagram it expands once in codes and keys each child off the codes its rewrite
 splices, each piece put on first use, and builds a child only on expanding it.
 
 A canonical key holds one str per component, one character per event from a
 per-surface table built on first use; each block of components joined by
 crossings is keyed by its least reading, so keys are exact at polynomial cost.
-One component with one least rotation is read off its bytes: its rotation scan
-starts at code 0, and its ids are renumbered by a table memoised per sequence.
+Keys are read off codes, bytes up to 94 crossing ids and str past them: one
+component of bytes with one least rotation by _read, any other by _blocks.
 """
 
 from __future__ import annotations
@@ -119,16 +119,17 @@ _LOOP_TAGS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
 
 class _Form(dict):
     """A diagram's components in the form that rewrites splice (_child's event
-    tuples, _byte_form's bytes), with put, which turns events into that form.
+    tuples, _code_form's codes), with put, which turns events into that form.
     Each piece a rewrite inserts is put the first time a rewrite asks for it
     and kept: form[variant] a stabilization pair, form[s, t] an R2 insertion's
     two strands for slot pair (s, t), form[n] a run of n fiber loops."""
 
-    __slots__ = ("diagram", "components", "put")
+    __slots__ = ("diagram", "components", "put", "one")
 
     def __init__(self, diagram: Diagram, components: tuple, put: Callable):
         super().__init__()
         self.diagram, self.components, self.put = diagram, components, put
+        self.one = len(components) == 1 and type(components[0]) is bytes  # what _read takes
 
     def __missing__(self, piece):
         if type(piece) is str:
@@ -463,14 +464,13 @@ def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
 # canonical forms (equality up to rotation, component order, id names)
 
 
-# codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 relabeled crossings
+# codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 numbered crossings
 _CROSS0 = 64
-# _byte_form takes at most 64 crossing ids, so that a child's two fresh ids fit
-# in a byte too; _BLIND reads a crossing byte's slot code and _FIRST its first slot
-_BYTE_IDS = 64
-_BLIND = bytes(b if b < _CROSS0 else b & 1 for b in range(256))
-_FIRST = bytes(b & 254 for b in range(256))
+_BYTE_IDS = 94  # forms are bytes up to 94 ids: with a child's two fresh ids, 96 fit in a byte
+_BLIND = bytes(b if b < _CROSS0 else b & 1 for b in range(256))  # a crossing byte's slot code
+_FIRST = bytes(b & 254 for b in range(256))  # a crossing byte's first slot
 _NONCROSS = _BLIND[:_CROSS0]  # every code below the crossings'
+_DROP = dict.fromkeys(range(_CROSS0))  # str.translate: drop every code below the crossings'
 
 
 class _Codes(dict):
@@ -492,35 +492,23 @@ class _Codes(dict):
 _code_table = functools.cache(_Codes)  # one table per surface, built on first use
 
 
-def _relabel(comp, blind, r, ids: dict) -> str:
-    """comp rotated left by r: its blind string with each crossing recoded by
-    its id's first-occurrence index i in ids as chr(_CROSS0 + 2 * i + slot - 1).
-    Crossings code lowest, so a least rotation not starting with one has none."""
-    if blind[:1] > "\x01":
-        return blind
-    return "".join([
-        ch if ch > "\x01" else chr(_CROSS0 + 2 * ids.setdefault(ev[1], len(ids)) + ord(ch))
-        for ch, ev in zip(blind, comp[r:] + comp[:r])
-    ])
-
-
-def _byte_form(diagram: Diagram) -> _Form | None:
-    """The search's form of a diagram with one component and at most _BYTE_IDS
-    crossing ids, else None: one byte per event, its code, or a crossing's
-    _CROSS0 + 2 * (its id's number) + its slot code, each id numbered on first
-    sight, so that fresh crossings are numbered after the component's."""
-    if len(diagram.components) != 1 or len(diagram.crossing_ids()) > _BYTE_IDS:
-        return None
+def _code_form(diagram: Diagram) -> _Form:
+    """A diagram's form in codes, one per event: its _Codes code, or a crossing's
+    _CROSS0 + 2 * (its id's number) + its slot code, ids numbered on first sight
+    across the components, fresh ones after them; bytes with at most _BYTE_IDS
+    ids, else str.  Raises ValueError on an unknown event."""
     code, ids = _code_table(diagram.surface).__getitem__, {}
+    small = len(diagram.crossing_ids()) <= _BYTE_IDS
 
-    def put(events) -> bytes:
-        return "".join([
+    def put(events):
+        codes = "".join([
             code(ev) if ev[0] != "cross"
             else chr(_CROSS0 + 2 * ids.setdefault(ev[1], len(ids)) + ord(code(ev)))
             for ev in events
-        ]).encode("latin-1")
+        ])
+        return codes.encode("latin-1") if small else codes
 
-    return _Form(diagram, (put(diagram.components[0]),), put)
+    return _Form(diagram, tuple(map(put, diagram.components)), put)
 
 
 _MEMO = 256  # a search reads a few hundred crossing sequences at a time; 256 cost < 150 kB
@@ -551,6 +539,52 @@ def _read(comp: bytes):
     return (turned.translate(table).decode("latin-1"),), r
 
 
+def _turned(text: str, r: int, firsts: list, numbers: dict) -> tuple[str, list]:
+    """A component read: (text rotated left by r and renumbered by the table numbers,
+    which first numbers the crossings met here first; those crossings' first codes)."""
+    turned = text[r:] + text[:r]
+    new = [f for f in map(ord, dict.fromkeys(turned.translate(firsts))) if f not in numbers]
+    for f in new:
+        numbers.update({f: _CROSS0 + len(numbers), f + 1: _CROSS0 + len(numbers) + 1})
+    return turned.translate(numbers), new
+
+
+def _blocks(comps: tuple):
+    """canonical_transform of a form's components, read as str on translate tables."""
+    texts = [comp.decode("latin-1") if type(comp) is bytes else comp for comp in comps]
+    crossings = range(_CROSS0, ord(max("".join(texts), default="\0")) + 1)
+    blind = list(range(_CROSS0)) + [c & 1 for c in crossings]
+    firsts = [None] * _CROSS0 + [c & ~1 for c in crossings]
+    visits = {c: (ci, text.index(chr(c)))  # crossing code -> (component, position)
+              for ci, text in enumerate(texts) for c in map(ord, text.translate(_DROP))}
+
+    def read(ci, r):
+        reading, numbers, unread = [], {}, []
+        while True:
+            turned, new = _turned(texts[ci], r, firsts, numbers)
+            reading.append((turned, ci, r))
+            # the unread visits of the crossings numbered so far, in number order
+            unread += (visits.get(c) for f in new for c in (f, f + 1))
+            unread = [v for v in unread if v and v[0] != ci]
+            if not unread:
+                return tuple(zip(*reading))
+            ci, r = unread[0]
+
+    lows = [least_rotation(text.translate(blind), "\0") for text in texts]  # (least, start, period)
+    blocks, done = [], set()
+    for ci in sorted(range(len(texts)), key=lambda c: lows[c][0]):
+        if ci not in done:  # the least index with its block's least string: starts[0]
+            first = read(ci, lows[ci][1])
+            done.update(first[1])
+            starts = [(c, r) for c in sorted(first[1]) if lows[c][0] == lows[ci][0]
+                      for r in range(lows[c][1], len(texts[c]) or 1, lows[c][2])]
+            blocks.append(min([first] + [read(c, r) for c, r in starts[1:]]))
+    if len(blocks) == 1:
+        return blocks[0]
+    strs, perms, rots = zip(*sorted(blocks)) if blocks else ((), (), ())
+    return strs, sum(perms, ()), sum(rots, ())
+
+
 def canonical_transform(diagram: Diagram):
     """(key, perm, rots): canonical component i is component perm[i] rotated
     left by rots[i]; keys are equal exactly when the diagrams are equal up to
@@ -559,65 +593,27 @@ def canonical_transform(diagram: Diagram):
     a least rotation; the next component holds the unread visit (slots are
     distinct) of the least-numbered crossing read so far and begins there.  A
     block takes its least (strs, perm, rots) reading; the key is one block's
-    strs, or the blocks' strs in order; a diagram with a _byte_form whose
-    id-blind string has one least rotation is read off its bytes by _read.
-    Raises ValueError on an unknown event and on a slot visited twice."""
-    form = _byte_form(diagram)
-    if form is not None:
-        comp = form.components[0]
-        slots = comp.translate(None, _NONCROSS)  # one byte per crossing slot
-        # a slot visited twice repeats a byte: the check below names it
-        one = _read(comp) if len(set(slots)) == len(slots) else None
-        if one is not None:
-            return one[0], (0,), (one[1],)
-    comps, code = diagram.components, _code_table(diagram.surface).__getitem__
-    blinds = ["".join(map(code, comp)) for comp in comps]
-    visits = {}  # (crossing id, slot) -> (component, position)
-    for ci, comp in enumerate(comps):
-        for p, ev in enumerate(comp):
-            if ev[0] == "cross" and visits.setdefault(ev[1:], (ci, p)) != (ci, p):
-                raise ValueError(f"crossing {ev[1]} slot {ev[2]} is visited twice")
-
-    def read(ci, r):
-        reading, ids, unread = [], {}, []
-        while True:
-            n, blind = len(ids), blinds[ci]
-            reading.append((_relabel(comps[ci], blind[r:] + blind[:r], r, ids), ci, r))
-            # the unread visits of the crossings numbered so far, in number order
-            unread += (visits.get((x, s)) for x in list(ids)[n:] for s in (1, 2))
-            unread = [v for v in unread if v and v[0] != ci]
-            if not unread:
-                return tuple(zip(*reading))
-            ci, r = unread[0]
-
-    lows = [least_rotation(blind) for blind in blinds]  # (least string, start, period)
-    blocks, done = [], set()
-    for ci in sorted(range(len(comps)), key=lambda c: lows[c][0]):
-        if ci not in done:  # the least index with its block's least string: starts[0]
-            first = read(ci, lows[ci][1])
-            done.update(first[1])
-            starts = [(c, r) for c in sorted(first[1]) if lows[c][0] == lows[ci][0]
-                      for r in range(lows[c][1], len(blinds[c]) or 1, lows[c][2])]
-            blocks.append(min([first] + [read(c, r) for c, r in starts[1:]]))
-    if len(blocks) == 1:
-        return blocks[0]
-    strs, perms, rots = zip(*sorted(blocks)) if blocks else ((), (), ())
-    return strs, sum(perms, ()), sum(rots, ())
+    strs, or the blocks' strs in order.  Raises ValueError on an unknown event
+    and on a slot visited twice."""
+    form = _code_form(diagram)
+    slots = [ev for comp in diagram.components for ev in comp if ev[0] == "cross"]
+    if len(set(slots)) < len(slots):
+        ev = next(ev for ev, n in Counter(slots).items() if n > 1)
+        raise ValueError(f"crossing {ev[1]} slot {ev[2]} is visited twice")
+    one = form.one and _read(form.components[0])
+    return (one[0], (0,), (one[1],)) if one else _blocks(form.components)
 
 
 def canonical_key(diagram: Diagram):
     return canonical_transform(diagram)[0]
 
 
-def _child_key(parent: Diagram, form: _Form | None, move: MoveInstance):
-    """canonical_key of the parent after a fitting move, read off the bytes
-    that the rewrite splices from the parent's _byte_form, if it has one and
-    the child has one least rotation; else off the built child."""
-    if form is not None:
-        one = _read(_KINDS[move.kind].rewrite(form, move)[0])
-        if one is not None:
-            return one[0]
-    return canonical_key(_child(parent, move))
+def _child_key(form: _Form, move: MoveInstance):
+    """canonical_key of form's diagram after a fitting move, off the codes it
+    splices: one component of bytes if the form's are, since moves keep both."""
+    comps = _KINDS[move.kind].rewrite(form, move)
+    one = form.one and _read(comps[0])
+    return one[0] if one else _blocks(comps)[0]
 
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
@@ -736,7 +732,7 @@ def equivalent_bounded(
 
     # side 0 searches forward from d1, side 1 backward from d2 (its paths are
     # inverted on meet); each side maps key -> path, and a frontier holds
-    # (parent, move, path): a child is keyed from its parent's bytes and built
+    # (parent, move, path): a child is keyed from its parent's codes and built
     # only when its layer is expanded
     seen = ({k1: ()}, {k2: ()})
     frontiers = [[(d1, None, ())], [(d2, None, ())]]
@@ -771,7 +767,7 @@ def equivalent_bounded(
         next_frontier = []
         for parent, last, path in frontiers[side]:
             diag = parent if last is None else _child(parent, last)
-            form, size = _byte_form(diag), sum(map(len, diag.components))
+            form, size = _code_form(diag), sum(map(len, diag.components))
             for name in _SEARCH_ORDER:
                 kind = _KINDS[name]
                 if name == "transvection":
@@ -782,7 +778,7 @@ def equivalent_bounded(
                 else:
                     moves = (MoveInstance(name, site) for site in kind.sites(diag))
                 for move in moves:
-                    key = _child_key(diag, form, move)
+                    key = _child_key(form, move)
                     if key in here:
                         continue
                     new_path = path + (move,)

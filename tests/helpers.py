@@ -16,6 +16,8 @@ from curvelift import (
     inverse_word,
 )
 from curvelift.diagrams import CUSP_SMOOTH, SMOOTH, cross, cusp, edge, kink, qturn
+from curvelift.moves import _code_table
+from curvelift.words import least_rotation
 
 
 def det_fraction(m) -> Fraction:
@@ -233,6 +235,61 @@ def reference_canonical_transform(diagram: Diagram):
             )
             best = min(best or (key, perm, rots), (key, perm, rots))
     return best
+
+
+def _reference_relabel(comp, blind, r, ids: dict) -> str:
+    """comp rotated left by r: its blind string with each crossing recoded by
+    its id's first-occurrence index i in ids as chr(64 + 2 * i + slot - 1).
+    Crossings code lowest, so a least rotation not starting with one has none."""
+    if blind[:1] > "\x01":
+        return blind
+    return "".join([
+        ch if ch > "\x01" else chr(64 + 2 * ids.setdefault(ev[1], len(ids)) + ord(ch))
+        for ch, ev in zip(blind, comp[r:] + comp[:r])
+    ])
+
+
+def reference_block_transform(diagram: Diagram):
+    """Oracle for moves.canonical_transform's exact (key, perm, rots): its
+    reading rule run on event tuples, one event at a time.  Each component's
+    blind string codes its events by the surface's table; a block is read from
+    each start (a component with the block's least blind string, at a least
+    rotation), each next component beginning at the unread visit of the
+    least-numbered crossing read so far; a block takes its least (strs, perm,
+    rots) reading, and several blocks are sorted."""
+    comps, code = diagram.components, _code_table(diagram.surface).__getitem__
+    blinds = ["".join(map(code, comp)) for comp in comps]
+    visits = {}  # (crossing id, slot) -> (component, position)
+    for ci, comp in enumerate(comps):
+        for p, ev in enumerate(comp):
+            if ev[0] == "cross" and visits.setdefault(ev[1:], (ci, p)) != (ci, p):
+                raise ValueError(f"crossing {ev[1]} slot {ev[2]} is visited twice")
+
+    def read(ci, r):
+        reading, ids, unread = [], {}, []
+        while True:
+            n, blind = len(ids), blinds[ci]
+            reading.append((_reference_relabel(comps[ci], blind[r:] + blind[:r], r, ids), ci, r))
+            # the unread visits of the crossings numbered so far, in number order
+            unread += (visits.get((x, s)) for x in list(ids)[n:] for s in (1, 2))
+            unread = [v for v in unread if v and v[0] != ci]
+            if not unread:
+                return tuple(zip(*reading))
+            ci, r = unread[0]
+
+    lows = [least_rotation(blind) for blind in blinds]  # (least string, start, period)
+    blocks, done = [], set()
+    for ci in sorted(range(len(comps)), key=lambda c: lows[c][0]):
+        if ci not in done:  # the least index with its block's least string: starts[0]
+            first = read(ci, lows[ci][1])
+            done.update(first[1])
+            starts = [(c, r) for c in sorted(first[1]) if lows[c][0] == lows[ci][0]
+                      for r in range(lows[c][1], len(blinds[c]) or 1, lows[c][2])]
+            blocks.append(min([first] + [read(c, r) for c, r in starts[1:]]))
+    if len(blocks) == 1:
+        return blocks[0]
+    strs, perms, rots = zip(*sorted(blocks)) if blocks else ((), (), ())
+    return strs, sum(perms, ()), sum(rots, ())
 
 
 # ----------------------------------------------------------------------

@@ -354,6 +354,9 @@ def exit_code(argv):
         (["group", "trivial", "--genus", "-1", "a"], "--genus"),
         (["h1", "--genus", "30"], "--genus"),  # past the one-character letters
         (["h1", "--genus", "2", "--bundle", "TRIVIAL", "--euler", "3"], "--euler"),
+        # a bundle over a bounded base is trivial
+        (["h1", "--genus", "2", "--boundary", "1", "--bundle", "CUSTOM", "--euler", "3"],
+         "--euler"),
     ],
 )
 def test_out_of_range_flag_values_are_usage_errors(capsys, argv, flag):

@@ -100,7 +100,7 @@ def test_side_offset_of_one_side_components():
             assert raw_turning(Diagram(surface, mode, ((edge("a1"),),)), 0) == offset
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.randoms(use_true_random=False))
 def test_turning_and_fiber_degree_follow_the_model_table(rng):
     # components drawn event by event on a closed or a bounded surface, so

@@ -119,7 +119,7 @@ def random_hnn_items(rng, t_length):
     return items
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.randoms(use_true_random=False))
 def test_britton_reduce_matches_rescan_from_start(rng):
     ext = make_ext()

@@ -38,7 +38,12 @@ from curvelift.diagrams import cross, cusp, edge, kink, qturn, shadow_word
 from curvelift.moves import canonical_transform
 from curvelift.words import least_rotation
 
-from helpers import random_diagram, reference_canonical_transform, reference_distance
+from helpers import (
+    random_diagram,
+    reference_block_transform,
+    reference_canonical_transform,
+    reference_distance,
+)
 
 S2 = Surface(2)
 UT = CircleBundle.unit_tangent(S2)
@@ -187,7 +192,7 @@ def test_r2_remove_detected_in_catalogue():
         assert diagrams_equal(apply_move(d, rem), circle())
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.randoms(use_true_random=False))
 def test_applicable_moves_come_out_sorted(rng):
     # up to two r2_insert moves add bigons and sometimes triangles, so that
@@ -222,10 +227,10 @@ def test_applicable_moves_come_out_sorted(rng):
                 pass
     assert moves == sorted(accepted)
     # the unchecked rewrite builds apply_move's diagram, and the search keys it
-    form = moves_module._byte_form(d)
+    form = moves_module._code_form(d)
     for move in moves:
         assert moves_module._child(d, move) == accepted[move]
-        assert moves_module._child_key(d, form, move) == canonical_key(accepted[move])
+        assert moves_module._child_key(form, move) == canonical_key(accepted[move])
 
 
 def test_rewrites_across_the_wrap():
@@ -406,7 +411,7 @@ def rebuilt_key(d, perm, rots, key):
     return tuple(out) if nested else out[0]
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.randoms(use_true_random=False))
 def test_canonical_transform_matches_reference(rng):
     d = tie_prone_diagram(rng)
@@ -430,10 +435,24 @@ def test_canonical_transform_matches_reference(rng):
     assert (canonical_key(d3) == key) == (reference_canonical_transform(d3)[0] == ref_key)
 
 
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_canonical_transform_is_the_reference_block_route(rng):
+    # (key, perm, rots) exactly as the string block route reads them, on 1-4
+    # components, tie-prone, doubled, linked and not: certificates transport
+    # sites by (perm, rots), so they cannot change silently
+    d = tie_prone_diagram(rng)
+    got = canonical_transform(d)
+    assert got == reference_block_transform(d)
+    # the block reader alone reads what _read takes, too
+    assert moves_module._blocks(moves_module._code_form(d).components) == got
+
+
 def byte_reading(d):
-    """_read of d's byte form, or None: d's key and rotation off its bytes."""
-    form = moves_module._byte_form(d)
-    return None if form is None else moves_module._read(form.components[0])
+    """_read of d's code form if it is one component of bytes, else None: d's
+    key and rotation off its bytes, or None for a tied least rotation."""
+    comps = moves_module._code_form(d).components
+    return moves_module._read(comps[0]) if type(comps[0]) is bytes else None
 
 
 def test_one_component_key_route_agrees_with_the_transform_and_reference():
@@ -466,10 +485,11 @@ def reference_key(d, key):
 
 
 def block_route(d):
-    """canonical_transform of d by its block route alone."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(moves_module, "_byte_form", lambda d: None)
-        return canonical_transform(d)
+    """canonical_transform of d by its block reader alone, which must agree
+    with the reference block route."""
+    got = moves_module._blocks(moves_module._code_form(d).components)
+    assert got == reference_block_transform(d)
+    return got
 
 
 def memo_readings(comp: bytes) -> list:
@@ -483,7 +503,7 @@ def memo_readings(comp: bytes) -> list:
     return readings + [moves_module._read(comp)]
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.randoms(use_true_random=False))
 def test_byte_reading_agrees_with_the_block_route_and_reference(rng):
     # one component on genus 2 or 3 in either mode, with 0-6 crossings,
@@ -502,7 +522,7 @@ def test_byte_reading_agrees_with_the_block_route_and_reference(rng):
         blind = "".join(map(moves_module._code_table(surface).__getitem__, events))
         tied = least_rotation(blind)[2] < len(blind)
         expected = None if tied else (block[0], block[2][0])
-        assert memo_readings(moves_module._byte_form(d).components[0]) == [expected] * 3
+        assert memo_readings(moves_module._code_form(d).components[0]) == [expected] * 3
 
 
 def test_memoised_reading_edge_cases():
@@ -514,24 +534,25 @@ def test_memoised_reading_edge_cases():
     assert memo_readings(b"") == [(("",), 0)] * 3  # the empty component
     # no crossing: the least letter is not code 0, and the key is the blind string
     d = smooth(qturn(1), edge("b1"), qturn(1), edge("a1"), qturn(1), qturn(1))
-    comp = moves_module._byte_form(d).components[0]
+    comp = moves_module._code_form(d).components[0]
     assert min(comp) > 1
     assert memo_readings(comp) == [(canonical_key(d), block_route(d)[2][0])] * 3
     # tied least rotations: none
     one = (cross("1", 1), qturn(1), cross("1", 2), qturn(1))
     tied = smooth(*one, *renamed(one, lambda x: "2"))
-    assert memo_readings(moves_module._byte_form(tied).components[0]) == [None] * 3
+    assert memo_readings(moves_module._code_form(tied).components[0]) == [None] * 3
     # sequences with one order of first occurrences share one table
     assert moves_module._renumbering(bytes([66, 64, 66, 64])) is moves_module._renumbering(
         bytes([66, 66, 64, 64]))
-    # 64 crossing ids, and the 66 of an r2_insert child of theirs
-    events = tuple(cross(str(i), 1) for i in range(1, 65)) + Q4
-    d = smooth(*events, *(cross(str(i), 2) for i in range(64, 0, -1)))
-    form = moves_module._byte_form(d)
+    # 94 crossing ids, and the 96 of an r2_insert child of theirs, whose own
+    # form is str but whose spliced bytes _read takes
+    d = nested(94)
+    form = moves_module._code_form(d)
     assert memo_readings(form.components[0]) == [(canonical_key(d), block_route(d)[2][0])] * 3
-    move = MoveInstance("r2_insert", (0, 64, 0, 66))
+    move = MoveInstance("r2_insert", (0, 94, 0, 96))
     child = apply_move(d, move)
-    assert len(child.crossing_ids()) == 66 and moves_module._byte_form(child) is None
+    assert len(child.crossing_ids()) == 96
+    assert type(moves_module._code_form(child).components[0]) is str
     spliced = moves_module._KINDS["r2_insert"].rewrite(form, move)[0]
     key = canonical_key(child)
     assert key == reference_key(child, key)
@@ -539,32 +560,51 @@ def test_memoised_reading_edge_cases():
     assert search_key(d, move) == key
 
 
-def test_byte_reading_declines_past_64_crossing_ids():
-    # ids 1..k visited in order, then back in reverse: one least rotation
-    for k, route in ((64, True), (65, False)):
-        events = tuple(cross(str(i), 1) for i in range(1, k + 1)) + Q4
-        d = smooth(*events, *(cross(str(i), 2) for i in range(k, 0, -1)))
-        assert (moves_module._byte_form(d) is not None) == route
-        assert (byte_reading(d) is not None) == route
-        key = canonical_key(d)
-        assert key == block_route(d)[0] == reference_key(d, key)
-        assert canonical_key(rearranged(random.Random(k), d)) == canonical_key(d)
+def nested(k, *extra):
+    """One component visiting crossing ids 1..k in order, then extra, four
+    quarter turns and the ids back in reverse: one least rotation."""
+    events = tuple(cross(str(i), 1) for i in range(1, k + 1)) + extra + Q4
+    return smooth(*events, *(cross(str(i), 2) for i in range(k, 0, -1)))
+
+
+def test_code_forms_past_94_crossing_ids():
+    # a form is bytes up to 94 ids and str past them, and every size is read
+    # as the reference reads it, with _read on bytes only
+    for k, form_type in ((94, bytes), (95, str), (130, str)):
+        d = nested(k)
+        assert type(moves_module._code_form(d).components[0]) is form_type
+        assert (byte_reading(d) is not None) == (form_type is bytes)
+        key, perm, rots = canonical_transform(d)
+        assert (key, perm, rots) == block_route(d) == reference_block_transform(d)
+        assert key == reference_key(d, key)
+        assert canonical_key(rearranged(random.Random(k), d)) == key
+    # two components sharing 100 ids, each visiting them all once: a tied
+    # pair of blocks read as the reference reads them, in any arrangement
+    first = tuple(cross(str(i), 1) for i in range(1, 101)) + Q4
+    second = tuple(cross(str(i), 2) for i in range(100, 0, -1)) + Q4
+    for d in (Diagram(S2, "smooth", (first, second)), Diagram(S2, "smooth", (second, first))):
+        assert type(moves_module._code_form(d).components[0]) is str
+        key, perm, rots = canonical_transform(d)
+        assert (key, perm, rots) == reference_block_transform(d)
+        assert rebuilt_key(d, perm, rots, key) == key
+        for seed in range(3):
+            assert canonical_key(rearranged(random.Random(seed), d)) == key
 
 
 def test_byte_reading_rejects_what_the_alphabet_does_not_hold():
     for ev in [edge("a3"), kink(2), cross("1", 3), cross("1", 0), ("bogus",)]:
         d = smooth(qturn(1), ev)
-        for read in (moves_module._byte_form, canonical_key):
+        for read in (moves_module._code_form, canonical_key):
             with pytest.raises(ValueError, match="not in the alphabet"):
                 read(d)
 
 
 def search_key(d, move):
     """The key the search gives the child of d by move."""
-    return moves_module._child_key(d, moves_module._byte_form(d), move)
+    return moves_module._child_key(moves_module._code_form(d), move)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.randoms(use_true_random=False))
 def test_spliced_child_keys_equal_built_child_keys(rng):
     surface, mode = Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"])
@@ -587,32 +627,33 @@ def test_spliced_child_keys_equal_built_child_keys(rng):
 
 
 def test_spliced_child_keys_agree_past_the_byte_limit():
-    # parents with 63 and 64 ids splice children with up to 66; one with 65
-    # ids has no byte form, and the search builds its children
+    # a parent with 94 ids splices byte children with up to 96, one with 95
+    # splices str children; either way, one component or two (the second
+    # takes the last ten ids' second visits), a tied rotation or not
     rng = random.Random(5)
-    for k in (63, 64, 65):
-        events = [cross(str(i), 1) for i in range(1, k + 1)] + [edge("a1"), *Q4]
-        events += [cross(str(i), 2) for i in range(k, 0, -1)]
-        d = smooth(*events)
-        assert (moves_module._byte_form(d) is None) == (k > 64)
-        moves = [MoveInstance(name, site) for name in ("stab", "r2_insert", "r2_remove")
-                 for site in rng.sample(moves_module._KINDS[name].sites(d), 8)]
-        moves.append(transvection([("a", 2, [(0, 3, 1), (0, 70, -1)])]))
-        for move in moves:
-            child = apply_move(d, move)
-            key = canonical_key(child)
-            assert search_key(d, move) == key == reference_key(child, key)
+    for k in (93, 94, 95):
+        one = nested(k, edge("a1"))
+        doubled = smooth(*one.components[0], *renamed(one.components[0], lambda x: x + "r"))
+        two = Diagram(S2, "smooth", (one.components[0][:-10] + Q4, one.components[0][-10:]))
+        for d in (one, doubled, two):
+            ids = len(d.crossing_ids())
+            assert type(moves_module._code_form(d).components[0]) is (bytes if ids <= 94 else str)
+            moves = [MoveInstance(name, site) for name in ("stab", "r2_insert", "r2_remove")
+                     for site in rng.sample(moves_module._KINDS[name].sites(d), 6)]
+            moves.append(transvection([("a", 2, [(0, 3, 1), (0, 70, -1)])]))
+            for move in moves:
+                child = apply_move(d, move)
+                key = canonical_key(child)
+                assert search_key(d, move) == key
+                assert canonical_transform(child) == reference_block_transform(child)
 
 
 Q4 = (qturn(1),) * 4
 
 
-def relabel_calls(monkeypatch):
-    """The arguments of every later moves._relabel call."""
-    calls = []
-    inner = moves_module._relabel
-    monkeypatch.setattr(moves_module, "_relabel", lambda *a: calls.append(a) or inner(*a))
-    return calls
+def component_reads(monkeypatch):
+    """The arguments of every later component read of the block reader."""
+    return counting(monkeypatch, "_turned")
 
 
 def test_canonical_key_nine_component_chain():
@@ -639,8 +680,8 @@ def test_canonical_key_six_identical_linked_pairs():
 
 def test_canonical_key_identical_components_alone_are_kept_once(monkeypatch):
     # a component that shares no crossing is a block of its own with one
-    # start, so ten copies make ten relabels, not 10! orders
-    calls = relabel_calls(monkeypatch)
+    # start, so ten copies make ten component reads, not 10! orders
+    calls = component_reads(monkeypatch)
     for comp in [(edge("a1"),) + Q4, (cross("x", 1), cross("x", 2)) + Q4]:
         d = Diagram(S2, "smooth", tuple(renamed(comp, lambda x, i=i: f"{x}{i}") for i in range(10)))
         calls.clear()
@@ -659,10 +700,10 @@ def star(leaves):
 
 def test_canonical_key_is_exact_up_to_the_cap(monkeypatch):
     # five leaves tie in 5! = 120 component orders; the block is read once
-    # from each leaf, six relabels per reading, and the least reading starts
+    # from each leaf, six component reads per reading, and the least reading starts
     # at the leaf just before the center's quarter turns, then reads the
     # center from there and the other leaves in the center's order
-    calls = relabel_calls(monkeypatch)
+    calls = component_reads(monkeypatch)
     d = star(5)
     key, perm, rots = canonical_transform(d)
     assert len(calls) == 5 * 6 and perm == (0, 5, 4, 3, 2, 1)
@@ -682,11 +723,11 @@ def chain(n):
 )
 def test_canonical_key_symmetric_blocks_are_exact(monkeypatch, d):
     # every start of a block is read once; here each component has one least
-    # rotation, so at most n starts of n relabels, however many orders tie
+    # rotation, so at most n starts of n component reads, however many orders tie
     start = time.perf_counter()
     key = canonical_key(d)
     assert time.perf_counter() - start < 0.1
-    calls = relabel_calls(monkeypatch)
+    calls = component_reads(monkeypatch)
     assert canonical_key(d) == key
     n = len(d.components)
     assert len(calls) <= n * (n + 1)
@@ -823,7 +864,7 @@ def test_equiv_skips_transvection_past_size_cap_before_keying_it(monkeypatch):
     assert v.certificate == (MoveInstance("stab", (0, 0, "lr")),)
     # d1, d2 and the assembled certificate's end; the one child keyed is the stab's
     assert len(keys) == 3
-    assert [move for _, _, move in children] == [MoveInstance("stab", (0, 0, "lr"))]
+    assert [move for _, move in children] == [MoveInstance("stab", (0, 0, "lr"))]
 
 
 EXHAUSTION_D1 = "surface genus=2 boundary=0\nbundle UT\ncomp: a1 X1.1 Q+ b1' X1.2 Q+ Q+ Q+ Q+ Q+\n"
@@ -935,12 +976,12 @@ def test_forms_put_only_the_pieces_their_rewrites_ask_for(monkeypatch):
     puts, missing = [], moves_module._Form.__missing__
     monkeypatch.setattr(moves_module._Form, "__missing__",
                         lambda form, piece: puts.append((form, piece)) or missing(form, piece))
-    calls = counting(monkeypatch, "_child_key")  # (parent, its byte form, move)
+    calls = counting(monkeypatch, "_child_key")  # (its parent's code form, move)
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000,
                                                   transvection_generators=(gen,)))
     assert v.status == "unknown"
     asked = {}
-    for _, form, move in calls:
+    for form, move in calls:
         asked.setdefault(id(form), (form, set()))[1].update(pieces_asked(move))
     put = sorted((id(form), repr(piece)) for form, piece in puts if id(form) in asked)
     assert put == sorted((i, repr(piece)) for i, (_, pieces) in asked.items() for piece in pieces)
@@ -953,14 +994,14 @@ def test_a_meet_among_the_shrinking_kinds_puts_no_piece(monkeypatch):
     # before a growing kind's rewrite asks its form for a piece
     d2 = smooth(edge("a1"), qturn(1), qturn(1), qturn(1), qturn(1), qturn(1))
     d1 = apply_move(d2, MoveInstance("stab", (0, 3, "lr")))
-    calls = counting(monkeypatch, "_child_key")  # (parent, its byte form, move)
+    calls = counting(monkeypatch, "_child_key")  # (its parent's code form, move)
     v = equivalent_bounded(d1, d2, UT, budget())
     assert v.equivalent and v.certificate == (MoveInstance("destab", (0, 3)),)
-    [(parent, form, move)] = calls
-    assert parent is d1 and type(form) is moves_module._Form and len(form) == 0
+    [(form, move)] = calls
+    assert form.diagram is d1 and type(form) is moves_module._Form and len(form) == 0
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.randoms(use_true_random=False))
 def test_search_moves_come_in_growth_order(rng):
     # each expansion keys the children of the moves applicable_moves lists, with the
@@ -996,12 +1037,12 @@ def test_search_moves_come_in_growth_order(rng):
         return [m for m in moves if size + growth(m) <= size_cap]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = counting(monkeypatch, "_child_key")  # (parent, its byte form, move)
+        calls = counting(monkeypatch, "_child_key")  # (its parent's code form, move)
         equivalent_bounded(d1, d2, bundle, budget(max_moves=max_moves, max_states=400,
                                                   transvection_generators=tuple(gens)))
     runs = [list(group) for _, group in itertools.groupby(calls, lambda c: id(c[0]))]
     for i, run in enumerate(runs):
-        d, got = run[0][0], [m for _, _, m in run]
+        d, got = run[0][0].diagram, [m for _, m in run]
         options = [expected(d, True), expected(d, False)]
         if i == len(runs) - 1:  # the search may stop inside its last expansion
             options = [ref[:len(got)] for ref in options]
@@ -1078,7 +1119,7 @@ def random_walk(rng, d, steps):
     return d
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.randoms(use_true_random=False))
 def test_equiv_agrees_with_reference_search(rng):
     # the bidirectional search certifies within k moves exactly when a plain
@@ -1112,7 +1153,7 @@ def test_equiv_finds_reference_paths_ending_in_an_unlisted_inverse(comp1, comp2)
     assert equivalent_bounded(d1, d2, bundle, budget(max_moves=2)).equivalent
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.randoms(use_true_random=False))
 def test_equiv_with_walk_transvection_replays(rng):
     mode, bundle = rng.choice([("smooth", UT), ("cusp", PT)])

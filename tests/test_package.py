@@ -80,3 +80,12 @@ def test_package_imports_only_the_standard_library():
                 imported.add((name, node.module.split(".")[0]))
     allowed = sys.stdlib_module_names | {"curvelift"}
     assert {(name, module) for name, module in imported if module not in allowed} == set()
+
+
+def test_property_tests_run_derandomized():
+    # the suite's Hypothesis profile: the same examples on every run, none
+    # replayed from a database, so the suite's result is a function of the code
+    from hypothesis import settings
+
+    assert settings.default.derandomize and settings.default.database is None
+    assert settings.default.deadline is None

@@ -82,7 +82,7 @@ def small_matrices(draw):
     return m
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(small_matrices())
 def test_snf_matches_determinantal_divisors(m):
     factors = determinantal_invariant_factors(m)

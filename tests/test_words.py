@@ -177,7 +177,7 @@ def test_least_rotation_keeps_the_input_type():
     assert least_rotation("") == ("", 0, 1) and least_rotation(b"") == (b"", 0, 1)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.sampled_from(b"\x00\x01\x02\x05"), max_size=14), st.integers(1, 4),
        st.integers(0, 6))
 def test_least_rotation_with_a_least_letter_lists_every_least_start(letters, power, hint):
@@ -209,7 +209,7 @@ def relator_pieces_in_noise(draw):
     return surface, "".join(parts)
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(relator_pieces_in_noise(), st.text("abAB", max_size=12), st.text("abAB", max_size=12),
        st.integers(0, 12))
 def test_dehn_matches_the_full_reduction_reference(case, left, right, overlap):
