@@ -26,14 +26,20 @@ The search expands a diagram kind by kind, by growth and then by name,
 listing a kind's sites only on reaching it and skipping a kind whose growth
 passes the size cap; forward, it tries the transvection generators whose gaps
 fit at growth 1, each unless its exact growth passes the cap.  It encodes each
-diagram it expands once in codes and keys each child off the codes its rewrite
-splices, each piece put on first use, and builds a child only on expanding it.
+diagram it expands once in codes; a kind's rewrite runs over all of the
+parent's sites in one pass, splicing each child's codes (each piece put on
+first use), and the search keys each child off them, makes a MoveInstance only
+for a child it has not seen and builds a child only on expanding it.
 
 A canonical key holds one str per component, one character per event from a
 per-surface table built on first use; each block of components joined by
 crossings is keyed by its least reading, so keys are exact at polynomial cost.
 Keys are read off codes, bytes up to 94 crossing ids and str past them: one
 component of bytes with one least rotation by _read, any other by _blocks.
+_read reads through a memo that lasts one search: each id-blind string's
+least rotation and each crossing sequence's renumbering table, at most _MEMO
+of each, emptied when full; the tables themselves are kept per order of first
+occurrence for every search.
 """
 
 from __future__ import annotations
@@ -98,6 +104,11 @@ def transvection(curves) -> MoveInstance:
     return MoveInstance("transvection", (), data)
 
 
+def _transvection_at(kind: str, data: tuple) -> MoveInstance:
+    """The transvection move whose rewrite site is data, as the search makes it."""
+    return MoveInstance(kind, (), data)
+
+
 def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
     """Signed fiber-degree change of one component under a transvection."""
     return sum(
@@ -110,8 +121,9 @@ def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
 
 # ----------------------------------------------------------------------
 # the move table.  match(diagram, move) returns None or why the move does not
-# fit; rewrite(form, move) and inverse(diagram, move) run on a fitting move
-# only and return the new components and the inverse move.
+# fit; rewrite(form, sites) and inverse(diagram, move) run on fitting moves
+# only: rewrite yields the new components at each site in turn (a
+# transvection's site is its data), inverse returns the move that undoes one.
 
 
 _LOOP_TAGS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
@@ -249,10 +261,10 @@ def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, [(ci, p)])
 
 
-def _stab_rewrite(form: _Form, move: MoveInstance) -> tuple:
-    ci, p, variant = move.site
-    comp = form.components[ci]
-    return _replaced(form.components, ci, comp[:p] + form[variant] + comp[p:])
+def _stab_rewrite(form: _Form, sites):
+    comps = form.components
+    for ci, p, variant in sites:
+        yield _replaced(comps, ci, comps[ci][:p] + form[variant] + comps[ci][p:])
 
 
 def _is_stab_pair(diagram: Diagram, site) -> bool:
@@ -282,17 +294,21 @@ def _r2_insert_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, ((c1, p1), (c2, p2)))
 
 
-def _r2_insert_rewrite(form: _Form, move: MoveInstance) -> tuple:
-    c1, p1, c2, p2 = move.site[:4]
-    first, second = form[_R2_SLOTS[move.site[4:]]]
+def _r2_insert_rewrite(form: _Form, sites):
     comps = form.components
-    if c1 != c2:
-        comps = _replaced(comps, c2, comps[c2][:p2] + second + comps[c2][p2:])
-        return _replaced(comps, c1, comps[c1][:p1] + first + comps[c1][p1:])
-    comp = comps[c1]  # in one gap the first strand goes in front of the second
-    if p1 <= p2:
-        return _replaced(comps, c1, comp[:p1] + first + comp[p1:p2] + second + comp[p2:])
-    return _replaced(comps, c1, comp[:p2] + second + comp[p2:p1] + first + comp[p1:])
+    for site in sites:
+        c1, p1, c2, p2 = site[:4]
+        first, second = form[_R2_SLOTS[site[4:]]]
+        if c1 != c2:
+            two = _replaced(comps, c2, comps[c2][:p2] + second + comps[c2][p2:])
+            yield _replaced(two, c1, comps[c1][:p1] + first + comps[c1][p1:])
+            continue
+        comp = comps[c1]  # in one gap the first strand goes in front of the second
+        if p1 <= p2:
+            comp = comp[:p1] + first + comp[p1:p2] + second + comp[p2:]
+        else:
+            comp = comp[:p2] + second + comp[p2:p1] + first + comp[p1:]
+        yield comps[:c1] + (comp,) + comps[c1 + 1:]
 
 
 def _r2_insert_inverse(diagram: Diagram, move: MoveInstance) -> MoveInstance:
@@ -332,21 +348,24 @@ def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
     return _no_gaps(diagram, [(ci, p) for _, _, sites in move.data for ci, p, _ in sites])
 
 
-def _transvection_rewrite(form: _Form, move: MoveInstance) -> tuple:
+def _transvection_rewrite(form: _Form, datas):
     """Insert |weight| loops of the mode's fiber unit at each intersection
-    site: kinks in smooth mode, single cusps in cusp-smooth mode."""
-    comps = form.components
-    loops = [(ci, p, weight * sign) for _, weight, sites in move.data for ci, p, sign in sites]
-    for ci, p, n in sorted(loops, reverse=True):
-        comps = _replaced(comps, ci, comps[ci][:p] + form[n] + comps[ci][p:])
-    return comps
+    site of a transvection's data: kinks in smooth mode, single cusps in
+    cusp-smooth mode."""
+    for data in datas:
+        comps = form.components
+        loops = [(ci, p, weight * sign) for _, weight, sites in data for ci, p, sign in sites]
+        for ci, p, n in sorted(loops, reverse=True):
+            comps = _replaced(comps, ci, comps[ci][:p] + form[n] + comps[ci][p:])
+        yield comps
 
 
 class _Kind(namedtuple("_Kind", "growth sites match rewrite inverse transport")):
     """growth: events added (the search tries shrinking kinds first); sites:
     diagram -> every site where the kind fits, in order; match: the check
-    apply_move makes; rewrite: (form, move) -> the new components, by slicing
-    and concatenation only, so that one rewrite serves both forms; inverse:
+    apply_move makes; rewrite: (form, sites) -> the new components at each
+    site in turn, by slicing and concatenation only, so that one rewrite
+    serves both forms and the search keys a parent's children in one pass; inverse:
     (diagram, move) -> the move that undoes it on the new diagram, None for a
     transvection; transport: (site, site_map) -> the site in an equal
     diagram, or None."""
@@ -370,11 +389,13 @@ _KINDS = {
     ),
     "destab": _Kind(
         -2, *_local(_positions, _no_pair, _is_stab_pair, "no stabilization pair of this mode"),
-        lambda f, m: _remove_pairs(f.components, [m.site]), _destab_inverse, lambda s, f: f(s),
+        lambda f, sites: (_remove_pairs(f.components, [s]) for s in sites), _destab_inverse,
+        lambda s, f: f(s),
     ),
     "kink_slide": _Kind(
         0, *_local(_positions, _no_pair, _is_slidable, "no kink/cusp next to a crossing or edge"),
-        lambda f, m: _swap_pairs(f.components, [m.site]), lambda d, m: m, lambda s, f: f(s),
+        lambda f, sites: (_swap_pairs(f.components, [s]) for s in sites), lambda d, m: m,
+        lambda s, f: f(s),
     ),
     "r2_insert": _Kind(
         4, lambda d: [(*gap1, *gap2) for gap1, gap2 in itertools.product(_gaps(d), repeat=2)],
@@ -383,14 +404,14 @@ _KINDS = {
     ),
     "r2_remove": _Kind(
         -4, *_local(lambda d: _crossing_pairs(d, 2), _no_crossing_pairs, _is_bigon, "not a bigon"),
-        lambda f, m: _remove_pairs(f.components, m.site), _r2_remove_inverse,
+        lambda f, sites: (_remove_pairs(f.components, s) for s in sites), _r2_remove_inverse,
         lambda s, f: tuple(map(f, s)),
     ),
     "r3": _Kind(
         0, *_local(
             lambda d: _crossing_pairs(d, 3), _no_crossing_pairs, _is_triangle, "not a triangle",
         ),
-        lambda f, m: _swap_pairs(f.components, m.site), lambda d, m: m,
+        lambda f, sites: (_swap_pairs(f.components, s) for s in sites), lambda d, m: m,
         lambda s, f: tuple(sorted(map(f, s))),
     ),
     "transvection": _Kind(1, lambda d: (), _transvection_match, _transvection_rewrite,
@@ -434,7 +455,9 @@ def _fitting(diagram: Diagram, move: MoveInstance) -> _Kind:
 def _child(diagram: Diagram, move: MoveInstance) -> Diagram:
     """The diagram after a fitting move, rewritten on its event tuples."""
     form = _Form(diagram, diagram.components, tuple)
-    return Diagram(diagram.surface, diagram.mode, _KINDS[move.kind].rewrite(form, move))
+    site = move.data if move.kind == "transvection" else move.site
+    [comps] = _KINDS[move.kind].rewrite(form, [site])
+    return Diagram(diagram.surface, diagram.mode, comps)
 
 
 def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance | None]:
@@ -511,31 +534,50 @@ def _code_form(diagram: Diagram) -> _Form:
     return _Form(diagram, tuple(map(put, diagram.components)), put)
 
 
-_MEMO = 256  # a search reads a few hundred crossing sequences at a time; 256 cost < 150 kB
-_TABLES: dict[bytes, bytes] = {}  # crossing sequences and orders -> tables; emptied when full
+# A reading memo, (starts, tables), serves one search (canonical_transform
+# reads with a fresh one): starts maps an id-blind string to its least
+# rotation's start, or _TIED, and tables a crossing sequence to its
+# renumbering table.  The two are apart, as the empty string and the empty
+# sequence are the same bytes.  _TABLES maps an order of first occurrence to
+# its table for every search.  Each map is emptied when it holds _MEMO entries.
+_MEMO = 4096  # a benchmark search fills < 2,000; both memo maps full hold about 0.8 MB
+_TIED = -1
+_TABLES: dict[bytes, bytes] = {}
 
 
-def _renumbering(crossings: bytes) -> bytes:
+def _renumbering(crossings: bytes, tables: dict) -> bytes:
     """The table numbering crossing ids by first occurrence in crossings, put
-    in _TABLES under crossings and under that order, which sequences share."""
+    in tables under crossings; sequences with one order share its table."""
     firsts = bytes(dict.fromkeys(crossings))
-    table = _TABLES.get(firsts) or bytes.maketrans(  # the i-th id's slot s: _CROSS0 + 2 * i + s - 1
-        bytes(b | s for b in firsts for s in (0, 1)), bytes(range(_CROSS0, 256))[:2 * len(firsts)])
-    if len(_TABLES) >= _MEMO:
-        _TABLES.clear()
-    _TABLES[crossings] = _TABLES[firsts] = table
+    table = _TABLES.get(firsts)
+    if table is None:  # the i-th id's slot s: _CROSS0 + 2 * i + s - 1
+        if len(_TABLES) >= _MEMO:
+            _TABLES.clear()
+        table = _TABLES[firsts] = bytes.maketrans(bytes(b | s for b in firsts for s in (0, 1)),
+                                                  bytes(range(_CROSS0, 256))[:2 * len(firsts)])
+    if len(tables) >= _MEMO:
+        tables.clear()
+    tables[crossings] = table
     return table
 
 
-def _read(comp: bytes):
+def _read(comp: bytes, memo: tuple[dict, dict]):
     """((key,), r) for a component's bytes whose id-blind string has one least
-    rotation, r, else None: the key renumbers its crossing ids with one translate."""
-    _, r, period = least_rotation(comp.translate(_BLIND), 0)  # crossings code lowest
-    if period < len(comp):
+    rotation, r, else None, read through memo: the key renumbers its crossing
+    ids with one translate."""
+    starts, tables = memo
+    blind = comp.translate(_BLIND)
+    r = starts.get(blind)
+    if r is None:
+        if len(starts) >= _MEMO:
+            starts.clear()
+        _, r, period = least_rotation(blind, 0)  # crossings code lowest
+        r = starts[blind] = _TIED if period < len(comp) else r
+    if r == _TIED:
         return None
     turned = comp[r:] + comp[:r]
     crossings = turned.translate(_FIRST, _NONCROSS)  # its crossing bytes, slots cleared
-    table = _TABLES.get(crossings) or _renumbering(crossings)
+    table = tables.get(crossings) or _renumbering(crossings, tables)
     return (turned.translate(table).decode("latin-1"),), r
 
 
@@ -549,12 +591,19 @@ def _turned(text: str, r: int, firsts: list, numbers: dict) -> tuple[str, list]:
     return turned.translate(numbers), new
 
 
+@functools.cache
+def _slot_tables(bits: int) -> tuple[tuple, tuple]:
+    """str.translate tables for the codes below 2 ** bits: each code's id-blind
+    code, and a crossing code's first slot (other codes dropped)."""
+    crossings = range(_CROSS0, max(1 << bits, _CROSS0))
+    return tuple(range(_CROSS0)) + tuple(c & 1 for c in crossings), (None,) * _CROSS0 + tuple(
+        c & ~1 for c in crossings)
+
+
 def _blocks(comps: tuple):
     """canonical_transform of a form's components, read as str on translate tables."""
     texts = [comp.decode("latin-1") if type(comp) is bytes else comp for comp in comps]
-    crossings = range(_CROSS0, ord(max("".join(texts), default="\0")) + 1)
-    blind = list(range(_CROSS0)) + [c & 1 for c in crossings]
-    firsts = [None] * _CROSS0 + [c & ~1 for c in crossings]
+    blind, firsts = _slot_tables(ord(max("".join(texts), default="\0")).bit_length())
     visits = {c: (ci, text.index(chr(c)))  # crossing code -> (component, position)
               for ci, text in enumerate(texts) for c in map(ord, text.translate(_DROP))}
 
@@ -595,12 +644,17 @@ def canonical_transform(diagram: Diagram):
     block takes its least (strs, perm, rots) reading; the key is one block's
     strs, or the blocks' strs in order.  Raises ValueError on an unknown event
     and on a slot visited twice."""
+    return _transform(diagram, ({}, {}))
+
+
+def _transform(diagram: Diagram, memo: tuple[dict, dict]):
+    """canonical_transform of diagram, read through memo."""
     form = _code_form(diagram)
     slots = [ev for comp in diagram.components for ev in comp if ev[0] == "cross"]
     if len(set(slots)) < len(slots):
         ev = next(ev for ev, n in Counter(slots).items() if n > 1)
         raise ValueError(f"crossing {ev[1]} slot {ev[2]} is visited twice")
-    one = form.one and _read(form.components[0])
+    one = form.one and _read(form.components[0], memo)
     return (one[0], (0,), (one[1],)) if one else _blocks(form.components)
 
 
@@ -608,12 +662,14 @@ def canonical_key(diagram: Diagram):
     return canonical_transform(diagram)[0]
 
 
-def _child_key(form: _Form, move: MoveInstance):
-    """canonical_key of form's diagram after a fitting move, off the codes it
-    splices: one component of bytes if the form's are, since moves keep both."""
-    comps = _KINDS[move.kind].rewrite(form, move)
-    one = form.one and _read(comps[0])
-    return one[0] if one else _blocks(comps)[0]
+def _child_keys(form: _Form, name: str, sites, memo: tuple[dict, dict]):
+    """canonical_key of form's diagram after the fitting move of kind name at
+    each site in turn, off the codes its rewrite splices in one pass, read
+    through memo: one component of bytes if the form's are, since moves keep
+    both."""
+    for comps in _KINDS[name].rewrite(form, sites):
+        one = form.one and _read(comps[0], memo)
+        yield one[0] if one else _blocks(comps)[0]
 
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
@@ -622,11 +678,12 @@ def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
     return (d1.surface, d1.mode) == (d2.surface, d2.mode) and canonical_key(d1) == canonical_key(d2)
 
 
-def _site_map(src: Diagram, dst: Diagram):
-    """Position transport src -> dst for canonically equal diagrams; returns
-    a function (ci, pos) -> (ci', pos') acting on cyclic positions/gaps."""
-    key_s, perm_s, rots_s = canonical_transform(src)
-    key_d, perm_d, rots_d = canonical_transform(dst)
+def _site_map(src: Diagram, dst: Diagram, memo: tuple[dict, dict]):
+    """Position transport src -> dst for canonically equal diagrams, read
+    through memo; returns a function (ci, pos) -> (ci', pos') acting on
+    cyclic positions/gaps."""
+    key_s, perm_s, rots_s = _transform(src, memo)
+    key_d, perm_d, rots_d = _transform(dst, memo)
     if key_s != key_d:
         raise ValueError("site transport requires canonically equal diagrams")
     to_canon = {ci: (i, rots_s[i]) for i, ci in enumerate(perm_s)}
@@ -654,8 +711,11 @@ class SearchBudget(namedtuple("SearchBudget", "max_moves max_states transvection
                 transvection_generators: tuple[MoveInstance, ...] = ()):
         self = tuple.__new__(cls, (max_moves, max_states, transvection_generators))
         for name, least in (("max_moves", 0), ("max_states", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:  # no bool, float or str
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, not {value}")
         return self
 
 
@@ -717,7 +777,8 @@ def equivalent_bounded(
     if found is not None:
         return EquivalenceVerdict("distinguished", invariant=found)
 
-    k1, k2 = canonical_key(d1), canonical_key(d2)
+    memo = ({}, {})  # the search's reading memo, for its roots, children and certificate
+    k1, k2 = _transform(d1, memo)[0], _transform(d2, memo)[0]
     if k1 == k2:
         return EquivalenceVerdict("equivalent", certificate=())
 
@@ -750,14 +811,15 @@ def equivalent_bounded(
             b, inv = _apply(b, mv)
             steps.append((b, inv))
         for b, inv in reversed(steps):
-            site = _KINDS[inv.kind].transport(inv.site, _site_map(b, current))
+            site = _KINDS[inv.kind].transport(inv.site, _site_map(b, current, memo))
             moved = MoveInstance(inv.kind, site)
             current = apply_move(current, moved)
             cert.append(moved)
-        if canonical_key(current) != k2:
+        if _transform(current, memo)[0] != k2:
             raise InapplicableMove("certificate assembly failed")
         return EquivalenceVerdict("equivalent", certificate=tuple(cert))
 
+    states = 2  # len(seen[0]) + len(seen[1])
     for _ in range(budget.max_moves):  # one layer of the smaller side, forward on a tie
         if not any(frontiers):
             break
@@ -769,18 +831,21 @@ def equivalent_bounded(
             diag = parent if last is None else _child(parent, last)
             form, size = _code_form(diag), sum(map(len, diag.components))
             for name in _SEARCH_ORDER:
-                kind = _KINDS[name]
-                if name == "transvection":
-                    moves = [t for t in flips if side == 0 and size + flip_growth[t] <= size_cap
+                if name == "transvection":  # its rewrite takes a generator's data for a site
+                    move_at = _transvection_at
+                    sites = [t.data for t in flips
+                             if side == 0 and size + flip_growth[t] <= size_cap
                              and _transvection_match(diag, t) is None]
-                elif size + kind.growth > size_cap:
+                elif size + _KINDS[name].growth > size_cap:
                     continue
                 else:
-                    moves = (MoveInstance(name, site) for site in kind.sites(diag))
-                for move in moves:
-                    key = _child_key(form, move)
+                    move_at, sites = MoveInstance, _KINDS[name].sites(diag)
+                if not sites:
+                    continue
+                for site, key in zip(sites, _child_keys(form, name, sites, memo)):
                     if key in here:
                         continue
+                    move = move_at(name, site)
                     new_path = path + (move,)
                     if key in there:
                         paths = (new_path, there[key])
@@ -790,7 +855,8 @@ def equivalent_bounded(
                             pass
                     here[key] = new_path
                     next_frontier.append((diag, move, new_path))
-                    if len(seen[0]) + len(seen[1]) > budget.max_states:
+                    states += 1
+                    if states > budget.max_states:
                         return EquivalenceVerdict("unknown")
         frontiers[side] = next_frontier
     return EquivalenceVerdict("unknown")

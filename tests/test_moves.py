@@ -227,10 +227,9 @@ def test_applicable_moves_come_out_sorted(rng):
                 pass
     assert moves == sorted(accepted)
     # the unchecked rewrite builds apply_move's diagram, and the search keys it
-    form = moves_module._code_form(d)
     for move in moves:
         assert moves_module._child(d, move) == accepted[move]
-        assert moves_module._child_key(form, move) == canonical_key(accepted[move])
+    assert search_keys(d, moves) == [canonical_key(accepted[move]) for move in moves]
 
 
 def test_rewrites_across_the_wrap():
@@ -449,10 +448,11 @@ def test_canonical_transform_is_the_reference_block_route(rng):
 
 
 def byte_reading(d):
-    """_read of d's code form if it is one component of bytes, else None: d's
-    key and rotation off its bytes, or None for a tied least rotation."""
+    """_read of d's code form through a fresh memo if it is one component of
+    bytes, else None: d's key and rotation off its bytes, or None for a tied
+    least rotation."""
     comps = moves_module._code_form(d).components
-    return moves_module._read(comps[0]) if type(comps[0]) is bytes else None
+    return moves_module._read(comps[0], ({}, {})) if type(comps[0]) is bytes else None
 
 
 def test_one_component_key_route_agrees_with_the_transform_and_reference():
@@ -492,15 +492,29 @@ def block_route(d):
     return got
 
 
+def fill(memo_map: dict):
+    """memo_map emptied and filled with _MEMO entries that no reading makes,
+    so that its next new entry empties it again."""
+    memo_map.clear()
+    memo_map.update((bytes([255, i >> 8, i & 255]), 0) for i in range(moves_module._MEMO))
+
+
 def memo_readings(comp: bytes) -> list:
-    """_read of comp with the renumbering memo cold, warm, and holding its
-    table under its order of first occurrences only, not under its sequence."""
-    tables = moves_module._TABLES
-    tables.clear()
-    readings = [moves_module._read(comp), moves_module._read(comp)]
-    for sequence in [key for key in tables if len(set(key)) < len(key)]:
-        del tables[sequence]
-    return readings + [moves_module._read(comp)]
+    """_read of comp through one reading memo: cold (and with no table held
+    for its order), warm, holding its table under its order of first
+    occurrences only (not under its crossing sequence), and with each of its
+    maps and _TABLES full, so that each is emptied at its bound."""
+    memo = ({}, {})
+    moves_module._TABLES.clear()
+    readings = [moves_module._read(comp, memo), moves_module._read(comp, memo)]
+    memo[1].clear()
+    readings.append(moves_module._read(comp, memo))
+    memo = ({}, {})
+    for memo_map in (*memo, moves_module._TABLES):
+        fill(memo_map)
+    readings.append(moves_module._read(comp, memo))
+    assert all(len(memo_map) <= moves_module._MEMO for memo_map in (*memo, moves_module._TABLES))
+    return readings
 
 
 @settings(max_examples=150)
@@ -522,42 +536,65 @@ def test_byte_reading_agrees_with_the_block_route_and_reference(rng):
         blind = "".join(map(moves_module._code_table(surface).__getitem__, events))
         tied = least_rotation(blind)[2] < len(blind)
         expected = None if tied else (block[0], block[2][0])
-        assert memo_readings(moves_module._code_form(d).components[0]) == [expected] * 3
+        assert memo_readings(moves_module._code_form(d).components[0]) == [expected] * 4
 
 
 def test_memoised_reading_edge_cases():
-    # the memo is bounded: more distinct sequences than _MEMO keep at most _MEMO + 1 entries
-    ids = itertools.permutations(range(64, 192, 2), 2)
-    for x, y in itertools.islice(ids, 3 * moves_module._MEMO):
-        moves_module._renumbering(bytes([x, y, x, y]))
-        assert len(moves_module._TABLES) <= moves_module._MEMO + 1
-    assert memo_readings(b"") == [(("",), 0)] * 3  # the empty component
+    # each map is bounded: more distinct sequences and orders than _MEMO keep
+    # at most _MEMO entries in the memo's tables and in _TABLES
+    memo = ({}, {})
+    ids = itertools.permutations(range(64, 192, 2), 3)
+    for x, y, z in itertools.islice(ids, 3 * moves_module._MEMO):
+        moves_module._renumbering(bytes([x, y, z, x, y, z]), memo[1])
+        assert max(len(memo[1]), len(moves_module._TABLES)) <= moves_module._MEMO
+    assert memo_readings(b"") == [(("",), 0)] * 4  # the empty component
     # no crossing: the least letter is not code 0, and the key is the blind string
     d = smooth(qturn(1), edge("b1"), qturn(1), edge("a1"), qturn(1), qturn(1))
     comp = moves_module._code_form(d).components[0]
     assert min(comp) > 1
-    assert memo_readings(comp) == [(canonical_key(d), block_route(d)[2][0])] * 3
-    # tied least rotations: none
+    assert memo_readings(comp) == [(canonical_key(d), block_route(d)[2][0])] * 4
+    # tied least rotations: none, and the memo keeps the tie
     one = (cross("1", 1), qturn(1), cross("1", 2), qturn(1))
     tied = smooth(*one, *renamed(one, lambda x: "2"))
-    assert memo_readings(moves_module._code_form(tied).components[0]) == [None] * 3
-    # sequences with one order of first occurrences share one table
-    assert moves_module._renumbering(bytes([66, 64, 66, 64])) is moves_module._renumbering(
-        bytes([66, 66, 64, 64]))
+    assert memo_readings(moves_module._code_form(tied).components[0]) == [None] * 4
+    # sequences with one order of first occurrences share one table, held in
+    # _TABLES under that order only
+    moves_module._TABLES.clear()
+    assert moves_module._renumbering(bytes([66, 64, 66, 64]), {}) is moves_module._renumbering(
+        bytes([66, 66, 64, 64]), {})
+    assert list(moves_module._TABLES) == [bytes([66, 64])]
     # 94 crossing ids, and the 96 of an r2_insert child of theirs, whose own
     # form is str but whose spliced bytes _read takes
     d = nested(94)
     form = moves_module._code_form(d)
-    assert memo_readings(form.components[0]) == [(canonical_key(d), block_route(d)[2][0])] * 3
+    assert memo_readings(form.components[0]) == [(canonical_key(d), block_route(d)[2][0])] * 4
     move = MoveInstance("r2_insert", (0, 94, 0, 96))
     child = apply_move(d, move)
     assert len(child.crossing_ids()) == 96
     assert type(moves_module._code_form(child).components[0]) is str
-    spliced = moves_module._KINDS["r2_insert"].rewrite(form, move)[0]
+    [(spliced,)] = moves_module._KINDS["r2_insert"].rewrite(form, [move.site])
     key = canonical_key(child)
     assert key == reference_key(child, key)
-    assert [reading and reading[0] for reading in memo_readings(spliced)] == [key] * 3
+    assert [reading and reading[0] for reading in memo_readings(spliced)] == [key] * 4
     assert search_key(d, move) == key
+
+
+def test_empty_and_crossing_free_components_read_through_one_memo():
+    # the empty id-blind string and the empty crossing sequence are the same
+    # bytes, so the memo keeps them in two maps: read in either order, each
+    # component keeps its own key and rotation
+    bare = smooth(qturn(1), edge("b1"), qturn(1), edge("a1"), qturn(1), qturn(1))
+    empty = Diagram(S2, "smooth", ((),))
+    forms = [moves_module._code_form(d).components[0] for d in (empty, bare)]
+    expected = [canonical_transform(d) for d in (empty, bare)]
+    assert expected[0] == (("",), (0,), (0,)) and expected[1] == block_route(bare)
+    for order in ((0, 1), (1, 0)):
+        memo = ({}, {})
+        for _ in range(2):
+            for i in order:
+                key, _, rots = expected[i]
+                assert moves_module._read(forms[i], memo) == (key, rots[0])
+        assert set(memo[0]) == {b"", forms[1]} and set(memo[1]) == {b""}
 
 
 def nested(k, *extra):
@@ -599,9 +636,86 @@ def test_byte_reading_rejects_what_the_alphabet_does_not_hold():
                 read(d)
 
 
+def rewrite_site(move):
+    """What the move's kind rewrite takes for its site: a transvection's data."""
+    return move.data if move.kind == "transvection" else move.site
+
+
+def search_keys(d, moves, memo=None):
+    """The keys the search gives the children of d by moves: each run of one
+    kind keyed in one pass, all through one reading memo (a fresh one if
+    none is given)."""
+    form, memo, keys = moves_module._code_form(d), memo or ({}, {}), []
+    for name, run in itertools.groupby(moves, lambda m: m.kind):
+        keys += moves_module._child_keys(form, name, [rewrite_site(m) for m in run], memo)
+    return keys
+
+
 def search_key(d, move):
     """The key the search gives the child of d by move."""
-    return moves_module._child_key(moves_module._code_form(d), move)
+    return search_keys(d, [move])[0]
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_children_keyed_through_one_search_memo(rng):
+    # a parent's children keyed in one pass per kind through one shared
+    # memo, cold, warm, with each map full (emptied at its bound) and
+    # holding each table under its order only, key as the built children
+    # and as the reference; one component, tie-prone or not, or two
+    surface, mode = Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"])
+    d = random_diagram(rng, surface, mode, n_components=rng.choice((1, 1, 2)),
+                       max_loose_events=4, max_crossings=3)
+    if rng.random() < 0.3:
+        comp = d.components[0]
+        d = Diagram(surface, mode, (comp + renamed(comp, lambda x: x + "r"),) + d.components[1:])
+    moves = applicable_moves(d)
+    expected = []
+    for move in moves:
+        child = apply_move(d, move)
+        expected.append(canonical_key(child))
+        assert reference_block_transform(child)[0] == expected[-1]
+    memo = ({}, {})
+    moves_module._TABLES.clear()
+    assert search_keys(d, moves, memo) == expected  # cold
+    assert search_keys(d, moves, memo) == expected  # warm
+    for memo_map in (*memo, moves_module._TABLES):
+        fill(memo_map)
+    assert search_keys(d, moves, memo) == expected  # each map emptied at its bound
+    assert all(len(memo_map) <= moves_module._MEMO for memo_map in (*memo, moves_module._TABLES))
+    memo[1].clear()
+    assert search_keys(d, moves, memo) == expected  # tables under their orders only
+
+
+def test_each_search_reads_through_its_own_memo(monkeypatch):
+    # a search reads its roots, children and certificate through one memo of
+    # its own, which starts empty; after it, _TABLES holds tables under
+    # orders of first occurrence only, and canonical_transform reads with a
+    # fresh memo
+    reads = []
+    inner = moves_module._read
+    monkeypatch.setattr(moves_module, "_read", lambda comp, memo: reads.append(
+        (memo, len(memo[0]), len(memo[1]))) or inner(comp, memo))
+    moves_module._TABLES.clear()
+    (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
+    v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
+    assert v.status == "unknown"
+    first = reads[:]
+    d4 = smooth(edge("a1"), qturn(1), qturn(1), qturn(1), qturn(1), qturn(1))
+    d3 = apply_move(d4, MoveInstance("stab", (0, 3, "lr")))
+    assert equivalent_bounded(d3, d4, UT, budget()).equivalent
+    second = reads[len(first):]
+    canonical_transform(d1)
+    for search in (first, second):
+        memo = search[0][0]
+        assert all(m is memo for m, _, _ in search) and search[0][1:] == (0, 0)
+    (starts1, tables1), (starts2, tables2) = first[0][0], second[0][0]
+    assert starts1 is not starts2 and tables1 is not tables2
+    assert len(starts1) > 100 and starts2
+    outside = reads[-1]
+    assert outside[1:] == (0, 0) and all(outside[0] is not m for m in (first[0][0], second[0][0]))
+    assert moves_module._TABLES
+    assert all(len(set(order)) == len(order) for order in moves_module._TABLES)
 
 
 @settings(max_examples=60)
@@ -765,6 +879,18 @@ def budget(**kw):
     return SearchBudget(**defaults)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_moves", 1.5), ("max_states", 2.5), ("max_moves", True), ("max_states", False),
+    ("max_moves", "3"), ("max_states", None),
+])
+def test_search_budget_rejects_a_field_that_is_not_an_int(field, value):
+    # before equivalent_bounded can fail on it, naming the field
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        budget(**{field: value})
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        budget()._replace(**{field: value})
+
+
 def test_equiv_identical_diagrams():
     d = vertex_link_curve(S2)
     v = equivalent_bounded(d, d, UT, budget())
@@ -852,12 +978,31 @@ def counting(monkeypatch, name):
     return calls
 
 
+def transvection_at(data):
+    return MoveInstance("transvection", (), data)
+
+
+def keyed_children(monkeypatch):
+    """(its parent's code form, move) of every child that a later search
+    keys, in keying order: each key its per-kind pass hands to the search."""
+    calls = []
+    inner = moves_module._child_keys
+
+    def child_keys(form, name, sites, memo):
+        for site, key in zip(sites, inner(form, name, sites, memo)):
+            move = MoveInstance(name, site) if name != "transvection" else transvection_at(site)
+            calls.append((form, move))
+            yield key
+    monkeypatch.setattr(moves_module, "_child_keys", child_keys)
+    return calls
+
+
 def test_equiv_skips_transvection_past_size_cap_before_keying_it(monkeypatch):
     # size_cap is 6 + 2 = 8 events; each flip of the weight-5 generator adds
     # 5 loops to the 4-event circle, so neither child gets a key (its growth
     # 1 in the move table only orders it)
-    keys = counting(monkeypatch, "canonical_key")
-    children = counting(monkeypatch, "_child_key")
+    keys = counting(monkeypatch, "_transform")
+    children = keyed_children(monkeypatch)
     gen = transvection([("a", 5, [(0, 0, 1)])])
     d2 = smooth(qturn(1), qturn(1), qturn(1), qturn(1), kink(1), kink(-1))
     v = equivalent_bounded(circle(), d2, UT, budget(max_moves=1, transvection_generators=(gen,)))
@@ -887,8 +1032,8 @@ def counting_sites(monkeypatch, name):
 def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
     # the benchmark's budget-exhaustion pair: no catalogue path connects them
     (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
-    roots = counting(monkeypatch, "canonical_key")
-    children = counting(monkeypatch, "_child_key")
+    roots = counting(monkeypatch, "_transform")
+    children = keyed_children(monkeypatch)
     # r2_remove shrinks most, so every expansion lists its sites first
     expansions = counting_sites(monkeypatch, "r2_remove")
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
@@ -920,14 +1065,14 @@ def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
             inverses.append(m)
             return inner(d, m)
 
-        def rewrite(form, m, inner=kind.rewrite):
+        def rewrite(form, sites, name=name, inner=kind.rewrite):
             is_bytes = type(form.components[0]) is bytes
-            (spliced if is_bytes else built).append(m)
-            got = inner(form, m)
-            if is_bytes and m.kind == "r2_insert":  # the form is kept, so its id stays its own
-                pieces = form[moves_module._R2_SLOTS[m.site[4:]]]
-                fresh.setdefault(id(form), (form, set()))[1].update(map(id, pieces))
-            return got
+            for site, comps in zip(sites, inner(form, sites)):
+                (spliced if is_bytes else built).append(site)
+                if is_bytes and name == "r2_insert":  # the form is kept, so its id stays its own
+                    pieces = form[moves_module._R2_SLOTS[site[4:]]]
+                    fresh.setdefault(id(form), (form, set()))[1].update(map(id, pieces))
+                yield comps
         monkeypatch.setitem(moves_module._KINDS, name,
                             kind._replace(inverse=inverse, rewrite=rewrite))
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
@@ -976,7 +1121,7 @@ def test_forms_put_only_the_pieces_their_rewrites_ask_for(monkeypatch):
     puts, missing = [], moves_module._Form.__missing__
     monkeypatch.setattr(moves_module._Form, "__missing__",
                         lambda form, piece: puts.append((form, piece)) or missing(form, piece))
-    calls = counting(monkeypatch, "_child_key")  # (its parent's code form, move)
+    calls = keyed_children(monkeypatch)  # (its parent's code form, move)
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000,
                                                   transvection_generators=(gen,)))
     assert v.status == "unknown"
@@ -994,7 +1139,7 @@ def test_a_meet_among_the_shrinking_kinds_puts_no_piece(monkeypatch):
     # before a growing kind's rewrite asks its form for a piece
     d2 = smooth(edge("a1"), qturn(1), qturn(1), qturn(1), qturn(1), qturn(1))
     d1 = apply_move(d2, MoveInstance("stab", (0, 3, "lr")))
-    calls = counting(monkeypatch, "_child_key")  # (its parent's code form, move)
+    calls = keyed_children(monkeypatch)  # (its parent's code form, move)
     v = equivalent_bounded(d1, d2, UT, budget())
     assert v.equivalent and v.certificate == (MoveInstance("destab", (0, 3)),)
     [(form, move)] = calls
@@ -1037,7 +1182,7 @@ def test_search_moves_come_in_growth_order(rng):
         return [m for m in moves if size + growth(m) <= size_cap]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = counting(monkeypatch, "_child_key")  # (its parent's code form, move)
+        calls = keyed_children(monkeypatch)  # (its parent's code form, move)
         equivalent_bounded(d1, d2, bundle, budget(max_moves=max_moves, max_states=400,
                                                   transvection_generators=tuple(gens)))
     runs = [list(group) for _, group in itertools.groupby(calls, lambda c: id(c[0]))]
