@@ -197,7 +197,7 @@ def cmd_equiv(args) -> int:
         return _usage_error(f"--transvections: a generator has no {exc}")
     except (TypeError, ValueError) as exc:
         return _usage_error(f"--transvections: {exc}")
-    why = _letter_error(d1.surface, [word for gen in generators for word, _, _ in gen.data])
+    why = _letter_error(d1.surface, [word for gen in generators for word, _, _ in gen.site])
     if why is not None:
         return _usage_error(f"--transvections: {why}")
     try:
@@ -321,7 +321,9 @@ def cmd_replay(args) -> int:
         certificate = [move_from_json(obj) for obj in _read_json(args.certificate)]
     except (KeyError, TypeError, ValueError) as exc:  # a missing field, or a mistyped one
         return _usage_error(f"{args.certificate}: unreadable move: {exc}")
-    why = _letter_error(diagram.surface, [word for move in certificate for word, _, _ in move.data])
+    words = [word for move in certificate if move.kind == "transvection"
+             for word, _, _ in move.site]
+    why = _letter_error(diagram.surface, words)
     if why is not None:
         return _usage_error(f"{args.certificate}: {why}")
     _write_diagram(args, serialize(replay(diagram, certificate), bundle), {}, [])

@@ -18,9 +18,10 @@ rewrite (the new components, by slicing and concatenation alone, so that it
 splices event tuples and bytes alike), inverse (the move that undoes it, read
 off the diagram it applies to) and site transport (the same move on a
 reordered, rotated copy); a local pattern is one test, which the sites and
-the match both run.  Transvections have no sites, inverse or transport.  An
-``r2_insert`` site may end with its first strand's slot pair ("12", "21" or
-"22"; absent means "11"); only the inverse of an ``r2_remove`` emits it.
+the match both run.  A transvection's site is its curve data; it has no site
+list, inverse or transport.  An ``r2_insert`` site may end with its first
+strand's slot pair ("12", "21" or "22"; absent means "11"); only the inverse
+of an ``r2_remove`` emits it.
 
 The search expands a diagram kind by kind, by growth and then by name,
 listing a kind's sites only on reaching it and skipping a kind whose growth
@@ -62,9 +63,9 @@ from .words import conjugacy_class_key, least_rotation
 # move instances
 
 
-class MoveInstance(namedtuple("MoveInstance", "kind site data", defaults=((), ()))):
-    """A catalogued rewrite: kind (str), site coordinates (tuple), optional
-    payload (tuple: transvection data).  Moves order by (kind, site, data)."""
+class MoveInstance(namedtuple("MoveInstance", "kind site", defaults=((),))):
+    """A catalogued rewrite: kind (str) and site (tuple): coordinates, or a
+    transvection's curve data.  Moves order by (kind, site)."""
 
     __slots__ = ()
 
@@ -101,19 +102,14 @@ def transvection(curves) -> MoveInstance:
             raise ValueError("transvection weights must be nonzero")
         if any(s not in (1, -1) for _, _, s in sites):
             raise ValueError("intersection signs must be +-1")
-    return MoveInstance("transvection", (), data)
-
-
-def _transvection_at(kind: str, data: tuple) -> MoveInstance:
-    """The transvection move whose rewrite site is data, as the search makes it."""
-    return MoveInstance(kind, (), data)
+    return MoveInstance("transvection", data)
 
 
 def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
     """Signed fiber-degree change of one component under a transvection."""
     return sum(
         weight * sign
-        for _, weight, sites in move.data
+        for _, weight, sites in move.site
         for ci, _, sign in sites
         if ci == component
     )
@@ -123,7 +119,7 @@ def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
 # the move table.  match(diagram, move) returns None or why the move does not
 # fit; rewrite(form, sites) and inverse(diagram, move) run on fitting moves
 # only: rewrite yields the new components at each site in turn (a
-# transvection's site is its data), inverse returns the move that undoes one.
+# transvection's site is its curve data), inverse returns the move that undoes one.
 
 
 _LOOP_TAGS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
@@ -343,18 +339,18 @@ def _is_triangle(diagram: Diagram, sites) -> bool:
 
 
 def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
-    if not move.data:
+    if not move.site:
         return "empty transvection"
-    return _no_gaps(diagram, [(ci, p) for _, _, sites in move.data for ci, p, _ in sites])
+    return _no_gaps(diagram, [(ci, p) for _, _, sites in move.site for ci, p, _ in sites])
 
 
-def _transvection_rewrite(form: _Form, datas):
+def _transvection_rewrite(form: _Form, sites):
     """Insert |weight| loops of the mode's fiber unit at each intersection
-    site of a transvection's data: kinks in smooth mode, single cusps in
-    cusp-smooth mode."""
-    for data in datas:
+    point of a transvection's curve data: kinks in smooth mode, single cusps
+    in cusp-smooth mode."""
+    for curves in sites:
         comps = form.components
-        loops = [(ci, p, weight * sign) for _, weight, sites in data for ci, p, sign in sites]
+        loops = [(ci, p, weight * sign) for _, weight, points in curves for ci, p, sign in points]
         for ci, p, n in sorted(loops, reverse=True):
             comps = _replaced(comps, ci, comps[ci][:p] + form[n] + comps[ci][p:])
         yield comps
@@ -362,7 +358,8 @@ def _transvection_rewrite(form: _Form, datas):
 
 class _Kind(namedtuple("_Kind", "growth sites match rewrite inverse transport")):
     """growth: events added (the search tries shrinking kinds first); sites:
-    diagram -> every site where the kind fits, in order; match: the check
+    diagram -> every site where the kind fits, in order (none for a
+    transvection, whose site is its curve data); match: the check
     apply_move makes; rewrite: (form, sites) -> the new components at each
     site in turn, by slicing and concatenation only, so that one rewrite
     serves both forms and the search keys a parent's children in one pass; inverse:
@@ -455,15 +452,8 @@ def _fitting(diagram: Diagram, move: MoveInstance) -> _Kind:
 def _child(diagram: Diagram, move: MoveInstance) -> Diagram:
     """The diagram after a fitting move, rewritten on its event tuples."""
     form = _Form(diagram, diagram.components, tuple)
-    site = move.data if move.kind == "transvection" else move.site
-    [comps] = _KINDS[move.kind].rewrite(form, [site])
+    [comps] = _KINDS[move.kind].rewrite(form, [move.site])
     return Diagram(diagram.surface, diagram.mode, comps)
-
-
-def _apply(diagram: Diagram, move: MoveInstance) -> tuple[Diagram, MoveInstance | None]:
-    """Apply and return (new diagram, inverse move or None for transvections)."""
-    kind = _fitting(diagram, move)
-    return _child(diagram, move), kind.inverse(diagram, move)
 
 
 def apply_move(diagram: Diagram, move: MoveInstance) -> Diagram:
@@ -508,7 +498,7 @@ class _Codes(dict):
 
     def __missing__(self, ev):
         if len(ev) == 3 and ev[0] == "cross" and ev[2] in (1, 2):
-            return self.setdefault(ev, chr(ev[2] - 1))
+            return chr(ev[2] - 1)  # not kept: ids come and go with the diagrams
         raise ValueError(f"event {ev!r} is not in the alphabet of {self.surface}")
 
 
@@ -716,6 +706,9 @@ class SearchBudget(namedtuple("SearchBudget", "max_moves max_states transvection
                 raise TypeError(f"{name} must be an integer, not {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, not {value}")
+        for gen in transvection_generators:  # its site is read as curve data
+            if not (isinstance(gen, MoveInstance) and gen.kind == "transvection"):
+                raise TypeError(f"transvection_generators must hold transvections, not {gen!r}")
         return self
 
 
@@ -785,18 +778,18 @@ def equivalent_bounded(
     # the forward side also tries each generator and its inverse where they
     # fit; a flip adds |weight| loops per site (its growth 1 only orders it)
     flips = sorted(
-        MoveInstance("transvection", (), tuple((w, n * flip, sites) for w, n, sites in gen.data))
+        MoveInstance("transvection", tuple((w, n * flip, sites) for w, n, sites in gen.site))
         for gen in budget.transvection_generators
         for flip in (1, -1)
     )
-    flip_growth = {t: sum(abs(n) * len(sites) for _, n, sites in t.data) for t in flips}
+    flip_growth = {t: sum(abs(n) * len(sites) for _, n, sites in t.site) for t in flips}
 
     # side 0 searches forward from d1, side 1 backward from d2 (its paths are
     # inverted on meet); each side maps key -> path, and a frontier holds
-    # (parent, move, path): a child is keyed from its parent's codes and built
-    # only when its layer is expanded
+    # (parent, path): a child is keyed from its parent's codes and built, by
+    # its path's last move, only when its layer is expanded
     seen = ({k1: ()}, {k2: ()})
-    frontiers = [[(d1, None, ())], [(d2, None, ())]]
+    frontiers = [[(d1, ())], [(d2, ())]]
     # any path of <= max_moves moves can overshoot the endpoint sizes by at
     # most 4 events per move round-trip; larger states cannot help
     size_cap = max(sum(map(len, d.components)) for d in (d1, d2)) + 2 * budget.max_moves
@@ -808,7 +801,8 @@ def equivalent_bounded(
         # move that made it (the inverse applies to that diagram)
         b, steps = d2, []
         for mv in b_path:
-            b, inv = _apply(b, mv)
+            inv = invert_move(b, mv)
+            b = _child(b, mv)
             steps.append((b, inv))
         for b, inv in reversed(steps):
             site = _KINDS[inv.kind].transport(inv.site, _site_map(b, current, memo))
@@ -827,26 +821,24 @@ def equivalent_bounded(
         side = 0 if forward and (not backward or forward <= backward) else 1
         here, there = seen[side], seen[1 - side]
         next_frontier = []
-        for parent, last, path in frontiers[side]:
-            diag = parent if last is None else _child(parent, last)
+        for parent, path in frontiers[side]:
+            diag = _child(parent, path[-1]) if path else parent
             form, size = _code_form(diag), sum(map(len, diag.components))
             for name in _SEARCH_ORDER:
-                if name == "transvection":  # its rewrite takes a generator's data for a site
-                    move_at = _transvection_at
-                    sites = [t.data for t in flips
+                if name == "transvection":
+                    sites = [t.site for t in flips
                              if side == 0 and size + flip_growth[t] <= size_cap
                              and _transvection_match(diag, t) is None]
                 elif size + _KINDS[name].growth > size_cap:
                     continue
                 else:
-                    move_at, sites = MoveInstance, _KINDS[name].sites(diag)
+                    sites = _KINDS[name].sites(diag)
                 if not sites:
                     continue
                 for site, key in zip(sites, _child_keys(form, name, sites, memo)):
                     if key in here:
                         continue
-                    move = move_at(name, site)
-                    new_path = path + (move,)
+                    new_path = path + (MoveInstance(name, site),)
                     if key in there:
                         paths = (new_path, there[key])
                         try:
@@ -854,7 +846,7 @@ def equivalent_bounded(
                         except InapplicableMove:
                             pass
                     here[key] = new_path
-                    next_frontier.append((diag, move, new_path))
+                    next_frontier.append((diag, new_path))
                     states += 1
                     if states > budget.max_states:
                         return EquivalenceVerdict("unknown")
@@ -867,13 +859,11 @@ def equivalent_bounded(
 
 
 def move_to_json(move: MoveInstance) -> dict:
-    out = {"kind": move.kind, "site": _site_json(move.site)}
-    if move.kind == "transvection":
-        out["curves"] = [
-            {"word": word, "weight": weight, "sites": [list(s) for s in sites]}
-            for word, weight, sites in move.data
-        ]
-    return out
+    if move.kind != "transvection":
+        return {"kind": move.kind, "site": _site_json(move.site)}
+    curves = [{"word": word, "weight": weight, "sites": [list(s) for s in sites]}
+              for word, weight, sites in move.site]
+    return {"kind": move.kind, "site": [], "curves": curves}
 
 
 def _site_json(site):

@@ -555,6 +555,22 @@ def test_replay_rejects_transvection_letters_outside_the_surface(tmp_path):
     assert proc.stderr.startswith(f"error: {cert}: 'z' is not a generator letter")
 
 
+def test_replay_reads_letters_of_transvections_only(tmp_path):
+    # a stab's site is coordinates, not curve data: only the transvection's word is read
+    p = write(tmp_path, "d.txt", CIRCLE)
+    cert = write(tmp_path, "c.json", json.dumps([
+        {"kind": "stab", "site": [0, 1, "lr"]},
+        {"kind": "transvection", "curves": [{**GENERATOR, "word": "zz"}]},
+    ]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvelift.cli", "replay", p, cert],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {cert}: 'z' is not a generator letter")
+    assert "Traceback" not in proc.stderr
+
+
 HNN = {"generators": "ab", "a_letters": "a", "b_letters": "b", "phi": {"a": "b"}, "word": [1, -1]}
 
 

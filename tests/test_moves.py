@@ -291,6 +291,12 @@ def test_transvection_shifts_fiber_only():
     assert transvection_fiber_shift(mv, 0) == 1
 
 
+def test_transvection_site_is_its_curve_data():
+    mv = transvection([("ab", 2, [(0, 1, 1)])])
+    assert mv == MoveInstance("transvection", (("ab", 2, ((0, 1, 1),)),))
+    assert mv.site == (("ab", 2, ((0, 1, 1),)),)
+
+
 def test_transvection_pt_inserts_single_cusps():
     d = Diagram(S2, "cusp", ((cusp(1), cusp(1)),))
     mv = transvection([("a", 1, [(0, 0, 1)])])
@@ -636,9 +642,15 @@ def test_byte_reading_rejects_what_the_alphabet_does_not_hold():
                 read(d)
 
 
-def rewrite_site(move):
-    """What the move's kind rewrite takes for its site: a transvection's data."""
-    return move.data if move.kind == "transvection" else move.site
+def test_code_table_keeps_no_crossing_id():
+    # a crossing's code is its slot's, whatever its id: the per-surface table,
+    # kept for the life of the process, does not grow with the ids it meets
+    table = moves_module._code_table(S2)
+    size = len(table)
+    for i in range(300):
+        canonical_key(smooth(cross(f"x{i}", 1), qturn(1), cross(f"x{i}", 2), qturn(1)))
+    assert len(table) == size
+    assert (table[cross("x7", 1)], table[cross("x7", 2)]) == ("\0", "\x01")
 
 
 def search_keys(d, moves, memo=None):
@@ -647,7 +659,7 @@ def search_keys(d, moves, memo=None):
     none is given)."""
     form, memo, keys = moves_module._code_form(d), memo or ({}, {}), []
     for name, run in itertools.groupby(moves, lambda m: m.kind):
-        keys += moves_module._child_keys(form, name, [rewrite_site(m) for m in run], memo)
+        keys += moves_module._child_keys(form, name, [m.site for m in run], memo)
     return keys
 
 
@@ -891,6 +903,17 @@ def test_search_budget_rejects_a_field_that_is_not_an_int(field, value):
         budget()._replace(**{field: value})
 
 
+@pytest.mark.parametrize("gen", [
+    "x", MoveInstance("stab", (0, 1, "lr")), ("transvection", (("a", 1, ((0, 0, 1),)),)),
+], ids=["str", "stab", "plain-tuple"])
+def test_search_budget_rejects_a_generator_that_is_not_a_transvection(gen):
+    # before equivalent_bounded reads its site as curve data, naming the field
+    with pytest.raises(TypeError, match="^transvection_generators must hold transvections"):
+        budget(transvection_generators=(gen,))
+    with pytest.raises(TypeError, match="^transvection_generators must hold transvections"):
+        budget()._replace(transvection_generators=(gen,))
+
+
 def test_equiv_identical_diagrams():
     d = vertex_link_curve(S2)
     v = equivalent_bounded(d, d, UT, budget())
@@ -978,10 +1001,6 @@ def counting(monkeypatch, name):
     return calls
 
 
-def transvection_at(data):
-    return MoveInstance("transvection", (), data)
-
-
 def keyed_children(monkeypatch):
     """(its parent's code form, move) of every child that a later search
     keys, in keying order: each key its per-kind pass hands to the search."""
@@ -990,8 +1009,7 @@ def keyed_children(monkeypatch):
 
     def child_keys(form, name, sites, memo):
         for site, key in zip(sites, inner(form, name, sites, memo)):
-            move = MoveInstance(name, site) if name != "transvection" else transvection_at(site)
-            calls.append((form, move))
+            calls.append((form, MoveInstance(name, site)))
             yield key
     monkeypatch.setattr(moves_module, "_child_keys", child_keys)
     return calls
@@ -1110,7 +1128,9 @@ def pieces_asked(move):
         return {move.site[2]}
     if move.kind == "r2_insert":
         return {moves_module._R2_SLOTS[move.site[4:]]}
-    return {weight * sign for _, weight, sites in move.data for _, _, sign in sites}
+    if move.kind == "transvection":
+        return {weight * sign for _, weight, sites in move.site for _, _, sign in sites}
+    return set()
 
 
 def test_forms_put_only_the_pieces_their_rewrites_ask_for(monkeypatch):
@@ -1166,13 +1186,13 @@ def test_search_moves_come_in_growth_order(rng):
     max_moves = rng.randint(1, 3)
     size_cap = max(sum(map(len, d.components)) for d in (d1, d2)) + 2 * max_moves
     flips = sorted(
-        MoveInstance("transvection", (), tuple((w, n * f, sites) for w, n, sites in gen.data))
+        MoveInstance("transvection", tuple((w, n * f, sites) for w, n, sites in gen.site))
         for gen in gens for f in (1, -1)
     )
 
     def growth(move):
         if move.kind == "transvection":
-            return sum(abs(n) * len(sites) for _, n, sites in move.data)
+            return sum(abs(n) * len(sites) for _, n, sites in move.site)
         return moves_module._KINDS[move.kind].growth
 
     def expected(d, forward):
@@ -1346,3 +1366,10 @@ def test_move_json_round_trip():
     ]
     for mv in moves:
         assert move_from_json(move_to_json(mv)) == mv
+    # a transvection's curve data is written under "curves", its "site" empty
+    two = transvection([("ab", 2, [(0, 1, 1)]), ("B", -1, [(0, 0, -1), (1, 3, 1)])])
+    assert move_to_json(two) == {"kind": "transvection", "site": [], "curves": [
+        {"word": "ab", "weight": 2, "sites": [[0, 1, 1]]},
+        {"word": "B", "weight": -1, "sites": [[0, 0, -1], [1, 3, 1]]},
+    ]}
+    assert move_from_json(move_to_json(two)) == two

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -80,6 +81,20 @@ def test_package_imports_only_the_standard_library():
                 imported.add((name, node.module.split(".")[0]))
     allowed = sys.stdlib_module_names | {"curvelift"}
     assert {(name, module) for name, module in imported if module not in allowed} == set()
+
+
+def test_package_parses_on_its_least_python():
+    # no syntax newer than the requires-python floor pyproject.toml declares
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        floor = re.search(r'^requires-python = ">=3\.(\d+)"$', fh.read(), re.M)
+    assert floor
+    package = os.path.join(root, "src", "curvelift")
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "moves.py" in names
+    for name in names:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            ast.parse(fh.read(), name, feature_version=(3, int(floor[1])))
 
 
 def test_property_tests_run_derandomized():

@@ -103,7 +103,7 @@ def test_records_have_no_instance_dict():
 def test_record_reprs():
     assert repr(S2) == "Surface(genus=2, boundary=0)"
     assert repr(MoveInstance("stab", (0, 1, "lr"))) == (
-        "MoveInstance(kind='stab', site=(0, 1, 'lr'), data=())"
+        "MoveInstance(kind='stab', site=(0, 1, 'lr'))"
     )
     assert repr(EquivalenceVerdict("unknown")) == (
         "EquivalenceVerdict(status='unknown', certificate=None, invariant=None)"
@@ -115,13 +115,17 @@ def test_record_reprs():
     assert str(S2) == "Sigma_2" and str(AbelianGroup(4, (2,))) == "Z^4 + Z/2"
 
 
-def test_moves_sort_by_kind_site_data():
+def test_moves_sort_by_kind_site():
+    # a transvection's site is its curve data
     moves = [
-        MoveInstance(kind, site, data)
+        MoveInstance(kind, site)
         for kind in ("stab", "destab", "r3")
         for site in ((0, 1), (0, 0, "lr"), (1,))
-        for data in ((), (("a", 1, ()),), (("a", -1, ()),))
+    ] + [
+        MoveInstance("transvection", data)
+        for data in ((("a", 1, ()),), (("a", -1, ()),), (("a", 1, ((0, 2, 1),)),), ())
     ]
     shuffled = moves[:]
     random.Random(0).shuffle(shuffled)
-    assert sorted(shuffled) == sorted(moves, key=lambda m: (m.kind, m.site, m.data))
+    assert sorted(shuffled) == sorted(moves, key=lambda m: (m.kind, m.site))
+    assert MoveInstance._fields == ("kind", "site")
