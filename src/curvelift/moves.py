@@ -17,20 +17,22 @@ events, the sites where it fits, its match (the check ``apply_move`` makes),
 rewrite (the new components, by slicing and concatenation alone, so that it
 splices event tuples and bytes alike), inverse (the move that undoes it, read
 off the diagram it applies to) and site transport (the same move on a
-reordered, rotated copy); a local pattern is one test, which the sites and
-the match both run.  A transvection's site is its curve data; it has no site
+reordered, rotated copy).  Sites, match and inverse read the diagram's code
+form (below); a local pattern is one test on codes, which the sites and the
+match both run.  A transvection's site is its curve data; it has no site
 list, inverse or transport.  An ``r2_insert`` site may end with its first
 strand's slot pair ("12", "21" or "22"; absent means "11"); only the inverse
 of an ``r2_remove`` emits it.
 
-The search expands a diagram kind by kind, by growth and then by name,
-listing a kind's sites only on reaching it and skipping a kind whose growth
-passes the size cap; forward, it tries the transvection generators whose gaps
-fit at growth 1, each unless its exact growth passes the cap.  It encodes each
-diagram it expands once in codes; a kind's rewrite runs over all of the
-parent's sites in one pass, splicing each child's codes (each piece put on
-first use), and the search keys each child off them, makes a MoveInstance only
-for a child it has not seen and builds a child only on expanding it.
+The search runs on code forms from its roots to a meet.  It expands a node
+kind by kind, by growth and then by name, listing a kind's sites only on
+reaching it and skipping a kind whose growth passes the size cap; forward, it
+tries the transvection generators whose gaps fit at growth 1, each unless its
+exact growth passes the cap.  A kind's rewrite splices all of a node's
+children in one pass (each piece put on first use); the search keys each off
+its codes and keeps an unseen one as its parent's form and path and a (kind,
+site), spliced again and given its MoveInstance only when expanded.  Only a
+certificate builds diagrams.
 
 A canonical key holds one str per component, one character per event from a
 per-surface table built on first use; each block of components joined by
@@ -51,8 +53,7 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Callable
 
-from .diagrams import CUSP_SMOOTH, FIXED_EVENTS, SMOOTH, Diagram, cross, cusp, edge, fiber_loops
-from .diagrams import kink, shadow_word
+from .diagrams import CUSP_SMOOTH, FIXED_EVENTS, SMOOTH, Diagram, cusp, edge, fiber_loops, kink, shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
 from .lifting import lift_class
 from .surfaces import CircleBundle, Surface
@@ -76,7 +77,6 @@ STAB_VARIANTS = {
     "ud": (cusp(1), cusp(-1)),
     "du": (cusp(-1), cusp(1)),
 }
-_VARIANT_OF = {pair: variant for variant, pair in STAB_VARIANTS.items()}
 # each mode's stabilizations; the first is the one the catalogue lists
 _STABS = {SMOOTH: ("lr", "rl"), CUSP_SMOOTH: ("ud", "du")}
 
@@ -116,42 +116,131 @@ def transvection_fiber_shift(move: MoveInstance, component: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# the move table.  match(diagram, move) returns None or why the move does not
-# fit; rewrite(form, sites) and inverse(diagram, move) run on fitting moves
-# only: rewrite yields the new components at each site in turn (a
-# transvection's site is its curve data), inverse returns the move that undoes one.
+# code forms
 
 
+# codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 numbered crossings
+_CROSS0 = 64
+_BYTE_IDS = 94  # forms are bytes up to 94 ids: with a child's two fresh ids, 96 fit in a byte
+_BLIND = bytes(b if b < _CROSS0 else b & 1 for b in range(256))  # a crossing byte's slot code
+_FIRST = bytes(b & 254 for b in range(256))  # a crossing byte's first slot
+_NONCROSS = _BLIND[:_CROSS0]  # every code below the crossings'
+_DROP = dict.fromkeys(range(_CROSS0))  # str.translate: drop every code below the crossings'
 _LOOP_TAGS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
+# each pattern of a pair of events: the class pairs (_Codes.classes) that fit it
+_PAIR_FITS = {"destab": (b"+-", b"-+"), "cross": {b"xx"},
+              "kink_slide": {bytes(p) for a in b"+-l" for b in b"xe" for p in ((a, b), (b, a))}}
+
+
+class _Codes(dict):
+    """One character per event of a surface's alphabet, in the event tuples'
+    order; a crossing's id-blind code is its slot's, below all the others.
+    classes[mode] maps each code to its class for _PAIR_FITS: "+" and "-" the
+    mode's stabilization loops, "l" its other loops, "q" a quarter turn, "x" a
+    crossing, "e" any other event."""
+
+    def __init__(self, surface: Surface):
+        events = [edge(name + prime) for name in surface.generator_names for prime in ("", "'")]
+        events += [ev for _, ev, _ in FIXED_EVENTS]
+        super().__init__((ev, chr(2 + i)) for i, ev in enumerate(sorted(events)))
+        self.surface, self.classes, at = surface, {}, {ord(c): ev for ev, c in self.items()}
+        at = [at.get(code, ("cross",)) for code in range(256)]  # crossings from _CROSS0
+        for mode, tags in _LOOP_TAGS.items():
+            stabs, of = dict(zip(STAB_VARIANTS[_STABS[mode][0]], "+-")), {"cross": "x", "qturn": "q"}
+            of.update(dict.fromkeys(tags, "l"))
+            self.classes[mode] = "".join(stabs.get(ev) or of.get(ev[0], "e") for ev in at).encode()
+
+    def __missing__(self, ev):
+        if len(ev) == 3 and ev[0] == "cross" and ev[2] in (1, 2):
+            return chr(ev[2] - 1)  # not kept: ids come and go with the diagrams
+        raise ValueError(f"event {ev!r} is not in the alphabet of {self.surface}")
+
+
+_code_table = functools.cache(_Codes)  # one table per surface, built on first use
+
+
+def _ids(comps) -> set:
+    """The crossing ids (code >> 1) in components of codes."""
+    return {c >> 1 for comp in comps
+            for c in (comp.translate(None, _NONCROSS) if type(comp) is bytes else map(ord, comp))
+            if c >= _CROSS0}
 
 
 class _Form(dict):
-    """A diagram's components in the form that rewrites splice (_child's event
-    tuples, _code_form's codes), with put, which turns events into that form.
-    Each piece a rewrite inserts is put the first time a rewrite asks for it
-    and kept: form[variant] a stabilization pair, form[s, t] an R2 insertion's
-    two strands for slot pair (s, t), form[n] a run of n fiber loops."""
+    """A diagram's components as rewrites splice them: event tuples (table
+    None), or codes, one per event (its code in table, a crossing's 2 * id +
+    slot - 1), as bytes or str.  Each piece a rewrite inserts is put the first
+    time one asks for it and kept: form[variant] a stabilization pair, form[s,
+    t] an R2 insertion's two strands for slots (s, t) on the two fresh ids,
+    form[n] a run of n fiber loops."""
 
-    __slots__ = ("diagram", "components", "put", "one")
+    __slots__ = ("table", "mode", "components", "one")
 
-    def __init__(self, diagram: Diagram, components: tuple, put: Callable):
+    def __init__(self, table: _Codes | None, mode: str, components: tuple):
         super().__init__()
-        self.diagram, self.components, self.put = diagram, components, put
+        self.table, self.mode, self.components = table, mode, components
         self.one = len(components) == 1 and type(components[0]) is bytes  # what _read takes
+
+    def put(self, events):
+        if self.table is None:
+            return tuple(events)
+        codes = "".join([chr(2 * ev[1] + ev[2] - 1) if ev[0] == "cross" else self.table[ev] for ev in events])
+        return codes.encode("latin-1") if type(self.components[0]) is bytes else codes
+
+    def fresh(self) -> list:
+        """The two least crossing ids that no crossing uses: of "1", "2", ... in
+        event tuples, from _CROSS0 // 2 in codes."""
+        if self.table is None:
+            used = {ev[1] for comp in self.components for ev in comp if ev[0] == "cross"}
+            return [str(n) for n in range(1, len(used) + 3) if str(n) not in used][:2]
+        used = _ids(self.components)
+        return [i for i in range(_CROSS0 >> 1, (_CROSS0 >> 1) + len(used) + 2) if i not in used][:2]
 
     def __missing__(self, piece):
         if type(piece) is str:
             got = self.put(STAB_VARIANTS[piece])
         elif type(piece) is int:
-            got = self.put(fiber_loops(self.diagram.mode, piece))
-        else:  # (x.s, y.t) and (y.3-t, x.3-s) for the two least unused ids x < y
-            # (k ids leave two of 1..k+2 free)
-            (s, t), used = piece, self.diagram.crossing_ids()
-            x, y = [str(n) for n in range(1, len(used) + 3) if str(n) not in used][:2]
-            got = (self.put((cross(x, s), cross(y, t))),
-                   self.put((cross(y, 3 - t), cross(x, 3 - s))))
+            got = self.put(fiber_loops(self.mode, piece))
+        else:  # (x.s, y.t) and (y.3-t, x.3-s) for the two fresh ids x < y
+            (s, t), (x, y) = piece, self.fresh()
+            got = (self.put((("cross", x, s), ("cross", y, t))),
+                   self.put((("cross", y, 3 - t), ("cross", x, 3 - s))))
         self[piece] = got
         return got
+
+
+def _coded(table: _Codes, mode: str, comps) -> _Form:
+    """The form of components of codes: bytes if they use at most _BYTE_IDS
+    crossing ids, all below 128 (so that their codes fit a byte), else str."""
+    ids = _ids(comps)
+    if len(ids) <= _BYTE_IDS and max(ids, default=0) < 128:
+        return _Form(table, mode, tuple(c.encode("latin-1") if type(c) is str else c for c in comps))
+    return _Form(table, mode, tuple(c.decode("latin-1") if type(c) is bytes else c for c in comps))
+
+
+def _code_form(diagram: Diagram) -> _Form:
+    """A diagram's form in codes, crossing ids numbered on first sight across
+    the components, from _CROSS0 // 2.  Raises ValueError on an unknown event."""
+    table, ids = _code_table(diagram.surface), {}
+    code = table.__getitem__
+    return _coded(table, diagram.mode, ["".join([
+        code(ev) if ev[0] != "cross" else chr(_CROSS0 + 2 * ids.setdefault(ev[1], len(ids)) + ord(code(ev)))
+        for ev in comp
+    ]) for comp in diagram.components])
+
+
+def _as_form(diagram) -> _Form:
+    """A diagram's code form, or the code form given in its place."""
+    return diagram if type(diagram) is _Form else _code_form(diagram)
+
+
+# ----------------------------------------------------------------------
+# the move table.  sites read a code form, match(diagram, move) and inverse
+# a diagram or its code form (encoding a diagram only where a pattern reads
+# codes); match returns None or why the move does not fit; rewrite(form,
+# sites) and inverse run on fitting moves only: rewrite yields the new
+# components at each site in turn (a transvection's site is its curve data),
+# inverse returns the move that undoes one.
 
 
 def _replaced(comps: tuple, ci: int, comp) -> tuple:
@@ -159,17 +248,11 @@ def _replaced(comps: tuple, ci: int, comp) -> tuple:
     return comps[:ci] + (comp,) + comps[ci + 1:]
 
 
-def _gaps(diagram: Diagram) -> list:
-    return [(ci, p) for ci, comp in enumerate(diagram.components) for p in range(max(len(comp), 1))]
+def _gaps(form: _Form) -> list:
+    return [(ci, p) for ci, comp in enumerate(form.components) for p in range(max(len(comp), 1))]
 
 
-def _positions(diagram: Diagram) -> list:
-    """Every (ci, p) naming event p and its cyclic successor."""
-    comps = diagram.components
-    return [(ci, p) for ci, comp in enumerate(comps) if len(comp) >= 2 for p in range(len(comp))]
-
-
-def _no_gaps(diagram: Diagram, gaps) -> str | None:
+def _no_gaps(diagram, gaps) -> str | None:
     comps = diagram.components
     for ci, p in gaps:
         if not (type(ci) is type(p) is int and 0 <= ci < len(comps) and 0 <= p <= len(comps[ci])):
@@ -177,46 +260,81 @@ def _no_gaps(diagram: Diagram, gaps) -> str | None:
     return None
 
 
-def _no_pair(diagram: Diagram, site) -> str | None:
+def _no_pair(diagram, site) -> str | None:
     ci, p = site
     ok = _no_gaps(diagram, [site]) is None and len(diagram.components[ci]) > max(p, 1)
     return None if ok else "no pair of events at this site"
 
 
-def _pair(diagram: Diagram, site) -> tuple:
+def _codes(form: _Form, site) -> tuple:
+    """The codes of the event at a pair site and of its cyclic successor."""
     ci, p = site
-    comp = diagram.components[ci]
-    return comp[p], comp[(p + 1) % len(comp)]
+    comp = form.components[ci]
+    q = (p + 1) % len(comp)
+    return ord(comp[p:p + 1]), ord(comp[q:q + 1])
 
 
-def _spots(diagram: Diagram, sites) -> set:
+def _classes(form: _Form, ci: int) -> bytes:
+    """Component ci's classes, then its first again: a pair site (ci, p) has
+    the classes [p:p + 2]."""
+    comp = form.components[ci]
+    if type(comp) is str:  # a code past a byte is a crossing's
+        comp = bytes(min(ord(c), 255) for c in comp)
+    classes = comp.translate(form.table.classes[form.mode])
+    return classes + classes[:1]
+
+
+def _fits(form: _Form, site, name: str) -> bool:
+    """Whether a well-formed pair site fits the pattern name."""
+    ci, p = site
+    return _classes(form, ci)[p:p + 2] in _PAIR_FITS[name]
+
+
+def _pair_sites(form: _Form, name: str) -> list:
+    """Every pair site that fits the pattern name, in order."""
+    fits = _PAIR_FITS[name]
+    return [(ci, p) for ci, comp in enumerate(form.components) if len(comp) >= 2
+            for classes in [_classes(form, ci)] for p in range(len(comp)) if classes[p:p + 2] in fits]
+
+
+def _spots(form: _Form, sites) -> set:
     """The event positions that the pair sites cover."""
-    return {(ci, q) for ci, p in sites for q in (p, (p + 1) % len(diagram.components[ci]))}
+    return {(ci, q) for ci, p in sites for q in (p, (p + 1) % len(form.components[ci]))}
 
 
-def _is_crossing_pair(diagram: Diagram, site) -> bool:
-    a, b = _pair(diagram, site)
-    return a[0] == b[0] == "cross" and a[1] != b[1]
+def _is_crossing_pair(a: int, b: int) -> bool:
+    return a >= _CROSS0 and b >= _CROSS0 and a >> 1 != b >> 1
 
 
-def _no_crossing_pairs(diagram: Diagram, sites) -> str | None:
+def _no_crossing_pairs(form: _Form, sites) -> str | None:
     """Why sites are not disjoint adjacent pairs of two different crossings,
     or None."""
     for site in sites:
-        why = _no_pair(diagram, site)
+        why = _no_pair(form, site)
         if why is not None:
             return why
-        if not _is_crossing_pair(diagram, site):
+        if not _is_crossing_pair(*_codes(form, site)):
             return "not a crossing pair"
-    if len(_spots(diagram, sites)) != 2 * len(sites):
+    if len(_spots(form, sites)) != 2 * len(sites):
         return "overlapping sites"
     return None
 
 
-def _crossing_pairs(diagram: Diagram, k: int) -> list:
-    """Every k disjoint crossing pairs, in order."""
-    pairs = [s for s in _positions(diagram) if _is_crossing_pair(diagram, s)]
-    return [s for s in itertools.combinations(pairs, k) if len(_spots(diagram, s)) == 2 * k]
+def _crossing_pairs(form: _Form, k: int) -> list:
+    """Every k disjoint crossing pairs, in order, whose ids can make a bigon
+    (k = 2: both on ids x and y) or a triangle (k = 3: on x and y, x and z, y
+    and z), found by indexing the crossing pairs by their ids."""
+    pairs, sites = {}, _pair_sites(form, "cross")  # pairs: (least id, other id) -> their crossing pairs
+    for site in sites if len(sites) >= k else ():
+        a, b = _codes(form, site)
+        if _is_crossing_pair(a, b):
+            pairs.setdefault((min(a, b) >> 1, max(a, b) >> 1), []).append(site)
+    if k == 2:
+        hits = [c for group in pairs.values() for c in itertools.combinations(group, 2)]
+    else:  # ids x < y < z
+        hits = [tuple(sorted(c)) for (x, y), xy in pairs.items() for (w, z), xz in pairs.items()
+                if w == x and z > y and (y, z) in pairs for c in itertools.product(xy, xz, pairs[y, z])]
+    return [c for c in sorted(hits) if len(_spots(form, c)) == 2 * k]
 
 
 def _remove_pairs(comps: tuple, sites) -> tuple:
@@ -229,12 +347,12 @@ def _remove_pairs(comps: tuple, sites) -> tuple:
     return comps
 
 
-def _removed_gaps(diagram: Diagram, sites) -> list:
+def _removed_gaps(form: _Form, sites) -> list:
     """The gap each pair site leaves in _remove_pairs' diagram; a pair across
     the wrap leaves its gap at the end."""
-    removed, gaps = _spots(diagram, sites), []
+    removed, gaps = _spots(form, sites), []
     for ci, p in sites:
-        n = len(diagram.components[ci])
+        n = len(form.components[ci])
         gaps.append(sum(1 for pos in range(p if p + 1 < n else n) if (ci, pos) not in removed))
     return gaps
 
@@ -250,7 +368,7 @@ def _swap_pairs(comps: tuple, sites) -> tuple:
     return comps
 
 
-def _stab_match(diagram: Diagram, move: MoveInstance) -> str | None:
+def _stab_match(diagram, move: MoveInstance) -> str | None:
     ci, p, variant = move.site
     if variant not in _STABS[diagram.mode]:
         return f"no stabilization {variant!r} in {diagram.mode} mode"
@@ -263,27 +381,18 @@ def _stab_rewrite(form: _Form, sites):
         yield _replaced(comps, ci, comps[ci][:p] + form[variant] + comps[ci][p:])
 
 
-def _is_stab_pair(diagram: Diagram, site) -> bool:
-    return _VARIANT_OF.get(_pair(diagram, site)) in _STABS[diagram.mode]
-
-
-def _destab_inverse(diagram: Diagram, move: MoveInstance) -> MoveInstance:
-    [gap] = _removed_gaps(diagram, [move.site])
-    return MoveInstance("stab", (move.site[0], gap, _VARIANT_OF[_pair(diagram, move.site)]))
-
-
-def _is_slidable(diagram: Diagram, site) -> bool:
-    """A kink/cusp next to a crossing or edge event."""
-    a, b = _pair(diagram, site)
-    loops = _LOOP_TAGS[diagram.mode]
-    return (a[0] in loops) != (b[0] in loops) and {a[0], b[0]} <= {"kink", "cusp", "cross", "edge"}
+def _destab_inverse(diagram, move: MoveInstance) -> MoveInstance:
+    form = _as_form(diagram)
+    [gap] = _removed_gaps(form, [move.site])
+    (ci, p), fits = move.site, _PAIR_FITS["destab"]
+    return MoveInstance("stab", (ci, gap, _STABS[form.mode][fits.index(_classes(form, ci)[p:p + 2])]))
 
 
 # an r2_insert site's optional fifth entry -> the first strand's slots
 _R2_SLOTS = {(): (1, 1), ("12",): (1, 2), ("21",): (2, 1), ("22",): (2, 2)}
 
 
-def _r2_insert_match(diagram: Diagram, move: MoveInstance) -> str | None:
+def _r2_insert_match(diagram, move: MoveInstance) -> str | None:
     c1, p1, c2, p2 = move.site[:4]
     if move.site[4:] not in _R2_SLOTS:
         return f"bad slot entry {move.site[4:]!r}"
@@ -307,38 +416,39 @@ def _r2_insert_rewrite(form: _Form, sites):
         yield comps[:c1] + (comp,) + comps[c1 + 1:]
 
 
-def _r2_insert_inverse(diagram: Diagram, move: MoveInstance) -> MoveInstance:
+def _r2_insert_inverse(diagram, move: MoveInstance) -> MoveInstance:
     c1, p1, c2, p2 = move.site[:4]
     same = c1 == c2  # the pairs sit where _r2_insert_rewrite puts them
     return MoveInstance("r2_remove", ((c1, p1 + 2 * (same and p2 < p1)),
                                       (c2, p2 + 2 * (same and p1 <= p2))))
 
 
-def _is_bigon(diagram: Diagram, sites) -> bool:
+def _is_bigon(form: _Form, sites) -> bool:
     """[x, y] against [y, x] with complementary slots."""
-    (a, b), (c, d) = (_pair(diagram, site) for site in sites)
-    return a[1] == d[1] and b[1] == c[1] and a[2] != d[2] and b[2] != c[2]
+    (a, b), (c, d) = (_codes(form, site) for site in sites)
+    return a ^ d == 1 and b ^ c == 1
 
 
-def _r2_remove_inverse(diagram: Diagram, move: MoveInstance) -> MoveInstance:
+def _r2_remove_inverse(diagram, move: MoveInstance) -> MoveInstance:
     (c1, p1), (c2, p2) = move.site
-    n = len(diagram.components[c1])
+    form = _as_form(diagram)
+    n = len(form.components[c1])
     if c1 == c2 and n > 4 and (p2 + 2) % n == p1:
         # the second strand runs into the first: list it first, so that the
         # inverse keeps their order in one gap when transported to a rotation
         (c1, p1), (c2, p2) = (c2, p2), (c1, p1)
-    a, b = _pair(diagram, (c1, p1))
-    gap1, gap2 = _removed_gaps(diagram, [(c1, p1), (c2, p2)])
-    slots = f"{a[2]}{b[2]}"
+    a, b = _codes(form, (c1, p1))
+    gap1, gap2 = _removed_gaps(form, [(c1, p1), (c2, p2)])
+    slots = f"{(a & 1) + 1}{(b & 1) + 1}"
     return MoveInstance("r2_insert", (c1, gap1, c2, gap2) + ((slots,) if slots != "11" else ()))
 
 
-def _is_triangle(diagram: Diagram, sites) -> bool:
-    ids = Counter(ev[1] for site in sites for ev in _pair(diagram, site))
+def _is_triangle(form: _Form, sites) -> bool:
+    ids = Counter(c >> 1 for site in sites for c in _codes(form, site))
     return len(ids) == 3 and all(v == 2 for v in ids.values())
 
 
-def _transvection_match(diagram: Diagram, move: MoveInstance) -> str | None:
+def _transvection_match(diagram, move: MoveInstance) -> str | None:
     if not move.site:
         return "empty transvection"
     return _no_gaps(diagram, [(ci, p) for _, _, sites in move.site for ci, p, _ in sites])
@@ -358,61 +468,65 @@ def _transvection_rewrite(form: _Form, sites):
 
 class _Kind(namedtuple("_Kind", "growth sites match rewrite inverse transport")):
     """growth: events added (the search tries shrinking kinds first); sites:
-    diagram -> every site where the kind fits, in order (none for a
-    transvection, whose site is its curve data); match: the check
-    apply_move makes; rewrite: (form, sites) -> the new components at each
-    site in turn, by slicing and concatenation only, so that one rewrite
-    serves both forms and the search keys a parent's children in one pass; inverse:
-    (diagram, move) -> the move that undoes it on the new diagram, None for a
-    transvection; transport: (site, site_map) -> the site in an equal
-    diagram, or None."""
+    code form -> every site where the kind fits, in order (none for a
+    transvection, whose site is its curve data); match: the check apply_move
+    makes; rewrite: (form, sites) -> the new components at each site in turn,
+    by slicing and concatenation only, so that one rewrite serves codes and
+    event tuples and the search keys a parent's children in one pass; inverse:
+    (diagram or code form, move) -> the move that undoes it on the new
+    diagram, None for a transvection; transport: (site, site_map) -> the site
+    in an equal diagram, or None."""
 
     __slots__ = ()
 
 
-def _local(candidates: Callable, check: Callable, fits: Callable, why: str) -> tuple:
-    """sites and match of a kind with a local pattern: fits takes a well-formed
-    site (one that check passes, as every candidate does) and is the pattern."""
-    return (
-        lambda d: [site for site in candidates(d) if fits(d, site)],
-        lambda d, m: check(d, m.site) or (None if fits(d, m.site) else why),
-    )
+def _pair_kind(name: str, why: str) -> tuple:
+    """sites and match of a kind whose pattern is a pair of events, _PAIR_FITS[name]."""
+    return (lambda f: _pair_sites(f, name),
+            lambda d, m: _no_pair(d, m.site) or (None if _fits(_as_form(d), m.site, name) else why))
+
+
+def _crossing_kind(k: int, fits: Callable, why: str) -> tuple:
+    """sites and match of a kind whose pattern, fits, takes k disjoint crossing pairs."""
+    def match(diagram, move):
+        form = _as_form(diagram)
+        return _no_crossing_pairs(form, move.site) or (None if fits(form, move.site) else why)
+
+    return lambda f: [site for site in _crossing_pairs(f, k) if fits(f, site)], match
 
 
 _KINDS = {
     "stab": _Kind(
-        2, lambda d: [(*gap, _STABS[d.mode][0]) for gap in _gaps(d)], _stab_match, _stab_rewrite,
-        lambda d, m: MoveInstance("destab", m.site[:2]), lambda s, f: (*f(s[:2]), s[2]),
+        2, lambda f: [gap + _STABS[f.mode][:1] for gap in _gaps(f)], _stab_match, _stab_rewrite,
+        lambda f, m: MoveInstance("destab", m.site[:2]), lambda s, f: (*f(s[:2]), s[2]),
     ),
     "destab": _Kind(
-        -2, *_local(_positions, _no_pair, _is_stab_pair, "no stabilization pair of this mode"),
+        -2, *_pair_kind("destab", "no stabilization pair of this mode"),
         lambda f, sites: (_remove_pairs(f.components, [s]) for s in sites), _destab_inverse,
         lambda s, f: f(s),
     ),
     "kink_slide": _Kind(
-        0, *_local(_positions, _no_pair, _is_slidable, "no kink/cusp next to a crossing or edge"),
-        lambda f, sites: (_swap_pairs(f.components, [s]) for s in sites), lambda d, m: m,
+        0, *_pair_kind("kink_slide", "no kink/cusp next to a crossing or edge"),
+        lambda f, sites: (_swap_pairs(f.components, [s]) for s in sites), lambda f, m: m,
         lambda s, f: f(s),
     ),
     "r2_insert": _Kind(
-        4, lambda d: [(*gap1, *gap2) for gap1, gap2 in itertools.product(_gaps(d), repeat=2)],
+        4, lambda f: [gap1 + gap2 for gaps in [_gaps(f)] for gap1 in gaps for gap2 in gaps],
         _r2_insert_match, _r2_insert_rewrite, _r2_insert_inverse,
         lambda s, f: (*f(s[:2]), *f(s[2:4]), *s[4:]),
     ),
     "r2_remove": _Kind(
-        -4, *_local(lambda d: _crossing_pairs(d, 2), _no_crossing_pairs, _is_bigon, "not a bigon"),
+        -4, *_crossing_kind(2, _is_bigon, "not a bigon"),
         lambda f, sites: (_remove_pairs(f.components, s) for s in sites), _r2_remove_inverse,
         lambda s, f: tuple(map(f, s)),
     ),
     "r3": _Kind(
-        0, *_local(
-            lambda d: _crossing_pairs(d, 3), _no_crossing_pairs, _is_triangle, "not a triangle",
-        ),
-        lambda f, sites: (_swap_pairs(f.components, s) for s in sites), lambda d, m: m,
+        0, *_crossing_kind(3, _is_triangle, "not a triangle"),
+        lambda f, sites: (_swap_pairs(f.components, s) for s in sites), lambda f, m: m,
         lambda s, f: tuple(sorted(map(f, s))),
     ),
-    "transvection": _Kind(1, lambda d: (), _transvection_match, _transvection_rewrite,
-                          lambda d, m: None, None),
+    "transvection": _Kind(1, lambda f: (), _transvection_match, _transvection_rewrite,
+                          lambda f, m: None, None),
 }
 
 
@@ -427,16 +541,15 @@ _SEARCH_ORDER = tuple(sorted(_KINDS, key=lambda name: (_KINDS[name].growth, name
 def applicable_moves(diagram: Diagram) -> list[MoveInstance]:
     """Every catalogue move that fits, in MoveInstance order (transvections
     excluded: they are parameterized by external curve data): the kinds are
-    walked by name and each lists the sites where it fits in order, so no
-    match and no sort is needed."""
-    return [
-        MoveInstance(name, site)
-        for name, kind in sorted(_KINDS.items()) for site in kind.sites(diagram)
-    ]
+    walked by name and each lists the sites where it fits in order, on the
+    diagram's code form, so no match and no sort is needed."""
+    form = _code_form(diagram)
+    return [MoveInstance(name, site) for name, kind in sorted(_KINDS.items()) for site in kind.sites(form)]
 
 
-def _fitting(diagram: Diagram, move: MoveInstance) -> _Kind:
-    """The move's kind, once its match passes; raises InapplicableMove."""
+def _fitting(diagram, move: MoveInstance) -> _Kind:
+    """The move's kind, once its match passes on a diagram or its code form;
+    raises InapplicableMove."""
     kind = _KINDS.get(move.kind) if type(move.kind) is str else None
     if kind is None:
         raise InapplicableMove(f"unknown move kind {move.kind!r}")
@@ -451,8 +564,7 @@ def _fitting(diagram: Diagram, move: MoveInstance) -> _Kind:
 
 def _child(diagram: Diagram, move: MoveInstance) -> Diagram:
     """The diagram after a fitting move, rewritten on its event tuples."""
-    form = _Form(diagram, diagram.components, tuple)
-    [comps] = _KINDS[move.kind].rewrite(form, [move.site])
+    [comps] = _KINDS[move.kind].rewrite(_Form(None, diagram.mode, diagram.components), [move.site])
     return Diagram(diagram.surface, diagram.mode, comps)
 
 
@@ -475,53 +587,6 @@ def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
 
 # ----------------------------------------------------------------------
 # canonical forms (equality up to rotation, component order, id names)
-
-
-# codes: 0-1 id-blind crossing slots, 2-57 a table's events, from 64 numbered crossings
-_CROSS0 = 64
-_BYTE_IDS = 94  # forms are bytes up to 94 ids: with a child's two fresh ids, 96 fit in a byte
-_BLIND = bytes(b if b < _CROSS0 else b & 1 for b in range(256))  # a crossing byte's slot code
-_FIRST = bytes(b & 254 for b in range(256))  # a crossing byte's first slot
-_NONCROSS = _BLIND[:_CROSS0]  # every code below the crossings'
-_DROP = dict.fromkeys(range(_CROSS0))  # str.translate: drop every code below the crossings'
-
-
-class _Codes(dict):
-    """One character per event of a surface's alphabet, in the event tuples'
-    order; a crossing's id-blind code is its slot's, below all the others."""
-
-    def __init__(self, surface: Surface):
-        events = [edge(name + prime) for name in surface.generator_names for prime in ("", "'")]
-        events += [ev for _, ev, _ in FIXED_EVENTS]
-        super().__init__((ev, chr(2 + i)) for i, ev in enumerate(sorted(events)))
-        self.surface = surface
-
-    def __missing__(self, ev):
-        if len(ev) == 3 and ev[0] == "cross" and ev[2] in (1, 2):
-            return chr(ev[2] - 1)  # not kept: ids come and go with the diagrams
-        raise ValueError(f"event {ev!r} is not in the alphabet of {self.surface}")
-
-
-_code_table = functools.cache(_Codes)  # one table per surface, built on first use
-
-
-def _code_form(diagram: Diagram) -> _Form:
-    """A diagram's form in codes, one per event: its _Codes code, or a crossing's
-    _CROSS0 + 2 * (its id's number) + its slot code, ids numbered on first sight
-    across the components, fresh ones after them; bytes with at most _BYTE_IDS
-    ids, else str.  Raises ValueError on an unknown event."""
-    code, ids = _code_table(diagram.surface).__getitem__, {}
-    small = len(diagram.crossing_ids()) <= _BYTE_IDS
-
-    def put(events):
-        codes = "".join([
-            code(ev) if ev[0] != "cross"
-            else chr(_CROSS0 + 2 * ids.setdefault(ev[1], len(ids)) + ord(code(ev)))
-            for ev in events
-        ])
-        return codes.encode("latin-1") if small else codes
-
-    return _Form(diagram, tuple(map(put, diagram.components)), put)
 
 
 # A reading memo, (starts, tables), serves one search (canonical_transform
@@ -634,18 +699,18 @@ def canonical_transform(diagram: Diagram):
     block takes its least (strs, perm, rots) reading; the key is one block's
     strs, or the blocks' strs in order.  Raises ValueError on an unknown event
     and on a slot visited twice."""
-    return _transform(diagram, ({}, {}))
+    return _transform(diagram, ({}, {}))[0]
 
 
-def _transform(diagram: Diagram, memo: tuple[dict, dict]):
-    """canonical_transform of diagram, read through memo."""
+def _transform(diagram: Diagram, memo: tuple[dict, dict]) -> tuple[tuple, _Form]:
+    """(canonical_transform of diagram, read through memo; its code form)."""
     form = _code_form(diagram)
     slots = [ev for comp in diagram.components for ev in comp if ev[0] == "cross"]
     if len(set(slots)) < len(slots):
         ev = next(ev for ev, n in Counter(slots).items() if n > 1)
         raise ValueError(f"crossing {ev[1]} slot {ev[2]} is visited twice")
     one = form.one and _read(form.components[0], memo)
-    return (one[0], (0,), (one[1],)) if one else _blocks(form.components)
+    return ((one[0], (0,), (one[1],)) if one else _blocks(form.components)), form
 
 
 def canonical_key(diagram: Diagram):
@@ -668,12 +733,11 @@ def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
     return (d1.surface, d1.mode) == (d2.surface, d2.mode) and canonical_key(d1) == canonical_key(d2)
 
 
-def _site_map(src: Diagram, dst: Diagram, memo: tuple[dict, dict]):
-    """Position transport src -> dst for canonically equal diagrams, read
-    through memo; returns a function (ci, pos) -> (ci', pos') acting on
-    cyclic positions/gaps."""
-    key_s, perm_s, rots_s = _transform(src, memo)
-    key_d, perm_d, rots_d = _transform(dst, memo)
+def _site_map(src: tuple, dst: tuple):
+    """Position transport src -> dst for canonically equal diagrams, given by
+    their _transform readings; returns a function (ci, pos) -> (ci', pos')
+    acting on cyclic positions/gaps."""
+    ((key_s, perm_s, rots_s), src), ((key_d, perm_d, rots_d), dst) = src, dst
     if key_s != key_d:
         raise ValueError("site transport requires canonically equal diagrams")
     to_canon = {ci: (i, rots_s[i]) for i, ci in enumerate(perm_s)}
@@ -771,7 +835,8 @@ def equivalent_bounded(
         return EquivalenceVerdict("distinguished", invariant=found)
 
     memo = ({}, {})  # the search's reading memo, for its roots, children and certificate
-    k1, k2 = _transform(d1, memo)[0], _transform(d2, memo)[0]
+    (t1, f1), (t2, f2) = _transform(d1, memo), _transform(d2, memo)
+    k1, k2 = t1[0], t2[0]
     if k1 == k2:
         return EquivalenceVerdict("equivalent", certificate=())
 
@@ -785,31 +850,39 @@ def equivalent_bounded(
     flip_growth = {t: sum(abs(n) * len(sites) for _, n, sites in t.site) for t in flips}
 
     # side 0 searches forward from d1, side 1 backward from d2 (its paths are
-    # inverted on meet); each side maps key -> path, and a frontier holds
-    # (parent, path): a child is keyed from its parent's codes and built, by
-    # its path's last move, only when its layer is expanded
-    seen = ({k1: ()}, {k2: ()})
-    frontiers = [[(d1, ())], [(d2, ())]]
+    # inverted on meet).  Each side maps a node's key to (its parent's path,
+    # kind, site), and a frontier holds (parent's code form, parent's path,
+    # kind, site), a root (its form, (), None, None); expanding a node splices
+    # its codes once more and makes its path; only a certificate builds diagrams
+    seen = ({k1: ((), None, None)}, {k2: ((), None, None)})
+    frontiers = [[(f1, (), None, None)], [(f2, (), None, None)]]
     # any path of <= max_moves moves can overshoot the endpoint sizes by at
     # most 4 events per move round-trip; larger states cannot help
     size_cap = max(sum(map(len, d.components)) for d in (d1, d2)) + 2 * budget.max_moves
 
+    def path_to(path, name, site):
+        """A node's path: its parent's, then the move (name, site) if any."""
+        return path + (MoveInstance(name, site),) if name else path
+
     def finish(f_path, b_path):
-        current = replay(d1, f_path)
-        cert = list(f_path)
-        # replay b_path from d2, keeping each diagram with the inverse of the
-        # move that made it (the inverse applies to that diagram)
-        b, steps = d2, []
+        current = functools.reduce(_child, f_path, d1)  # the search listed each move
+        cert, b, reading, steps = list(f_path), d2, (t2, f2), []
+        # replay b_path from d2, keeping each diagram's reading with the
+        # inverse of the move that made it (the inverse applies to that diagram)
         for mv in b_path:
-            inv = invert_move(b, mv)
+            inv = _KINDS[mv.kind].inverse(reading[1], mv)
             b = _child(b, mv)
-            steps.append((b, inv))
-        for b, inv in reversed(steps):
-            site = _KINDS[inv.kind].transport(inv.site, _site_map(b, current, memo))
-            moved = MoveInstance(inv.kind, site)
-            current = apply_move(current, moved)
+            reading = _transform(b, memo)
+            steps.append((reading, inv))
+        reading = _transform(current, memo)
+        for b_reading, inv in reversed(steps):
+            kind = _KINDS[inv.kind]
+            moved = MoveInstance(inv.kind, kind.transport(inv.site, _site_map(b_reading, reading)))
+            _fitting(reading[1], moved)
+            current = _child(current, moved)
+            reading = _transform(current, memo)
             cert.append(moved)
-        if _transform(current, memo)[0] != k2:
+        if reading[0][0] != k2:
             raise InapplicableMove("certificate assembly failed")
         return EquivalenceVerdict("equivalent", certificate=tuple(cert))
 
@@ -821,32 +894,33 @@ def equivalent_bounded(
         side = 0 if forward and (not backward or forward <= backward) else 1
         here, there = seen[side], seen[1 - side]
         next_frontier = []
-        for parent, path in frontiers[side]:
-            diag = _child(parent, path[-1]) if path else parent
-            form, size = _code_form(diag), sum(map(len, diag.components))
+        for form, path, last, at in frontiers[side]:
+            if last:
+                [comps] = _KINDS[last].rewrite(form, [at])
+                form, path = _coded(form.table, form.mode, comps), path_to(path, last, at)
+            size = sum(map(len, form.components))
             for name in _SEARCH_ORDER:
                 if name == "transvection":
                     sites = [t.site for t in flips
                              if side == 0 and size + flip_growth[t] <= size_cap
-                             and _transvection_match(diag, t) is None]
+                             and _transvection_match(form, t) is None]
                 elif size + _KINDS[name].growth > size_cap:
                     continue
                 else:
-                    sites = _KINDS[name].sites(diag)
+                    sites = _KINDS[name].sites(form)
                 if not sites:
                     continue
                 for site, key in zip(sites, _child_keys(form, name, sites, memo)):
                     if key in here:
                         continue
-                    new_path = path + (MoveInstance(name, site),)
                     if key in there:
-                        paths = (new_path, there[key])
+                        paths = (path_to(path, name, site), path_to(*there[key]))
                         try:
                             return finish(*(paths if side == 0 else paths[::-1]))
                         except InapplicableMove:
                             pass
-                    here[key] = new_path
-                    next_frontier.append((diag, new_path))
+                    here[key] = (path, name, site)
+                    next_frontier.append((form, path, name, site))
                     states += 1
                     if states > budget.max_states:
                         return EquivalenceVerdict("unknown")

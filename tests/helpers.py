@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from curvelift import (
@@ -290,6 +291,104 @@ def reference_block_transform(diagram: Diagram):
         return blocks[0]
     strs, perms, rots = zip(*sorted(blocks)) if blocks else ((), (), ())
     return strs, sum(perms, ()), sum(rots, ())
+
+
+# ----------------------------------------------------------------------
+# move sites on event tuples
+
+
+_REF_STABS = {SMOOTH: ("lr", "rl"), CUSP_SMOOTH: ("ud", "du")}  # the catalogue lists the first
+_REF_VARIANTS = {
+    (kink(1), kink(-1)): "lr", (kink(-1), kink(1)): "rl",
+    (cusp(1), cusp(-1)): "ud", (cusp(-1), cusp(1)): "du",
+}
+_REF_LOOPS = {SMOOTH: ("kink",), CUSP_SMOOTH: ("kink", "cusp")}
+
+
+def _ref_pair(d: Diagram, site) -> tuple:
+    ci, p = site
+    comp = d.components[ci]
+    return comp[p], comp[(p + 1) % len(comp)]
+
+
+def _ref_spots(d: Diagram, sites) -> set:
+    return {(ci, q) for ci, p in sites for q in (p, (p + 1) % len(d.components[ci]))}
+
+
+def _ref_is_crossing_pair(d: Diagram, site) -> bool:
+    a, b = _ref_pair(d, site)
+    return a[0] == b[0] == "cross" and a[1] != b[1]
+
+
+def _ref_fits(d: Diagram, kind: str, site) -> bool:
+    """Whether a well-formed site of a local kind fits its pattern."""
+    if kind == "destab":
+        return _REF_VARIANTS.get(_ref_pair(d, site)) in _REF_STABS[d.mode]
+    if kind == "kink_slide":  # a kink/cusp next to a crossing or edge event
+        (a, b), loops = _ref_pair(d, site), _REF_LOOPS[d.mode]
+        return (a[0] in loops) != (b[0] in loops) and {a[0], b[0]} <= {"kink", "cusp", "cross", "edge"}
+    pairs = [_ref_pair(d, s) for s in site]
+    if kind == "r2_remove":  # [x, y] against [y, x] with complementary slots
+        (a, b), (c, e) = pairs
+        return a[1] == e[1] and b[1] == c[1] and a[2] != e[2] and b[2] != c[2]
+    ids = Counter(ev[1] for pair in pairs for ev in pair)  # r3: a triangle
+    return len(ids) == 3 and all(v == 2 for v in ids.values())
+
+
+def reference_sites(d: Diagram) -> dict:
+    """Oracle for the sites of each catalogue kind, as the move table listed
+    them on event tuples before it read codes: every gap or pair of gaps, and
+    every position or combination of disjoint crossing pairs that fits the
+    kind's pattern, in order."""
+    gaps = [(ci, p) for ci, comp in enumerate(d.components) for p in range(max(len(comp), 1))]
+    positions = [(ci, p) for ci, comp in enumerate(d.components) if len(comp) >= 2 for p in range(len(comp))]
+    crossings = [s for s in positions if _ref_is_crossing_pair(d, s)]
+    sites = {"stab": [gap + _REF_STABS[d.mode][:1] for gap in gaps],
+             "r2_insert": [g + h for g in gaps for h in gaps]}
+    for kind in ("destab", "kink_slide"):
+        sites[kind] = [s for s in positions if _ref_fits(d, kind, s)]
+    for kind, k in (("r2_remove", 2), ("r3", 3)):
+        sites[kind] = [c for c in itertools.combinations(crossings, k)
+                       if len(_ref_spots(d, c)) == 2 * k and _ref_fits(d, kind, c)]
+    return sites
+
+
+def _ref_no_gaps(d: Diagram, gaps) -> bool:
+    comps = d.components
+    return not all(type(ci) is type(p) is int and 0 <= ci < len(comps) and 0 <= p <= len(comps[ci])
+                   for ci, p in gaps)
+
+
+def _ref_no_pair(d: Diagram, site) -> bool:
+    ci, p = site
+    return _ref_no_gaps(d, [site]) or len(d.components[ci]) <= max(p, 1)
+
+
+def _ref_match(d: Diagram, move) -> bool:
+    site = move.site
+    if move.kind == "stab":
+        ci, p, variant = site
+        return variant in _REF_STABS[d.mode] and not _ref_no_gaps(d, [(ci, p)])
+    if move.kind == "r2_insert":
+        c1, p1, c2, p2 = site[:4]
+        return site[4:] in ((), ("12",), ("21",), ("22",)) and not _ref_no_gaps(d, ((c1, p1), (c2, p2)))
+    if move.kind == "transvection":
+        return bool(site) and not _ref_no_gaps(d, [(ci, p) for _, _, sites in site for ci, p, _ in sites])
+    if move.kind in ("destab", "kink_slide"):
+        return not _ref_no_pair(d, site) and _ref_fits(d, move.kind, site)
+    if move.kind in ("r2_remove", "r3"):
+        return (not any(_ref_no_pair(d, s) or not _ref_is_crossing_pair(d, s) for s in site)
+                and len(_ref_spots(d, site)) == 2 * len(site) and _ref_fits(d, move.kind, site))
+    return False
+
+
+def reference_accepts(d: Diagram, move) -> bool:
+    """Oracle for whether apply_move accepts move on d: each kind's match as
+    it ran on event tuples, a site of the wrong shape rejected."""
+    try:
+        return type(move.kind) is str and _ref_match(d, move)
+    except (TypeError, ValueError):
+        return False
 
 
 # ----------------------------------------------------------------------

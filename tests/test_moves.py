@@ -40,9 +40,11 @@ from curvelift.words import least_rotation
 
 from helpers import (
     random_diagram,
+    reference_accepts,
     reference_block_transform,
     reference_canonical_transform,
     reference_distance,
+    reference_sites,
 )
 
 S2 = Surface(2)
@@ -205,6 +207,7 @@ def test_applicable_moves_come_out_sorted(rng):
         d = apply_move(d, rng.choice([m for m in applicable_moves(d) if m.kind == "r2_insert"]))
     moves = applicable_moves(d)
     assert moves == sorted(moves)
+    assert_sites_as_reference(rng, d, 30)
     # sound and complete: exactly the moves apply_move accepts among a
     # brute-force superset of each kind's sites, in the catalogue's form
     gaps = [(ci, p) for ci, comp in enumerate(d.components) for p in range(max(len(comp), 1))]
@@ -230,6 +233,67 @@ def test_applicable_moves_come_out_sorted(rng):
     for move in moves:
         assert moves_module._child(d, move) == accepted[move]
     assert search_keys(d, moves) == [canonical_key(accepted[move]) for move in moves]
+
+
+def assert_sites_as_reference(rng, d, samples):
+    """Each kind lists on d's codes the sites that the event-tuple patterns
+    list, and apply_move accepts exactly the moves that the event-tuple
+    matches accept, among sites of every shape: each kind's listed sites,
+    r2_remove sites in either order and samples of every other arrangement
+    (and of the gap kinds' sites, which are quadratic in size)."""
+    expected, form = reference_sites(d), moves_module._code_form(d)
+    for name, sites in expected.items():
+        assert moves_module._KINDS[name].sites(form) == sites, name
+    assert applicable_moves(d) == [MoveInstance(name, site) for name in sorted(expected)
+                                   for site in expected[name]]
+    positions = [(ci, p) for ci, comp in enumerate(d.components) for p in range(len(comp) + 1)]
+    pairs = list(itertools.permutations(positions, 2))
+
+    def some(sites):
+        return rng.sample(sites, min(samples, len(sites)))
+
+    moves = [MoveInstance(name, site) for name, sites in expected.items()
+             for site in (some(sites) if name in ("stab", "r2_insert") else sites)]
+    moves += [MoveInstance("r2_remove", site[::-1]) for site in expected["r2_remove"]]
+    moves += [MoveInstance(name, site) for name in ("destab", "kink_slide") for site in positions]
+    moves += [MoveInstance("stab", (*gap, variant)) for gap in some(positions)
+              for variant in ("lr", "rl", "ud", "du", "xx")]
+    moves += [MoveInstance("r2_remove", site) for site in some(pairs)]
+    moves += [MoveInstance("r3", tuple(rng.sample(positions, 3)))
+              for _ in range(samples if len(positions) > 2 else 0)]
+    moves += [MoveInstance("r2_insert", (0, 0, 0, 1, slots)) for slots in ("12", "22", "13", ["12"])]
+    moves += [MoveInstance(name, site) for name in ("r2_remove", "r3", "destab", "transvection", "bogus")
+              for site in ((), (0,), ((0, 0),), ((0, 0), (0, 2), (0, 4)), (0, -1), ((0, 1, 1),))]
+    for move in moves:
+        try:
+            apply_move(d, move)
+            accepted = True
+        except InapplicableMove:
+            accepted = False
+        assert accepted == reference_accepts(d, move), move
+    # an r2_insert whose second gap comes first has an inverse whose pairs
+    # come in descending order
+    for site in [s for s in expected["r2_insert"] if s[0] == s[2] and s[3] < s[1]][:samples]:
+        move = MoveInstance("r2_insert", site)
+        inverse = invert_move(d, move)
+        assert inverse.site[0] > inverse.site[1]
+        child = apply_move(d, move)
+        assert reference_accepts(child, inverse) and diagrams_equal(apply_move(child, inverse), d)
+
+
+def test_code_sites_match_the_reference_past_the_byte_limit():
+    # 93 to 95 crossing ids, so codes are bytes, bytes and str: a triangle and
+    # a bigon, then ids that each come back with a quarter turn between visits
+    rng = random.Random(7)
+    triangle = (cross("a", 1), cross("b", 1), qturn(1), cross("b", 2), cross("c", 1), qturn(1),
+                cross("c", 2), cross("a", 2), kink(1), kink(-1), edge("a1"))
+    bigon = (cross("d", 1), cross("e", 1), qturn(1), cross("e", 2), cross("d", 2), kink(-1))
+    for k in (88, 89, 90):
+        ids = [str(i) for i in range(k)]
+        events = triangle + bigon + tuple(ev for i in ids for ev in (cross(i, 1), qturn(1)))
+        d = smooth(*events, *(ev for i in reversed(ids) for ev in (cross(i, 2), edge("b1"))))
+        assert type(moves_module._code_form(d).components[0]) is (str if k + 5 > 94 else bytes)
+        assert_sites_as_reference(rng, d, 40)
 
 
 def test_rewrites_across_the_wrap():
@@ -742,7 +806,7 @@ def test_spliced_child_keys_equal_built_child_keys(rng):
         MoveInstance("stab", (*move.site[:2], moves_module._STABS[mode][1]))
         for move in applicable_moves(d) if move.kind == "stab"
     ] + [MoveInstance("r2_insert", site + (slots,))
-         for site in rng.choices(moves_module._KINDS["r2_insert"].sites(d), k=5)
+         for site in rng.choices(moves_module._KINDS["r2_insert"].sites(moves_module._code_form(d)), k=5)
          for slots in ("12", "21", "22")]
     for _ in range(3):
         sites = [(ci, rng.randint(0, len(d.components[ci])), rng.choice((1, -1)))
@@ -765,7 +829,7 @@ def test_spliced_child_keys_agree_past_the_byte_limit():
             ids = len(d.crossing_ids())
             assert type(moves_module._code_form(d).components[0]) is (bytes if ids <= 94 else str)
             moves = [MoveInstance(name, site) for name in ("stab", "r2_insert", "r2_remove")
-                     for site in rng.sample(moves_module._KINDS[name].sites(d), 6)]
+                     for site in rng.sample(moves_module._KINDS[name].sites(moves_module._code_form(d)), 6)]
             moves.append(transvection([("a", 2, [(0, 3, 1), (0, 70, -1)])]))
             for move in moves:
                 child = apply_move(d, move)
@@ -1038,7 +1102,7 @@ EXHAUSTION_D2 = (
 
 
 def counting_sites(monkeypatch, name):
-    """The argument of every later call to the sites of move kind <name>, in
+    """The code form of every later call to the sites of move kind <name>, in
     call order."""
     calls = []
     kind = moves_module._KINDS[name]
@@ -1050,7 +1114,9 @@ def counting_sites(monkeypatch, name):
 def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
     # the benchmark's budget-exhaustion pair: no catalogue path connects them
     (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
-    roots = counting(monkeypatch, "_transform")
+    roots, inner = [], moves_module._transform  # (diagram, (transform, code form))
+    monkeypatch.setattr(moves_module, "_transform",
+                        lambda d, memo: roots.append((d, inner(d, memo))) or roots[-1][1])
     children = keyed_children(monkeypatch)
     # r2_remove shrinks most, so every expansion lists its sites first
     expansions = counting_sites(monkeypatch, "r2_remove")
@@ -1058,8 +1124,10 @@ def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
     assert v.status == "unknown"
     # the two roots and 2,098 children are keyed, each child off its parent's bytes
     assert (len(roots), len(children), len(expansions)) == (2, 2098, 13)
-    # the search expands d1 first; its children's keys are the reference's
-    assert expansions[0] is d1
+    # the search expands d1 first, on the code form that keyed it; its
+    # children's keys are the reference's
+    assert roots[0][0] is d1 and expansions[0] is roots[0][1][1]
+    assert expansions[0].components == moves_module._code_form(d1).components
     children = [apply_move(d1, move) for move in applicable_moves(d1)]
     pairs = set()
     for child in children:
@@ -1073,11 +1141,13 @@ def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
 
 def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
     # a search that ends unknown assembles no certificate, so it asks no kind
-    # for an inverse; it splices every child it keys into its parent's bytes
-    # and builds only the 11 it expands; the r2_insert children of one parent
-    # splice the same two fresh crossing pairs, made once for that parent
+    # for an inverse and builds no diagram: it splices every child it keys
+    # into its parent's bytes, and each of the 11 nodes it expands past the
+    # roots once more; the r2_insert children of one parent splice the same
+    # two fresh crossing pairs, made once for that parent
     (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
-    inverses, spliced, built, fresh = [], [], [], {}
+    inverses, spliced, elsewhere, fresh, diagrams = [], [], [], {}, []
+    monkeypatch.setattr(moves_module, "Diagram", lambda *a: diagrams.append(a) or Diagram(*a))
     for name, kind in list(moves_module._KINDS.items()):
         def inverse(d, m, inner=kind.inverse):
             inverses.append(m)
@@ -1086,7 +1156,7 @@ def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
         def rewrite(form, sites, name=name, inner=kind.rewrite):
             is_bytes = type(form.components[0]) is bytes
             for site, comps in zip(sites, inner(form, sites)):
-                (spliced if is_bytes else built).append(site)
+                (spliced if is_bytes else elsewhere).append(site)
                 if is_bytes and name == "r2_insert":  # the form is kept, so its id stays its own
                     pieces = form[moves_module._R2_SLOTS[site[4:]]]
                     fresh.setdefault(id(form), (form, set()))[1].update(map(id, pieces))
@@ -1094,8 +1164,9 @@ def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
         monkeypatch.setitem(moves_module._KINDS, name,
                             kind._replace(inverse=inverse, rewrite=rewrite))
     v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
-    assert v.status == "unknown" and inverses == []
-    assert (len(spliced), len(built)) == (2098, 11)
+    assert v.status == "unknown" and inverses == [] and diagrams == []
+    # 2,098 keyed and 11 expanded, every one on bytes, none on event tuples
+    assert (len(spliced), len(elsewhere)) == (2098 + 11, 0)
     assert len(fresh) > 1
     for form, pieces in fresh.values():
         first, second = form[1, 1]
@@ -1113,13 +1184,18 @@ def test_fresh_crossing_id():
     d = smooth(cross("1", 1), cross("1", 2), cross("3", 1), cross("3", 2))
     # an R2 insertion's strands take the two least unused ids, 2 and 4, in
     # every slot pair; a form makes each pair on first use and keeps it
-    form = moves_module._Form(d, d.components, tuple)
+    form = moves_module._Form(None, d.mode, d.components)
     fresh = form[1, 1]
     assert fresh == ((cross("2", 1), cross("4", 1)), (cross("4", 2), cross("2", 2)))
     assert form[2, 1] == ((cross("2", 2), cross("4", 1)), (cross("4", 2), cross("2", 1)))
     slots = [(s, t) for s in (1, 2) for t in (1, 2)]
     assert {ev[1] for st in slots for strand in form[st] for ev in strand} == {"2", "4"}
     assert form[1, 1] is fresh and set(form) == set(slots)
+    # in codes, the two least ids that no code uses: a node using ids 32 and
+    # 34 (codes 64-65 and 68-69) puts its strands on 33 and 35
+    node = moves_module._coded(moves_module._code_table(S2), "smooth", (bytes([64, 65, 68, 69]),))
+    assert node[1, 1] == (bytes([66, 70]), bytes([71, 67]))
+    assert node[2, 1] == (bytes([67, 70]), bytes([71, 66]))
 
 
 def pieces_asked(move):
@@ -1163,7 +1239,8 @@ def test_a_meet_among_the_shrinking_kinds_puts_no_piece(monkeypatch):
     v = equivalent_bounded(d1, d2, UT, budget())
     assert v.equivalent and v.certificate == (MoveInstance("destab", (0, 3)),)
     [(form, move)] = calls
-    assert form.diagram is d1 and type(form) is moves_module._Form and len(form) == 0
+    assert form.components == moves_module._code_form(d1).components
+    assert type(form) is moves_module._Form and len(form) == 0
 
 
 @settings(max_examples=60)
@@ -1196,7 +1273,8 @@ def test_search_moves_come_in_growth_order(rng):
         return moves_module._KINDS[move.kind].growth
 
     def expected(d, forward):
-        fitting = [t for t in flips if forward and moves_module._transvection_match(d, t) is None]
+        form = moves_module._code_form(d)
+        fitting = [t for t in flips if forward and moves_module._transvection_match(form, t) is None]
         moves = sorted(applicable_moves(d) + fitting, key=lambda m: moves_module._KINDS[m.kind].growth)
         size = sum(map(len, d.components))
         return [m for m in moves if size + growth(m) <= size_cap]
@@ -1207,11 +1285,22 @@ def test_search_moves_come_in_growth_order(rng):
                                                   transvection_generators=tuple(gens)))
     runs = [list(group) for _, group in itertools.groupby(calls, lambda c: id(c[0]))]
     for i, run in enumerate(runs):
-        d, got = run[0][0].diagram, [m for _, m in run]
+        d, got = decoded(run[0][0]), [m for _, m in run]
         options = [expected(d, True), expected(d, False)]
         if i == len(runs) - 1:  # the search may stop inside its last expansion
             options = [ref[:len(got)] for ref in options]
         assert got in options, (d, got)
+
+
+def decoded(form):
+    """The diagram that a code form codes, each crossing id named by its number."""
+    events = {ord(c): ev for ev, c in form.table.items()}
+    comps = tuple(
+        tuple(events[c] if c < 64 else cross(str(c >> 1), (c & 1) + 1)
+              for c in (comp if type(comp) is bytes else map(ord, comp)))
+        for comp in form.components
+    )
+    return Diagram(form.table.surface, form.mode, comps)
 
 
 def test_equiv_lists_growing_sites_only_where_the_search_reaches_them(monkeypatch):
@@ -1224,7 +1313,7 @@ def test_equiv_lists_growing_sites_only_where_the_search_reaches_them(monkeypatc
     inserts = counting_sites(monkeypatch, "r2_insert")
     v = equivalent_bounded(d1, d2, UT, budget())
     assert v.equivalent and len(v.certificate) == 2
-    assert inserts == [d1]
+    assert [form.components for form in inserts] == [moves_module._code_form(d1).components]
 
 
 def test_equiv_unknown_under_tiny_budget():
