@@ -10,19 +10,21 @@ intersection sites and leaves the base class alone.
 
 Sites use (component, position) coordinates; adjacency is cyclic.  A "gap"
 index p in [0, n) names the insertion point before event p (gap 0 doubles as
-the wrap-around gap).
+the wrap-around gap); a move also accepts gap n, after the last event, which
+the catalogue never lists.
 
 Each move kind is written once, in the table ``_KINDS``: its growth in
 events, the sites where it fits, its match (the check ``apply_move`` makes),
 rewrite (the new components, by slicing and concatenation alone, so that it
 splices event tuples and bytes alike), inverse (the move that undoes it, read
 off the diagram it applies to) and site transport (the same move on a
-reordered, rotated copy).  Sites, match and inverse read the diagram's code
-form (below); a local pattern is one test on codes, which the sites and the
-match both run.  A transvection's site is its curve data; it has no site
-list, inverse or transport.  An ``r2_insert`` site may end with its first
-strand's slot pair ("12", "21" or "22"; absent means "11"); only the inverse
-of an ``r2_remove`` emits it.
+reordered, rotated copy).  Sites and inverse read the diagram's code form
+(below).  A local kind (destab, kink_slide, r2_remove, r3) fits exactly at
+the sites it lists, so its match is membership there; a gap kind (stab,
+r2_insert, transvection) matches by a gap check.  A transvection's site is
+its curve data; it has no site list, inverse or transport.  An
+``r2_insert`` site may end with its first strand's slot pair ("12", "21" or
+"22"; absent means "11"); only the inverse of an ``r2_remove`` emits it.
 
 The search runs on code forms from its roots to a meet.  It expands a node
 kind by kind, by growth and then by name, listing a kind's sites only on
@@ -51,7 +53,6 @@ import functools
 import itertools
 import math
 from collections import Counter, namedtuple
-from collections.abc import Callable
 
 from .diagrams import CUSP_SMOOTH, FIXED_EVENTS, SMOOTH, Diagram, cusp, edge, fiber_loops, kink, shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
@@ -236,7 +237,7 @@ def _as_form(diagram) -> _Form:
 
 # ----------------------------------------------------------------------
 # the move table.  sites read a code form, match(diagram, move) and inverse
-# a diagram or its code form (encoding a diagram only where a pattern reads
+# a diagram or its code form (encoding a diagram only where a kind reads
 # codes); match returns None or why the move does not fit; rewrite(form,
 # sites) and inverse run on fitting moves only: rewrite yields the new
 # components at each site in turn (a transvection's site is its curve data),
@@ -260,12 +261,6 @@ def _no_gaps(diagram, gaps) -> str | None:
     return None
 
 
-def _no_pair(diagram, site) -> str | None:
-    ci, p = site
-    ok = _no_gaps(diagram, [site]) is None and len(diagram.components[ci]) > max(p, 1)
-    return None if ok else "no pair of events at this site"
-
-
 def _codes(form: _Form, site) -> tuple:
     """The codes of the event at a pair site and of its cyclic successor."""
     ci, p = site
@@ -284,12 +279,6 @@ def _classes(form: _Form, ci: int) -> bytes:
     return classes + classes[:1]
 
 
-def _fits(form: _Form, site, name: str) -> bool:
-    """Whether a well-formed pair site fits the pattern name."""
-    ci, p = site
-    return _classes(form, ci)[p:p + 2] in _PAIR_FITS[name]
-
-
 def _pair_sites(form: _Form, name: str) -> list:
     """Every pair site that fits the pattern name, in order."""
     fits = _PAIR_FITS[name]
@@ -302,24 +291,6 @@ def _spots(form: _Form, sites) -> set:
     return {(ci, q) for ci, p in sites for q in (p, (p + 1) % len(form.components[ci]))}
 
 
-def _is_crossing_pair(a: int, b: int) -> bool:
-    return a >= _CROSS0 and b >= _CROSS0 and a >> 1 != b >> 1
-
-
-def _no_crossing_pairs(form: _Form, sites) -> str | None:
-    """Why sites are not disjoint adjacent pairs of two different crossings,
-    or None."""
-    for site in sites:
-        why = _no_pair(form, site)
-        if why is not None:
-            return why
-        if not _is_crossing_pair(*_codes(form, site)):
-            return "not a crossing pair"
-    if len(_spots(form, sites)) != 2 * len(sites):
-        return "overlapping sites"
-    return None
-
-
 def _crossing_pairs(form: _Form, k: int) -> list:
     """Every k disjoint crossing pairs, in order, whose ids can make a bigon
     (k = 2: both on ids x and y) or a triangle (k = 3: on x and y, x and z, y
@@ -327,7 +298,7 @@ def _crossing_pairs(form: _Form, k: int) -> list:
     pairs, sites = {}, _pair_sites(form, "cross")  # pairs: (least id, other id) -> their crossing pairs
     for site in sites if len(sites) >= k else ():
         a, b = _codes(form, site)
-        if _is_crossing_pair(a, b):
+        if a >= _CROSS0 and b >= _CROSS0 and a >> 1 != b >> 1:  # two different crossings
             pairs.setdefault((min(a, b) >> 1, max(a, b) >> 1), []).append(site)
     if k == 2:
         hits = [c for group in pairs.values() for c in itertools.combinations(group, 2)]
@@ -443,11 +414,6 @@ def _r2_remove_inverse(diagram, move: MoveInstance) -> MoveInstance:
     return MoveInstance("r2_insert", (c1, gap1, c2, gap2) + ((slots,) if slots != "11" else ()))
 
 
-def _is_triangle(form: _Form, sites) -> bool:
-    ids = Counter(c >> 1 for site in sites for c in _codes(form, site))
-    return len(ids) == 3 and all(v == 2 for v in ids.values())
-
-
 def _transvection_match(diagram, move: MoveInstance) -> str | None:
     if not move.site:
         return "empty transvection"
@@ -470,29 +436,32 @@ class _Kind(namedtuple("_Kind", "growth sites match rewrite inverse transport"))
     """growth: events added (the search tries shrinking kinds first); sites:
     code form -> every site where the kind fits, in order (none for a
     transvection, whose site is its curve data); match: the check apply_move
-    makes; rewrite: (form, sites) -> the new components at each site in turn,
-    by slicing and concatenation only, so that one rewrite serves codes and
-    event tuples and the search keys a parent's children in one pass; inverse:
-    (diagram or code form, move) -> the move that undoes it on the new
-    diagram, None for a transvection; transport: (site, site_map) -> the site
-    in an equal diagram, or None."""
+    makes, membership in the sites (_listed) for a local kind, a gap check
+    for a gap kind; rewrite: (form, sites) -> the new components at each site
+    in turn, by slicing and concatenation only, so that one rewrite serves
+    codes and event tuples and the search keys a parent's children in one
+    pass; inverse: (diagram or code form, move) -> the move that undoes it on
+    the new diagram, None for a transvection; transport: (site, site_map) ->
+    the site in an equal diagram, or None."""
 
     __slots__ = ()
 
 
-def _pair_kind(name: str, why: str) -> tuple:
-    """sites and match of a kind whose pattern is a pair of events, _PAIR_FITS[name]."""
-    return (lambda f: _pair_sites(f, name),
-            lambda d, m: _no_pair(d, m.site) or (None if _fits(_as_form(d), m.site, name) else why))
+def _exact(site) -> bool:
+    """Whether every coordinate of a site, or of its pair sites, is an int."""
+    return all(type(x) is int or type(x) is tuple and _exact(x) for x in site)
 
 
-def _crossing_kind(k: int, fits: Callable, why: str) -> tuple:
-    """sites and match of a kind whose pattern, fits, takes k disjoint crossing pairs."""
-    def match(diagram, move):
-        form = _as_form(diagram)
-        return _no_crossing_pairs(form, move.site) or (None if fits(form, move.site) else why)
-
-    return lambda f: [site for site in _crossing_pairs(f, k) if fits(f, site)], match
+def _listed(diagram, move: MoveInstance) -> str | None:
+    """match of a local kind: None if the move's site (a set of pair sites
+    put in sorted order) is one its kind lists and every coordinate is an
+    int, since True == 1 and 1.0 == 1 would pass the list test."""
+    site = move.site
+    if site and type(site[0]) is tuple:
+        site = tuple(sorted(site))
+    if _exact(site) and site in _KINDS[move.kind].sites(_as_form(diagram)):
+        return None
+    return "not a site where the kind fits"
 
 
 _KINDS = {
@@ -501,12 +470,12 @@ _KINDS = {
         lambda f, m: MoveInstance("destab", m.site[:2]), lambda s, f: (*f(s[:2]), s[2]),
     ),
     "destab": _Kind(
-        -2, *_pair_kind("destab", "no stabilization pair of this mode"),
+        -2, lambda f: _pair_sites(f, "destab"), _listed,
         lambda f, sites: (_remove_pairs(f.components, [s]) for s in sites), _destab_inverse,
         lambda s, f: f(s),
     ),
     "kink_slide": _Kind(
-        0, *_pair_kind("kink_slide", "no kink/cusp next to a crossing or edge"),
+        0, lambda f: _pair_sites(f, "kink_slide"), _listed,
         lambda f, sites: (_swap_pairs(f.components, [s]) for s in sites), lambda f, m: m,
         lambda s, f: f(s),
     ),
@@ -516,12 +485,12 @@ _KINDS = {
         lambda s, f: (*f(s[:2]), *f(s[2:4]), *s[4:]),
     ),
     "r2_remove": _Kind(
-        -4, *_crossing_kind(2, _is_bigon, "not a bigon"),
+        -4, lambda f: [site for site in _crossing_pairs(f, 2) if _is_bigon(f, site)], _listed,
         lambda f, sites: (_remove_pairs(f.components, s) for s in sites), _r2_remove_inverse,
         lambda s, f: tuple(map(f, s)),
     ),
     "r3": _Kind(
-        0, *_crossing_kind(3, _is_triangle, "not a triangle"),
+        0, lambda f: _crossing_pairs(f, 3), _listed,
         lambda f, sites: (_swap_pairs(f.components, s) for s in sites), lambda f, m: m,
         lambda s, f: tuple(sorted(map(f, s))),
     ),
@@ -570,8 +539,8 @@ def _child(diagram: Diagram, move: MoveInstance) -> Diagram:
 
 def apply_move(diagram: Diagram, move: MoveInstance) -> Diagram:
     """Apply a catalogue move or transvection, checked: raises InapplicableMove
-    for an unknown kind, a malformed site or a site that does not match the
-    kind's pattern."""
+    for an unknown kind, a malformed site or a site where the kind does not
+    fit."""
     _fitting(diagram, move)
     return _child(diagram, move)
 

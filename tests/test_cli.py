@@ -525,13 +525,17 @@ def test_replay_inapplicable_move(tmp_path, capsys):
         ({"kind": "stab", "site": [0, "x", "lr"]}, 1),
         ({"kind": "stab", "site": [0, 1.0, "lr"]}, 1),
         ({"kind": "r2_remove", "site": [0, 1]}, 1),
+        ({"kind": "destab", "site": [True, 0]}, 1),
     ],
-    ids=["weight-float", "no-kind", "stab-site-str", "stab-site-float", "r2-remove-flat-site"],
+    ids=["weight-float", "no-kind", "stab-site-str", "stab-site-float", "r2-remove-flat-site",
+         "destab-site-bool"],
 )
 def test_replay_rejects_malformed_moves_without_a_traceback(tmp_path, move, code):
     # exit 2 for a move the certificate reader cannot read, 1 for one that
-    # does not apply: never an uncaught exception
-    p = write(tmp_path, "d.txt", CIRCLE)
+    # does not apply: never an uncaught exception.  The second component
+    # starts with a stabilization pair, so (1, 0) is a listed destab site
+    # and [true, 0] is refused for its type alone
+    p = write(tmp_path, "d.txt", CIRCLE + "comp: L+ L- Q+ Q+ Q+ Q+\n")
     cert = write(tmp_path, "c.json", json.dumps([move]))
     proc = subprocess.run(
         [sys.executable, "-m", "curvelift.cli", "replay", p, cert],

@@ -235,6 +235,15 @@ def test_applicable_moves_come_out_sorted(rng):
     assert search_keys(d, moves) == [canonical_key(accepted[move]) for move in moves]
 
 
+def inexact(site) -> list:
+    """site with its first coordinate turned into a float, and into a bool
+    where that equals it."""
+    first, *rest = site
+    if type(first) is tuple:
+        return [(s, *rest) for s in inexact(first)]
+    return [(t(first), *rest) for t in (float, bool) if t(first) == first]
+
+
 def assert_sites_as_reference(rng, d, samples):
     """Each kind lists on d's codes the sites that the event-tuple patterns
     list, and apply_move accepts exactly the moves that the event-tuple
@@ -264,6 +273,11 @@ def assert_sites_as_reference(rng, d, samples):
     moves += [MoveInstance("r2_insert", (0, 0, 0, 1, slots)) for slots in ("12", "22", "13", ["12"])]
     moves += [MoveInstance(name, site) for name in ("r2_remove", "r3", "destab", "transvection", "bogus")
               for site in ((), (0,), ((0, 0),), ((0, 0), (0, 2), (0, 4)), (0, -1), ((0, 1, 1),))]
+    # a listed site with a bool or float coordinate, which equals its int
+    # (True == 1, 1.0 == 1) but is not one
+    moves += [MoveInstance("destab", (True, 0)), MoveInstance("kink_slide", (0, 1.0))]
+    moves += [MoveInstance(name, site) for name in ("destab", "kink_slide", "r2_remove", "r3")
+              for listed in expected[name][:samples] for site in inexact(listed)]
     for move in moves:
         try:
             apply_move(d, move)

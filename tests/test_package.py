@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import curvelift
 
@@ -104,3 +105,40 @@ def test_property_tests_run_derandomized():
 
     assert settings.default.derandomize and settings.default.database is None
     assert settings.default.deadline is None
+
+
+def test_every_private_module_name_is_used():
+    # each single-underscore function, class or constant at module level in
+    # src/ is read somewhere in src/ outside its own definition
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "curvelift")
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read(), name)
+
+    def reads(node):
+        """The names read in node: loaded names, attributes and imported names."""
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    everywhere = Counter(name for tree in trees.values() for name in reads(tree))
+    unused = []
+    for file, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+            else:
+                continue
+            own = Counter(reads(stmt))
+            unused += [(file, name) for name in names if name.startswith("_") and not name.startswith("__")
+                       and everywhere[name] == own[name]]
+    assert unused == []
