@@ -67,11 +67,11 @@ def _surface_from_args(args):
         raise SystemExit(_usage_error(f"--genus {args.genus} --boundary {args.boundary}: {exc}"))
 
 
-def _letter_error(surface, words) -> str | None:
-    """Why a word has a letter outside the surface's generators, or None."""
-    letters = surface.generator_chars + surface.generator_chars.upper()
+def _letter_error(generators: str, words) -> str | None:
+    """Why a word has a letter outside generators and their inverses (upper case), or None."""
+    letters = generators + generators.upper()
     bad = next((ch for word in words for ch in word if ch not in letters), None)
-    return None if bad is None else f"{bad!r} is not a generator letter of {surface} ({letters})"
+    return None if bad is None else f"{bad!r} is not a generator letter ({letters})"
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +197,7 @@ def cmd_equiv(args) -> int:
         return _usage_error(f"--transvections: a generator has no {exc}")
     except (TypeError, ValueError) as exc:
         return _usage_error(f"--transvections: {exc}")
-    why = _letter_error(d1.surface, [word for gen in generators for word, _, _ in gen.site])
+    why = _letter_error(d1.surface.generator_chars, [word for gen in generators for word, _, _ in gen.site])
     if why is not None:
         return _usage_error(f"--transvections: {why}")
     try:
@@ -249,7 +249,8 @@ def cmd_group(args) -> int:
 
     surface = _surface_from_args(args)
     factors = [item.rpartition(":")[::2] for item in getattr(args, "factor", ())]
-    why = _letter_error(surface, [args.word, getattr(args, "word2", "")] + [g for g, _ in factors])
+    words = [args.word, getattr(args, "word2", "")] + [g for g, _ in factors]
+    why = _letter_error(surface.generator_chars, words)
     if why is not None:
         return _usage_error(why)
     bad = next((f"{g}:{eps}" for g, eps in factors if eps not in ("1", "+1", "-1")), None)
@@ -292,11 +293,9 @@ def cmd_britton(args) -> int:
     for field, (ok, what) in _BRITTON_FIELDS.items():
         if not (isinstance(spec, dict) and field in spec and ok(spec[field])):
             return _usage_error(f"{args.spec}: {field!r} is missing or not {what}")
-    letters = "".join(spec["generators"])
-    letters += letters.upper()
-    bad = next((ch for w in spec["word"] if type(w) is str for ch in w if ch not in letters), None)
-    if bad is not None:
-        return _usage_error(f"{args.spec}: {bad!r} in 'word' is not a generator letter ({letters})")
+    why = _letter_error("".join(spec["generators"]), [w for w in spec["word"] if type(w) is str])
+    if why is not None:
+        return _usage_error(f"{args.spec}: 'word': {why}")
     try:
         ext = HNNExtension(tuple(spec["generators"]), frozenset(spec["a_letters"]),
                            frozenset(spec["b_letters"]), tuple(sorted(spec["phi"].items())))
@@ -323,7 +322,7 @@ def cmd_replay(args) -> int:
         return _usage_error(f"{args.certificate}: unreadable move: {exc}")
     words = [word for move in certificate if move.kind == "transvection"
              for word, _, _ in move.site]
-    why = _letter_error(diagram.surface, words)
+    why = _letter_error(diagram.surface.generator_chars, words)
     if why is not None:
         return _usage_error(f"{args.certificate}: {why}")
     _write_diagram(args, serialize(replay(diagram, certificate), bundle), {}, [])

@@ -153,7 +153,9 @@ def canonicalize(shadow: TwistedShadow, bundle: CircleBundle) -> Diagram:
 
     new_components = []
     for ci, comp in enumerate(diagram.components):
-        events: list = []
+        # segments are keyed by the event they precede, cyclically, so position
+        # 0 covers the wrap and is an empty component's one segment
+        events = [] if comp else fiber_loops(mode, per_turn * twists.get((ci, 0), 0))
         for pos, ev in enumerate(comp):
             events += fiber_loops(mode, per_turn * twists.get((ci, pos), 0))
             if ev[0] == "cross" and ev[2] == 1 and ev[1] in fixes:
@@ -163,8 +165,6 @@ def canonicalize(shadow: TwistedShadow, bundle: CircleBundle) -> Diagram:
                 events += [ev] + fiber_loops(mode, -per_turn * ev[1])
             else:
                 events.append(ev)
-        # twists keyed at len(comp) would be out of range; segments are keyed
-        # by the event they precede, cyclically, so position 0 covers the wrap.
         new_components.append(tuple(events))
     return diagram.with_components(new_components)
 

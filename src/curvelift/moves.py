@@ -33,18 +33,17 @@ tries the transvection generators whose gaps fit at growth 1, each unless its
 exact growth passes the cap.  A kind's rewrite splices all of a node's
 children in one pass (each piece put on first use); the search keys each off
 its codes and keeps an unseen one as its parent's form and path and a (kind,
-site), spliced again and given its MoveInstance only when expanded.  Only a
-certificate builds diagrams.
+site), spliced again and given its MoveInstance only when expanded.  A
+certificate replays the two paths to the meet on code forms too.
 
 A canonical key holds one str per component, one character per event from a
 per-surface table built on first use; each block of components joined by
 crossings is keyed by its least reading, so keys are exact at polynomial cost.
 Keys are read off codes, bytes up to 94 crossing ids and str past them: one
 component of bytes with one least rotation by _read, any other by _blocks.
-_read reads through a memo that lasts one search: each id-blind string's
-least rotation and each crossing sequence's renumbering table, at most _MEMO
-of each, emptied when full; the tables themselves are kept per order of first
-occurrence for every search.
+_read reads through caches kept for the process, each bounded by _MEMO and
+emptied when full: least rotations, and renumbering tables by crossing
+sequence and by order of first occurrence.
 """
 
 from __future__ import annotations
@@ -531,18 +530,18 @@ def _fitting(diagram, move: MoveInstance) -> _Kind:
     return kind
 
 
-def _child(diagram: Diagram, move: MoveInstance) -> Diagram:
-    """The diagram after a fitting move, rewritten on its event tuples."""
-    [comps] = _KINDS[move.kind].rewrite(_Form(None, diagram.mode, diagram.components), [move.site])
-    return Diagram(diagram.surface, diagram.mode, comps)
-
-
 def apply_move(diagram: Diagram, move: MoveInstance) -> Diagram:
     """Apply a catalogue move or transvection, checked: raises InapplicableMove
     for an unknown kind, a malformed site or a site where the kind does not
     fit."""
-    _fitting(diagram, move)
-    return _child(diagram, move)
+    [comps] = _fitting(diagram, move).rewrite(_Form(None, diagram.mode, diagram.components), [move.site])
+    return Diagram(diagram.surface, diagram.mode, comps)
+
+
+def _after(form: _Form, name: str, site) -> _Form:
+    """The code form after the fitting move of kind name at site."""
+    [comps] = _KINDS[name].rewrite(form, [site])
+    return _coded(form.table, form.mode, comps)
 
 
 def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
@@ -558,20 +557,23 @@ def invert_move(diagram: Diagram, move: MoveInstance) -> MoveInstance:
 # canonical forms (equality up to rotation, component order, id names)
 
 
-# A reading memo, (starts, tables), serves one search (canonical_transform
-# reads with a fresh one): starts maps an id-blind string to its least
-# rotation's start, or _TIED, and tables a crossing sequence to its
-# renumbering table.  The two are apart, as the empty string and the empty
-# sequence are the same bytes.  _TABLES maps an order of first occurrence to
-# its table for every search.  Each map is emptied when it holds _MEMO entries.
-_MEMO = 4096  # a benchmark search fills < 2,000; both memo maps full hold about 0.8 MB
+# The reading caches: _STARTS maps an id-blind string to its least rotation's
+# start, or _TIED; _SEQUENCES a crossing sequence to its renumbering table;
+# _TABLES an order of first occurrence to its table, which sequences with that
+# order share.  _STARTS and _SEQUENCES are apart, as the empty string and the
+# empty sequence are the same bytes.  A value depends on its key alone, so no
+# output depends on what the caches hold.  Each is emptied at _MEMO entries: a
+# round of the benchmark's search_equiv (search_unknown), seed 3, empties
+# _STARTS 7 (16) times and _SEQUENCES 2 (0); _TABLES holds 185 (18) orders.
+_MEMO = 4096
 _TIED = -1
+_STARTS: dict[bytes, int] = {}
+_SEQUENCES: dict[bytes, bytes] = {}
 _TABLES: dict[bytes, bytes] = {}
 
 
-def _renumbering(crossings: bytes, tables: dict) -> bytes:
-    """The table numbering crossing ids by first occurrence in crossings, put
-    in tables under crossings; sequences with one order share its table."""
+def _renumbering(crossings: bytes) -> bytes:
+    """The table numbering crossing ids by first occurrence in crossings, kept in _SEQUENCES."""
     firsts = bytes(dict.fromkeys(crossings))
     table = _TABLES.get(firsts)
     if table is None:  # the i-th id's slot s: _CROSS0 + 2 * i + s - 1
@@ -579,29 +581,28 @@ def _renumbering(crossings: bytes, tables: dict) -> bytes:
             _TABLES.clear()
         table = _TABLES[firsts] = bytes.maketrans(bytes(b | s for b in firsts for s in (0, 1)),
                                                   bytes(range(_CROSS0, 256))[:2 * len(firsts)])
-    if len(tables) >= _MEMO:
-        tables.clear()
-    tables[crossings] = table
+    if len(_SEQUENCES) >= _MEMO:
+        _SEQUENCES.clear()
+    _SEQUENCES[crossings] = table
     return table
 
 
-def _read(comp: bytes, memo: tuple[dict, dict]):
+def _read(comp: bytes):
     """((key,), r) for a component's bytes whose id-blind string has one least
-    rotation, r, else None, read through memo: the key renumbers its crossing
-    ids with one translate."""
-    starts, tables = memo
+    rotation, r, else None, read through the caches: the key renumbers its
+    crossing ids with one translate."""
     blind = comp.translate(_BLIND)
-    r = starts.get(blind)
+    r = _STARTS.get(blind)
     if r is None:
-        if len(starts) >= _MEMO:
-            starts.clear()
+        if len(_STARTS) >= _MEMO:
+            _STARTS.clear()
         _, r, period = least_rotation(blind, 0)  # crossings code lowest
-        r = starts[blind] = _TIED if period < len(comp) else r
+        r = _STARTS[blind] = _TIED if period < len(comp) else r
     if r == _TIED:
         return None
     turned = comp[r:] + comp[:r]
     crossings = turned.translate(_FIRST, _NONCROSS)  # its crossing bytes, slots cleared
-    table = tables.get(crossings) or _renumbering(crossings, tables)
+    table = _SEQUENCES.get(crossings) or _renumbering(crossings)
     return (turned.translate(table).decode("latin-1"),), r
 
 
@@ -668,31 +669,35 @@ def canonical_transform(diagram: Diagram):
     block takes its least (strs, perm, rots) reading; the key is one block's
     strs, or the blocks' strs in order.  Raises ValueError on an unknown event
     and on a slot visited twice."""
-    return _transform(diagram, ({}, {}))[0]
+    return _transform(diagram)[0]
 
 
-def _transform(diagram: Diagram, memo: tuple[dict, dict]) -> tuple[tuple, _Form]:
-    """(canonical_transform of diagram, read through memo; its code form)."""
+def _transform(diagram: Diagram) -> tuple[tuple, _Form]:
+    """(canonical_transform of diagram, its code form)."""
     form = _code_form(diagram)
     slots = [ev for comp in diagram.components for ev in comp if ev[0] == "cross"]
     if len(set(slots)) < len(slots):
         ev = next(ev for ev, n in Counter(slots).items() if n > 1)
         raise ValueError(f"crossing {ev[1]} slot {ev[2]} is visited twice")
-    one = form.one and _read(form.components[0], memo)
-    return ((one[0], (0,), (one[1],)) if one else _blocks(form.components)), form
+    return _reading(form), form
+
+
+def _reading(form: _Form) -> tuple:
+    """canonical_transform of the diagram that a code form codes."""
+    one = form.one and _read(form.components[0])
+    return (one[0], (0,), (one[1],)) if one else _blocks(form.components)
 
 
 def canonical_key(diagram: Diagram):
     return canonical_transform(diagram)[0]
 
 
-def _child_keys(form: _Form, name: str, sites, memo: tuple[dict, dict]):
+def _child_keys(form: _Form, name: str, sites):
     """canonical_key of form's diagram after the fitting move of kind name at
-    each site in turn, off the codes its rewrite splices in one pass, read
-    through memo: one component of bytes if the form's are, since moves keep
-    both."""
+    each site in turn, off the codes its rewrite splices in one pass: one
+    component of bytes if the form's are, since moves keep both."""
     for comps in _KINDS[name].rewrite(form, sites):
-        one = form.one and _read(comps[0], memo)
+        one = form.one and _read(comps[0])
         yield one[0] if one else _blocks(comps)[0]
 
 
@@ -702,11 +707,11 @@ def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
     return (d1.surface, d1.mode) == (d2.surface, d2.mode) and canonical_key(d1) == canonical_key(d2)
 
 
-def _site_map(src: tuple, dst: tuple):
-    """Position transport src -> dst for canonically equal diagrams, given by
-    their _transform readings; returns a function (ci, pos) -> (ci', pos')
-    acting on cyclic positions/gaps."""
-    ((key_s, perm_s, rots_s), src), ((key_d, perm_d, rots_d), dst) = src, dst
+def _site_map(src: _Form, dst: _Form):
+    """Position transport src -> dst for the code forms of canonically equal
+    diagrams; returns a function (ci, pos) -> (ci', pos') acting on cyclic
+    positions/gaps."""
+    (key_s, perm_s, rots_s), (key_d, perm_d, rots_d) = _reading(src), _reading(dst)
     if key_s != key_d:
         raise ValueError("site transport requires canonically equal diagrams")
     to_canon = {ci: (i, rots_s[i]) for i, ci in enumerate(perm_s)}
@@ -803,8 +808,7 @@ def equivalent_bounded(
     if found is not None:
         return EquivalenceVerdict("distinguished", invariant=found)
 
-    memo = ({}, {})  # the search's reading memo, for its roots, children and certificate
-    (t1, f1), (t2, f2) = _transform(d1, memo), _transform(d2, memo)
+    (t1, f1), (t2, f2) = _transform(d1), _transform(d2)
     k1, k2 = t1[0], t2[0]
     if k1 == k2:
         return EquivalenceVerdict("equivalent", certificate=())
@@ -822,7 +826,7 @@ def equivalent_bounded(
     # inverted on meet).  Each side maps a node's key to (its parent's path,
     # kind, site), and a frontier holds (parent's code form, parent's path,
     # kind, site), a root (its form, (), None, None); expanding a node splices
-    # its codes once more and makes its path; only a certificate builds diagrams
+    # its codes once more and makes its path
     seen = ({k1: ((), None, None)}, {k2: ((), None, None)})
     frontiers = [[(f1, (), None, None)], [(f2, (), None, None)]]
     # any path of <= max_moves moves can overshoot the endpoint sizes by at
@@ -834,24 +838,21 @@ def equivalent_bounded(
         return path + (MoveInstance(name, site),) if name else path
 
     def finish(f_path, b_path):
-        current = functools.reduce(_child, f_path, d1)  # the search listed each move
-        cert, b, reading, steps = list(f_path), d2, (t2, f2), []
-        # replay b_path from d2, keeping each diagram's reading with the
-        # inverse of the move that made it (the inverse applies to that diagram)
+        # the search listed f_path's moves; replay b_path from d2's form, keeping
+        # each form with the inverse (which applies to it) of the move that made it
+        current = functools.reduce(lambda form, mv: _after(form, *mv), f_path, f1)
+        cert, b, steps = list(f_path), f2, []
         for mv in b_path:
-            inv = _KINDS[mv.kind].inverse(reading[1], mv)
-            b = _child(b, mv)
-            reading = _transform(b, memo)
-            steps.append((reading, inv))
-        reading = _transform(current, memo)
-        for b_reading, inv in reversed(steps):
+            inv = _KINDS[mv.kind].inverse(b, mv)
+            b = _after(b, *mv)
+            steps.append((inv, b))
+        for inv, form in reversed(steps):
             kind = _KINDS[inv.kind]
-            moved = MoveInstance(inv.kind, kind.transport(inv.site, _site_map(b_reading, reading)))
-            _fitting(reading[1], moved)
-            current = _child(current, moved)
-            reading = _transform(current, memo)
+            moved = MoveInstance(inv.kind, kind.transport(inv.site, _site_map(form, current)))
+            _fitting(current, moved)
+            current = _after(current, *moved)
             cert.append(moved)
-        if reading[0][0] != k2:
+        if _reading(current)[0] != k2:
             raise InapplicableMove("certificate assembly failed")
         return EquivalenceVerdict("equivalent", certificate=tuple(cert))
 
@@ -865,8 +866,7 @@ def equivalent_bounded(
         next_frontier = []
         for form, path, last, at in frontiers[side]:
             if last:
-                [comps] = _KINDS[last].rewrite(form, [at])
-                form, path = _coded(form.table, form.mode, comps), path_to(path, last, at)
+                form, path = _after(form, last, at), path_to(path, last, at)
             size = sum(map(len, form.components))
             for name in _SEARCH_ORDER:
                 if name == "transvection":
@@ -879,7 +879,7 @@ def equivalent_bounded(
                     sites = _KINDS[name].sites(form)
                 if not sites:
                     continue
-                for site, key in zip(sites, _child_keys(form, name, sites, memo)):
+                for site, key in zip(sites, _child_keys(form, name, sites)):
                     if key in here:
                         continue
                     if key in there:

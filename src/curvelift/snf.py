@@ -122,11 +122,11 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank torsion")):
         self = tuple.__new__(cls, (rank, torsion))
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
+        if any(tq < 2 for tq in self.torsion):  # before the chain check divides by one
+            raise ValueError("invariant factors must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a chain: {self.torsion}")
-        if any(tq < 2 for tq in self.torsion):
-            raise ValueError("invariant factors must be >= 2")
         return self
 
     @classmethod

@@ -201,6 +201,17 @@ def test_canonicalize_pt_uses_cusp_pairs():
     assert raw_turning(out, 0) - raw_turning(d, 0) == 2
 
 
+def test_canonicalize_twists_an_empty_component():
+    # an empty component's one segment is (0, 0): its twist inserts the loops
+    # that turning_delta counts, in either mode
+    for bundle, mode, loop in ((UT, "smooth", kink(1)), (PT, "cusp", cusp(1))):
+        d = Diagram(S2, mode, ((),))
+        shadow = TwistedShadow(d, twists=(((0, 0), 2),))
+        out = canonicalize(shadow, bundle)
+        assert set(out.components[0]) == {loop}
+        assert raw_turning(out, 0) - raw_turning(d, 0) == turning_delta(shadow) == 2
+
+
 def test_twisted_shadow_text_round_trip():
     d = smooth(cross("1", 1), qturn(1), cross("1", 2), qturn(1), qturn(1), qturn(1))
     shadow = TwistedShadow(

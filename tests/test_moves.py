@@ -229,9 +229,7 @@ def test_applicable_moves_come_out_sorted(rng):
             except InapplicableMove:
                 pass
     assert moves == sorted(accepted)
-    # the unchecked rewrite builds apply_move's diagram, and the search keys it
-    for move in moves:
-        assert moves_module._child(d, move) == accepted[move]
+    # the search keys each child as apply_move builds it
     assert search_keys(d, moves) == [canonical_key(accepted[move]) for move in moves]
 
 
@@ -532,11 +530,10 @@ def test_canonical_transform_is_the_reference_block_route(rng):
 
 
 def byte_reading(d):
-    """_read of d's code form through a fresh memo if it is one component of
-    bytes, else None: d's key and rotation off its bytes, or None for a tied
-    least rotation."""
+    """_read of d's code form if it is one component of bytes, else None: d's
+    key and rotation off its bytes, or None for a tied least rotation."""
     comps = moves_module._code_form(d).components
-    return moves_module._read(comps[0], ({}, {})) if type(comps[0]) is bytes else None
+    return moves_module._read(comps[0]) if type(comps[0]) is bytes else None
 
 
 def test_one_component_key_route_agrees_with_the_transform_and_reference():
@@ -576,28 +573,36 @@ def block_route(d):
     return got
 
 
-def fill(memo_map: dict):
-    """memo_map emptied and filled with _MEMO entries that no reading makes,
-    so that its next new entry empties it again."""
-    memo_map.clear()
-    memo_map.update((bytes([255, i >> 8, i & 255]), 0) for i in range(moves_module._MEMO))
+def caches() -> list:
+    """The reading caches: least rotations, and tables by crossing sequence
+    and by order of first occurrence."""
+    return [moves_module._STARTS, moves_module._SEQUENCES, moves_module._TABLES]
 
 
-def memo_readings(comp: bytes) -> list:
-    """_read of comp through one reading memo: cold (and with no table held
-    for its order), warm, holding its table under its order of first
-    occurrences only (not under its crossing sequence), and with each of its
-    maps and _TABLES full, so that each is emptied at its bound."""
-    memo = ({}, {})
-    moves_module._TABLES.clear()
-    readings = [moves_module._read(comp, memo), moves_module._read(comp, memo)]
-    memo[1].clear()
-    readings.append(moves_module._read(comp, memo))
-    memo = ({}, {})
-    for memo_map in (*memo, moves_module._TABLES):
-        fill(memo_map)
-    readings.append(moves_module._read(comp, memo))
-    assert all(len(memo_map) <= moves_module._MEMO for memo_map in (*memo, moves_module._TABLES))
+def clear_caches():
+    for cache in caches():
+        cache.clear()
+
+
+def fill(cache: dict):
+    """cache emptied and filled with _MEMO entries that no reading makes, so
+    that its next new entry empties it again."""
+    cache.clear()
+    cache.update((bytes([255, i >> 8, i & 255]), 0) for i in range(moves_module._MEMO))
+
+
+def cached_readings(comp: bytes) -> list:
+    """_read of comp through the reading caches: cold, warm, holding its table
+    under its order of first occurrences only (not under its crossing
+    sequence), and with each cache full, so that each is emptied at its bound."""
+    clear_caches()
+    readings = [moves_module._read(comp), moves_module._read(comp)]
+    moves_module._SEQUENCES.clear()
+    readings.append(moves_module._read(comp))
+    for cache in caches():
+        fill(cache)
+    readings.append(moves_module._read(comp))
+    assert all(len(cache) <= moves_module._MEMO for cache in caches())
     return readings
 
 
@@ -606,8 +611,8 @@ def memo_readings(comp: bytes) -> list:
 def test_byte_reading_agrees_with_the_block_route_and_reference(rng):
     # one component on genus 2 or 3 in either mode, with 0-6 crossings,
     # without them, doubled with its ids renamed (tied least rotations) and
-    # empty, read with the renumbering memo cold, warm and holding the table
-    # under its order of first occurrences only
+    # empty, read with the caches cold, warm, holding the table under its
+    # order of first occurrences only and full
     surface, mode = Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"])
     comp = random_diagram(rng, surface, mode, n_components=1, max_loose_events=6,
                           max_crossings=6).components[0]
@@ -620,38 +625,37 @@ def test_byte_reading_agrees_with_the_block_route_and_reference(rng):
         blind = "".join(map(moves_module._code_table(surface).__getitem__, events))
         tied = least_rotation(blind)[2] < len(blind)
         expected = None if tied else (block[0], block[2][0])
-        assert memo_readings(moves_module._code_form(d).components[0]) == [expected] * 4
+        assert cached_readings(moves_module._code_form(d).components[0]) == [expected] * 4
 
 
 def test_memoised_reading_edge_cases():
-    # each map is bounded: more distinct sequences and orders than _MEMO keep
-    # at most _MEMO entries in the memo's tables and in _TABLES
-    memo = ({}, {})
+    # each cache is bounded: more distinct sequences and orders than _MEMO
+    # keep at most _MEMO entries in _SEQUENCES and in _TABLES
     ids = itertools.permutations(range(64, 192, 2), 3)
     for x, y, z in itertools.islice(ids, 3 * moves_module._MEMO):
-        moves_module._renumbering(bytes([x, y, z, x, y, z]), memo[1])
-        assert max(len(memo[1]), len(moves_module._TABLES)) <= moves_module._MEMO
-    assert memo_readings(b"") == [(("",), 0)] * 4  # the empty component
+        moves_module._renumbering(bytes([x, y, z, x, y, z]))
+        assert max(len(moves_module._SEQUENCES), len(moves_module._TABLES)) <= moves_module._MEMO
+    assert cached_readings(b"") == [(("",), 0)] * 4  # the empty component
     # no crossing: the least letter is not code 0, and the key is the blind string
     d = smooth(qturn(1), edge("b1"), qturn(1), edge("a1"), qturn(1), qturn(1))
     comp = moves_module._code_form(d).components[0]
     assert min(comp) > 1
-    assert memo_readings(comp) == [(canonical_key(d), block_route(d)[2][0])] * 4
-    # tied least rotations: none, and the memo keeps the tie
+    assert cached_readings(comp) == [(canonical_key(d), block_route(d)[2][0])] * 4
+    # tied least rotations: none, and _STARTS keeps the tie
     one = (cross("1", 1), qturn(1), cross("1", 2), qturn(1))
     tied = smooth(*one, *renamed(one, lambda x: "2"))
-    assert memo_readings(moves_module._code_form(tied).components[0]) == [None] * 4
+    assert cached_readings(moves_module._code_form(tied).components[0]) == [None] * 4
     # sequences with one order of first occurrences share one table, held in
     # _TABLES under that order only
     moves_module._TABLES.clear()
-    assert moves_module._renumbering(bytes([66, 64, 66, 64]), {}) is moves_module._renumbering(
-        bytes([66, 66, 64, 64]), {})
+    assert moves_module._renumbering(bytes([66, 64, 66, 64])) is moves_module._renumbering(
+        bytes([66, 66, 64, 64]))
     assert list(moves_module._TABLES) == [bytes([66, 64])]
     # 94 crossing ids, and the 96 of an r2_insert child of theirs, whose own
     # form is str but whose spliced bytes _read takes
     d = nested(94)
     form = moves_module._code_form(d)
-    assert memo_readings(form.components[0]) == [(canonical_key(d), block_route(d)[2][0])] * 4
+    assert cached_readings(form.components[0]) == [(canonical_key(d), block_route(d)[2][0])] * 4
     move = MoveInstance("r2_insert", (0, 94, 0, 96))
     child = apply_move(d, move)
     assert len(child.crossing_ids()) == 96
@@ -659,13 +663,13 @@ def test_memoised_reading_edge_cases():
     [(spliced,)] = moves_module._KINDS["r2_insert"].rewrite(form, [move.site])
     key = canonical_key(child)
     assert key == reference_key(child, key)
-    assert [reading and reading[0] for reading in memo_readings(spliced)] == [key] * 4
+    assert [reading and reading[0] for reading in cached_readings(spliced)] == [key] * 4
     assert search_key(d, move) == key
 
 
-def test_empty_and_crossing_free_components_read_through_one_memo():
+def test_empty_and_crossing_free_components_read_through_the_caches():
     # the empty id-blind string and the empty crossing sequence are the same
-    # bytes, so the memo keeps them in two maps: read in either order, each
+    # bytes, so they are kept in two caches: read in either order, each
     # component keeps its own key and rotation
     bare = smooth(qturn(1), edge("b1"), qturn(1), edge("a1"), qturn(1), qturn(1))
     empty = Diagram(S2, "smooth", ((),))
@@ -673,12 +677,12 @@ def test_empty_and_crossing_free_components_read_through_one_memo():
     expected = [canonical_transform(d) for d in (empty, bare)]
     assert expected[0] == (("",), (0,), (0,)) and expected[1] == block_route(bare)
     for order in ((0, 1), (1, 0)):
-        memo = ({}, {})
+        clear_caches()
         for _ in range(2):
             for i in order:
                 key, _, rots = expected[i]
-                assert moves_module._read(forms[i], memo) == (key, rots[0])
-        assert set(memo[0]) == {b"", forms[1]} and set(memo[1]) == {b""}
+                assert moves_module._read(forms[i]) == (key, rots[0])
+        assert set(moves_module._STARTS) == {b"", forms[1]} and set(moves_module._SEQUENCES) == {b""}
 
 
 def nested(k, *extra):
@@ -731,13 +735,12 @@ def test_code_table_keeps_no_crossing_id():
     assert (table[cross("x7", 1)], table[cross("x7", 2)]) == ("\0", "\x01")
 
 
-def search_keys(d, moves, memo=None):
+def search_keys(d, moves):
     """The keys the search gives the children of d by moves: each run of one
-    kind keyed in one pass, all through one reading memo (a fresh one if
-    none is given)."""
-    form, memo, keys = moves_module._code_form(d), memo or ({}, {}), []
+    kind keyed in one pass."""
+    form, keys = moves_module._code_form(d), []
     for name, run in itertools.groupby(moves, lambda m: m.kind):
-        keys += moves_module._child_keys(form, name, [m.site for m in run], memo)
+        keys += moves_module._child_keys(form, name, [m.site for m in run])
     return keys
 
 
@@ -748,11 +751,11 @@ def search_key(d, move):
 
 @settings(max_examples=60)
 @given(st.randoms(use_true_random=False))
-def test_children_keyed_through_one_search_memo(rng):
-    # a parent's children keyed in one pass per kind through one shared
-    # memo, cold, warm, with each map full (emptied at its bound) and
-    # holding each table under its order only, key as the built children
-    # and as the reference; one component, tie-prone or not, or two
+def test_children_keyed_through_the_reading_caches(rng):
+    # a parent's children keyed in one pass per kind through the caches,
+    # cold, warm, with each cache full (emptied at its bound) and holding
+    # each table under its order only, key as the built children and as the
+    # reference; one component, tie-prone or not, or two
     surface, mode = Surface(rng.choice((2, 3))), rng.choice(["smooth", "cusp"])
     d = random_diagram(rng, surface, mode, n_components=rng.choice((1, 1, 2)),
                        max_loose_events=4, max_crossings=3)
@@ -765,47 +768,67 @@ def test_children_keyed_through_one_search_memo(rng):
         child = apply_move(d, move)
         expected.append(canonical_key(child))
         assert reference_block_transform(child)[0] == expected[-1]
-    memo = ({}, {})
-    moves_module._TABLES.clear()
-    assert search_keys(d, moves, memo) == expected  # cold
-    assert search_keys(d, moves, memo) == expected  # warm
-    for memo_map in (*memo, moves_module._TABLES):
-        fill(memo_map)
-    assert search_keys(d, moves, memo) == expected  # each map emptied at its bound
-    assert all(len(memo_map) <= moves_module._MEMO for memo_map in (*memo, moves_module._TABLES))
-    memo[1].clear()
-    assert search_keys(d, moves, memo) == expected  # tables under their orders only
+    clear_caches()
+    assert search_keys(d, moves) == expected  # cold
+    assert search_keys(d, moves) == expected  # warm
+    for cache in caches():
+        fill(cache)
+    assert search_keys(d, moves) == expected  # each cache emptied at its bound
+    assert all(len(cache) <= moves_module._MEMO for cache in caches())
+    moves_module._SEQUENCES.clear()
+    assert search_keys(d, moves) == expected  # tables under their orders only
 
 
-def test_each_search_reads_through_its_own_memo(monkeypatch):
-    # a search reads its roots, children and certificate through one memo of
-    # its own, which starts empty; after it, _TABLES holds tables under
-    # orders of first occurrence only, and canonical_transform reads with a
-    # fresh memo
-    reads = []
-    inner = moves_module._read
-    monkeypatch.setattr(moves_module, "_read", lambda comp, memo: reads.append(
-        (memo, len(memo[0]), len(memo[1]))) or inner(comp, memo))
-    moves_module._TABLES.clear()
+class BoundedCache(dict):
+    """A reading cache that fails on holding more than _MEMO entries and
+    counts how often it is emptied."""
+
+    emptied = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        assert len(self) <= moves_module._MEMO
+
+    def clear(self):
+        self.emptied += 1
+        super().clear()
+
+
+def bounded_caches(monkeypatch) -> list:
+    """Empty BoundedCaches put in place of the reading caches."""
+    for name in ("_STARTS", "_SEQUENCES", "_TABLES"):
+        monkeypatch.setattr(moves_module, name, BoundedCache())
+    return caches()
+
+
+def test_no_reading_cache_holds_more_than_its_bound(monkeypatch):
+    # with a bound of 8 entries, the exhaustion pair's search empties each
+    # cache at least once (_STARTS 240 times), and none ever holds more than 8
+    monkeypatch.setattr(moves_module, "_MEMO", 8)
+    bounded = bounded_caches(monkeypatch)
     (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
-    v = equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000))
-    assert v.status == "unknown"
-    first = reads[:]
-    d4 = smooth(edge("a1"), qturn(1), qturn(1), qturn(1), qturn(1), qturn(1))
-    d3 = apply_move(d4, MoveInstance("stab", (0, 3, "lr")))
-    assert equivalent_bounded(d3, d4, UT, budget()).equivalent
-    second = reads[len(first):]
-    canonical_transform(d1)
-    for search in (first, second):
-        memo = search[0][0]
-        assert all(m is memo for m, _, _ in search) and search[0][1:] == (0, 0)
-    (starts1, tables1), (starts2, tables2) = first[0][0], second[0][0]
-    assert starts1 is not starts2 and tables1 is not tables2
-    assert len(starts1) > 100 and starts2
-    outside = reads[-1]
-    assert outside[1:] == (0, 0) and all(outside[0] is not m for m in (first[0][0], second[0][0]))
-    assert moves_module._TABLES
-    assert all(len(set(order)) == len(order) for order in moves_module._TABLES)
+    assert equivalent_bounded(d1, d2, bundle, budget(max_moves=6, max_states=2000)).status == "unknown"
+    assert all(cache.emptied for cache in bounded)
+
+
+def test_search_verdicts_do_not_depend_on_the_reading_caches(monkeypatch):
+    # the same verdicts and certificates with the caches cleared, warm, and
+    # full, so that each is emptied during the search
+    searches = [(EXHAUSTION_D1, EXHAUSTION_D2, budget(max_moves=6, max_states=2000)),
+                (TWO_SIDED_D1, TWO_SIDED_D2, budget())]
+    searches = [(parse(t1)[0], *parse(t2), b) for t1, t2, b in searches]
+
+    def verdicts():
+        return [equivalent_bounded(d1, d2, bundle, b) for d1, d2, bundle, b in searches]
+
+    bounded = bounded_caches(monkeypatch)
+    expected = verdicts()  # cleared
+    assert expected[0].status == "unknown" and len(expected[1].certificate) == 4
+    assert all(cache for cache in bounded) and verdicts() == expected  # warm
+    for cache in bounded:
+        fill(cache)
+        cache.emptied = 0
+    assert verdicts() == expected and all(cache.emptied for cache in bounded)  # full
 
 
 @settings(max_examples=60)
@@ -1085,8 +1108,8 @@ def keyed_children(monkeypatch):
     calls = []
     inner = moves_module._child_keys
 
-    def child_keys(form, name, sites, memo):
-        for site, key in zip(sites, inner(form, name, sites, memo)):
+    def child_keys(form, name, sites):
+        for site, key in zip(sites, inner(form, name, sites)):
             calls.append((form, MoveInstance(name, site)))
             yield key
     monkeypatch.setattr(moves_module, "_child_keys", child_keys)
@@ -1097,7 +1120,7 @@ def test_equiv_skips_transvection_past_size_cap_before_keying_it(monkeypatch):
     # size_cap is 6 + 2 = 8 events; each flip of the weight-5 generator adds
     # 5 loops to the 4-event circle, so neither child gets a key (its growth
     # 1 in the move table only orders it)
-    keys = counting(monkeypatch, "_transform")
+    keys = counting(monkeypatch, "_reading")
     children = keyed_children(monkeypatch)
     gen = transvection([("a", 5, [(0, 0, 1)])])
     d2 = smooth(qturn(1), qturn(1), qturn(1), qturn(1), kink(1), kink(-1))
@@ -1129,8 +1152,7 @@ def test_equiv_exhaustion_pair_does_the_same_work(monkeypatch):
     # the benchmark's budget-exhaustion pair: no catalogue path connects them
     (d1, bundle), (d2, _) = parse(EXHAUSTION_D1), parse(EXHAUSTION_D2)
     roots, inner = [], moves_module._transform  # (diagram, (transform, code form))
-    monkeypatch.setattr(moves_module, "_transform",
-                        lambda d, memo: roots.append((d, inner(d, memo))) or roots[-1][1])
+    monkeypatch.setattr(moves_module, "_transform", lambda d: roots.append((d, inner(d))) or roots[-1][1])
     children = keyed_children(monkeypatch)
     # r2_remove shrinks most, so every expansion lists its sites first
     expansions = counting_sites(monkeypatch, "r2_remove")
@@ -1192,6 +1214,34 @@ def test_equiv_children_build_no_inverse_and_share_fresh_crossings(monkeypatch):
     # the hook sees the inverses that invert_move asks for
     invert_move(d1, MoveInstance("stab", (0, 0, "lr")))
     assert inverses == [MoveInstance("stab", (0, 0, "lr"))]
+
+
+# criterion 09's 75th pair, scrambled by four moves: the two sides meet two
+# moves from each root
+TWO_SIDED_D1 = "surface genus=2 boundary=0\nbundle UT\ncomp: Q+ Q+ Q+ Q+\n"
+TWO_SIDED_D2 = (
+    "surface genus=2 boundary=0\nbundle UT\n"
+    "comp: X3.1 X4.1 X1.1 X2.1 Q+ L+ X2.2 L- X1.2 Q+ Q+ X4.2 X3.2 Q+\n"
+)
+
+
+def test_equiv_assembles_a_certificate_from_both_sides_on_code_forms(monkeypatch):
+    # the certificate's last two moves are the backward side's two moves,
+    # inverted and transported to the end of the forward path; assembling it
+    # builds no diagram, and it replays to d2
+    (d1, bundle), (d2, _) = parse(TWO_SIDED_D1), parse(TWO_SIDED_D2)
+    inverses, diagrams = [], []
+    monkeypatch.setattr(moves_module, "Diagram", lambda *a: diagrams.append(a) or Diagram(*a))
+    for name, kind in list(moves_module._KINDS.items()):
+        monkeypatch.setitem(moves_module._KINDS, name, kind._replace(
+            inverse=lambda d, m, inner=kind.inverse: inverses.append(m) or inner(d, m)))
+    v = equivalent_bounded(d1, d2, bundle, budget())
+    assert v.certificate == (
+        MoveInstance("r2_insert", (0, 0, 0, 1)), MoveInstance("stab", (0, 4, "lr")),
+        MoveInstance("kink_slide", (0, 3)), MoveInstance("r2_insert", (0, 0, 0, 9)),
+    )
+    assert [m.kind for m in inverses] == ["r2_remove", "kink_slide"] and diagrams == []
+    assert diagrams_equal(replay(d1, v.certificate), d2)
 
 
 def test_fresh_crossing_id():

@@ -48,6 +48,7 @@ REJECTED = [
     (LiftClass, {"base_part": (0, 0, 0, 0), "fiber_part": 5, "euler_number": 2}, ValueError),
     (TwistedShadow, {"diagram": Diagram(S2, "smooth", ((("kink", 1),),))}, ValueError),
     (AbelianGroup, {"rank": 1, "torsion": (4, 2)}, ValueError),
+    (AbelianGroup, {"rank": 1, "torsion": (0, 2)}, ValueError),  # not a ZeroDivisionError
     (GroupElementExpr, {"w": "a", "factors": (("b", 2),)}, ValueError),
     (
         HNNExtension,
@@ -58,9 +59,12 @@ REJECTED = [
     (HNNWord, {"extension": EXT, "base_words": ("",), "signs": (1,)}, ValueError),
     (SearchBudget, {"max_moves": -1}, ValueError),
 ]
+# each row's type name, numbered from a type's second row on
+REJECTED_IDS = [c.__name__ + (f"-{n}" if n > 1 else "") for i, (c, _, _) in enumerate(REJECTED)
+                for n in [sum(row[0] is c for row in REJECTED[:i + 1])]]
 
 
-@pytest.mark.parametrize("cls, fields, error", REJECTED, ids=[c.__name__ for c, _, _ in REJECTED])
+@pytest.mark.parametrize("cls, fields, error", REJECTED, ids=REJECTED_IDS)
 def test_record_checks_its_fields(cls, fields, error):
     with pytest.raises(error):
         cls(*fields.values())
@@ -68,7 +72,7 @@ def test_record_checks_its_fields(cls, fields, error):
         cls(**fields)
 
 
-@pytest.mark.parametrize("cls, fields, error", REJECTED, ids=[c.__name__ for c, _, _ in REJECTED])
+@pytest.mark.parametrize("cls, fields, error", REJECTED, ids=REJECTED_IDS)
 def test_replace_and_make_check_the_fields(cls, fields, error):
     valid = next(r for r in RECORDS if type(r) is cls)
     assert valid._replace() == valid and cls._make(valid) == valid
