@@ -248,12 +248,13 @@ def cmd_group(args) -> int:
     from .words import exponent_sum, is_trivial, powersum_check
 
     surface = _surface_from_args(args)
-    factors = [item.rpartition(":")[::2] for item in getattr(args, "factor", ())]
+    items = getattr(args, "factor", ())
+    factors = [item.rpartition(":")[::2] for item in items]
     words = [args.word, getattr(args, "word2", "")] + [g for g, _ in factors]
     why = _letter_error(surface.generator_chars, words)
     if why is not None:
         return _usage_error(why)
-    bad = next((f"{g}:{eps}" for g, eps in factors if eps not in ("1", "+1", "-1")), None)
+    bad = next((item for item, (_, eps) in zip(items, factors) if eps not in ("1", "+1", "-1")), None)
     if bad is not None:
         return _usage_error(f"--factor {bad!r}: the exponent must be 1 or -1")
     if args.group_command == "reduce":

@@ -3,15 +3,7 @@
 from __future__ import annotations
 
 from .snf import AbelianGroup
-from .surfaces import CircleBundle, GroupPresentation, bundle_pi1_presentation
-
-
-def exponent_vector(word: str, generators: tuple[str, ...]) -> list[int]:
-    index = {g: i for i, g in enumerate(generators)}
-    vec = [0] * len(generators)
-    for ch in word:
-        vec[index[ch.lower()]] += -1 if ch.isupper() else 1
-    return vec
+from .surfaces import CircleBundle, GroupPresentation, bundle_pi1_presentation, exponent_vector
 
 
 def abelianization(presentation: GroupPresentation) -> AbelianGroup:

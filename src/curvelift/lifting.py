@@ -1,14 +1,14 @@
 """Canonical-lift invariants and canonicalization of twisted shadows.
 
 The turning model (each event's turning and each mode's fiber unit) lives in
-diagrams: raw_turning, fiber_degree and fiber_loops.  The homology class of
-the lift in H1 of the circle bundle is the abelianized shadow plus the fiber
-degree reduced mod |e|.
+diagrams: raw_turning, fiber_degree and fiber_loops, which turning_delta
+reads too.  The lift's class in H1 of the circle bundle is the abelianized
+shadow (surfaces.exponent_vector) plus the fiber degree reduced mod |e|.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .diagrams import (
     FIBER_UNIT,
@@ -19,10 +19,11 @@ from .diagrams import (
     edge,
     fiber_degree,
     fiber_loops,
+    raw_turning,
     serialize,
 )
 from .errors import ModeMismatch
-from .surfaces import CircleBundle, Surface, surface_pi1_presentation
+from .surfaces import CircleBundle, Surface, exponent_vector, surface_pi1_presentation
 from .words import eliminate_last_boundary
 
 
@@ -39,10 +40,6 @@ class LiftClass(namedtuple("LiftClass", "base_part fiber_part euler_number")):
             raise ValueError("fiber_part must be reduced mod |e|")
         return self
 
-    def to_json(self) -> dict:
-        return {"base": list(self.base_part), "fiber": self.fiber_part,
-                "euler_number": self.euler_number}
-
 
 def shadow_homology_vector(diagram: Diagram, component: int) -> tuple[int, ...]:
     """Abelianized shadow: the exponent sums of its edge word, d_k eliminated,
@@ -50,8 +47,7 @@ def shadow_homology_vector(diagram: Diagram, component: int) -> tuple[int, ...]:
     surface = diagram.surface
     tokens = [ev[1] for ev in diagram.components[component] if ev[0] == "edge"]
     word = eliminate_last_boundary(surface.encode(tokens), surface)
-    gens = surface_pi1_presentation(surface).generators
-    return tuple(word.count(ch) - word.count(ch.upper()) for ch in gens)
+    return tuple(exponent_vector(word, surface_pi1_presentation(surface).generators))
 
 
 def _check_mode(diagram: Diagram, bundle: CircleBundle) -> None:
@@ -107,6 +103,10 @@ class TwistedShadow(namedtuple("TwistedShadow", "diagram twists crossing_fixes c
             for ev in comp:
                 if ev[0] in ("kink", "cusp"):
                     raise ValueError("twisted shadows may not contain kinks or cusps")
+        for head, annotations in zip(("twist", "fix", "corner"), self[1:]):
+            twice = [key for key, n in Counter(key for key, _ in annotations).items() if n > 1]
+            if twice:
+                raise ValueError(f"two {head} annotations of {twice[0]}")
         comps = self.diagram.components
         for (ci, pos), _ in self.twists:
             if not (0 <= ci < len(comps) and 0 <= pos < max(len(comps[ci]), 1)):
@@ -127,24 +127,24 @@ class TwistedShadow(namedtuple("TwistedShadow", "diagram twists crossing_fixes c
 
 
 def turning_delta(shadow: TwistedShadow) -> int:
-    """The change canonicalize makes to the turning, summed over all
-    components (not per component): every twist m adds m, every through_loop
-    corner of sign s adds -s, and a fix adds a loop and its opposite.  Twists
-    +2 and -3 on two components give -1."""
-    total = sum(m for _, m in shadow.twists)
-    comps = shadow.diagram.components
-    for (ci, pos), mode in shadow.corner_modes:
-        if mode == "through_loop":
-            total -= comps[ci][pos][1]
-    return total
+    """The change canonicalize makes to the turning (diagrams.raw_turning),
+    summed over all components (not per component); the loops it inserts make
+    whole turns.  Twists +2 and -3 on two components give -1."""
+    before, after = shadow.diagram, _canonical(shadow)
+    return int(sum(raw_turning(after, ci) - raw_turning(before, ci)
+                   for ci in range(len(before.components))))
 
 
 def canonicalize(shadow: TwistedShadow, bundle: CircleBundle) -> Diagram:
     """Insert the annotated fiber corrections: |m| kinks (cusp pairs in PT
     mode) per twisted segment, flanking loops at fixed crossings, and the
     loop-turn macro at through_loop corners."""
+    _check_mode(shadow.diagram, bundle)
+    return _canonical(shadow)
+
+
+def _canonical(shadow: TwistedShadow) -> Diagram:
     diagram = shadow.diagram
-    _check_mode(diagram, bundle)
     twists = dict(shadow.twists)
     fixes = dict(shadow.crossing_fixes)
     corners = dict(shadow.corner_modes)
@@ -175,9 +175,7 @@ def canonicalize(shadow: TwistedShadow, bundle: CircleBundle) -> Diagram:
 
 def parse_twisted_shadow(text: str) -> tuple[TwistedShadow, CircleBundle]:
     diagram, bundle, extras = _parse_with_annotations(text)
-    twists = []
-    fixes = []
-    corners = []
+    twists, fixes, corners = [], [], []
     for lineno, line in extras:
         head, _, rest = line.partition(":")
         parts = rest.split()

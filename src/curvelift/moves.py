@@ -1,12 +1,13 @@
 """Move calculus on diagrams: Reidemeister moves, (de)stabilizations,
 transvections, and bounded equivalence search with replayable certificates.
 
-Conventions.  Stabilization inserts an adjacent opposite pair (left+right
-kink in smooth mode, up+down cusp pair in cusp-smooth mode); single
-kinks/cusps are reachable only through transvections.  Every non-transvection
-move preserves the lift class; a transvection by sum a_i * gamma_i shifts the
-fiber class of each component by the signed count of its declared
-intersection sites and leaves the base class alone.
+Conventions.  Stabilization inserts the mode's fiber unit (diagrams'
+FIBER_UNIT) and its opposite, adjacent: left+right kinks in smooth mode,
+up+down cusps in cusp-smooth mode; single kinks/cusps are reachable only
+through transvections.  Every non-transvection move preserves the lift
+class; a transvection by sum a_i * gamma_i shifts the fiber class of each
+component by the signed count of its declared intersection sites and leaves
+the base class alone.
 
 Sites use (component, position) coordinates; adjacency is cyclic.  A "gap"
 index p in [0, n) names the insertion point before event p (gap 0 doubles as
@@ -53,7 +54,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 
-from .diagrams import CUSP_SMOOTH, FIXED_EVENTS, SMOOTH, Diagram, cusp, edge, fiber_loops, kink, shadow_word
+from .diagrams import CUSP_SMOOTH, FIXED_EVENTS, SMOOTH, Diagram, edge, fiber_loops, shadow_word
 from .errors import InapplicableMove, ModeMismatch, UnsupportedSurface
 from .lifting import lift_class
 from .surfaces import CircleBundle, Surface
@@ -71,14 +72,11 @@ class MoveInstance(namedtuple("MoveInstance", "kind site", defaults=((),))):
     __slots__ = ()
 
 
-STAB_VARIANTS = {
-    "lr": (kink(1), kink(-1)),
-    "rl": (kink(-1), kink(1)),
-    "ud": (cusp(1), cusp(-1)),
-    "du": (cusp(-1), cusp(1)),
-}
-# each mode's stabilizations; the first is the one the catalogue lists
+# each mode's stabilizations, its fiber unit and its opposite in either order;
+# the first is the one the catalogue lists
 _STABS = {SMOOTH: ("lr", "rl"), CUSP_SMOOTH: ("ud", "du")}
+STAB_VARIANTS = {name: (*fiber_loops(mode, n), *fiber_loops(mode, -n))
+                 for mode, names in _STABS.items() for name, n in zip(names, (1, -1))}
 
 
 def _integer(x) -> int:

@@ -148,6 +148,15 @@ class GroupPresentation(namedtuple("GroupPresentation", "generators relators nam
         return " ".join(self.display_name(ch) for ch in word) or "1"
 
 
+def exponent_vector(word: str, generators: tuple[str, ...]) -> list[int]:
+    """The word's exponent sum on each generator: its image in the abelianization."""
+    index = {g: i for i, g in enumerate(generators)}
+    vec = [0] * len(generators)
+    for ch in word:
+        vec[index[ch.lower()]] += -1 if ch.isupper() else 1
+    return vec
+
+
 @functools.cache
 def surface_pi1_presentation(surface: Surface) -> GroupPresentation:
     """Standard presentation of pi_1: one-relator for closed genus >= 1,

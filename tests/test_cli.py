@@ -107,6 +107,26 @@ def test_canonicalize(tmp_path, capsys):
     assert code == 0
     text = open(out_path).read()
     assert "L+ L+" in text
+    # without -o the diagram goes to stdout and the delta to stderr
+    assert main(["canonicalize", path]) == 0
+    assert capsys.readouterr() == (text, "turning delta +2\n")
+
+
+@pytest.mark.parametrize(
+    "annotations, named",
+    [
+        ("twist: 0 0 2\ntwist: 0 0 2\n", "two twist annotations of (0, 0)"),
+        ("twist: 0 0 2\ntwist: 0 0 -2\n", "two twist annotations of (0, 0)"),
+        ("corner: 0 1 through_loop\ncorner: 0 1 smooth\n", "two corner annotations of (0, 1)"),
+    ],
+    ids=["twist-same", "twist-opposite", "corner"],
+)
+def test_canonicalize_refuses_an_annotation_given_twice(tmp_path, capsys, annotations, named):
+    # the diagram kept only the last annotation while the delta counted them all
+    path = write(tmp_path, "s.txt", CIRCLE + annotations)
+    assert main(["canonicalize", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err
 
 
 def test_canonicalize_json(tmp_path, capsys):
@@ -143,6 +163,12 @@ def test_equiv_distinguished_exit_code(tmp_path, capsys):
     code, out = run(capsys, "--format", "json", "equiv", p1, p2)
     assert code == 3
     assert json.loads(out)["invariant"]["name"] == "component_count"
+    # shadow classes have no key on the torus, so the lift classes' bases tell these apart
+    p1 = write(tmp_path, "t1.txt", "surface genus=1 boundary=0\nbundle UT\ncomp: a1 Q+ Q+ Q+ Q+\n")
+    p2 = write(tmp_path, "t2.txt", "surface genus=1 boundary=0\nbundle UT\ncomp: a1' Q+ Q+ Q+ Q+\n")
+    code, out = run(capsys, "equiv", p1, p2)
+    assert code == 3
+    assert out.splitlines()[1] == "distinguished by lift_class_base: [(1, 0)] vs [(-1, 0)]"
 
 
 def test_equiv_unknown_exit_code(tmp_path, capsys):
@@ -287,7 +313,7 @@ def test_equiv_transvections_accept_only_integers(tmp_path, capsys, generator):
     [
         (["group", "powersum", "--genus", "2", "ab", "--factor", "c:x"], None, "'c:x'"),
         (["group", "powersum", "--genus", "2", "ab", "--factor", "c:2"], None, "'c:2'"),
-        (["group", "powersum", "--genus", "2", "ab", "--factor", "c"], None, "exponent"),
+        (["group", "powersum", "--genus", "2", "ab", "--factor", "c"], None, "'c'"),
         *(
             (["equiv", "{d}", "{d}", "--transvections", "{f}"],
              [{k: v for k, v in GENERATOR.items() if k != field}], f"no '{field}'")
@@ -508,6 +534,9 @@ def test_equiv_rejects_invalid_diagrams_before_searching(tmp_path, capsys, monke
         code, out = run(capsys, "--format", "json", "equiv", *pair)
         assert code == 1
         assert json.loads(out)["violations"] == [f"{bad}: UnpairedCrossing: crossing 1: slots {{1: 1}}"]
+    pt = write(tmp_path, "pt.txt", VERTEX_LINK.replace("UT", "PT"))
+    assert main(["equiv", good, pt]) == 1
+    assert "bundle mismatch" in capsys.readouterr().err
 
 
 def test_replay_inapplicable_move(tmp_path, capsys):

@@ -139,6 +139,9 @@ def test_twisted_shadow_validation():
         TwistedShadow(d, corner_modes=(((0, 0), "through_loop"),))  # not a qturn
     with pytest.raises(ValueError):
         TwistedShadow(smooth(kink(1)))
+    x = smooth(cross("1", 1), qturn(1), cross("1", 2), qturn(1), qturn(1), qturn(1))
+    with pytest.raises(ValueError, match="two fix annotations of 1"):
+        TwistedShadow(x, crossing_fixes=(("1", "left"), ("1", "left")))
 
 
 def test_canonicalize_twist_inserts_kinks():
